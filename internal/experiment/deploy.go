@@ -17,13 +17,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"aggrate/internal/conflict"
 	"aggrate/internal/geom"
+	"aggrate/internal/lru"
 	"aggrate/internal/mst"
 	"aggrate/internal/schedule"
 	"aggrate/internal/scheduler"
@@ -68,12 +69,9 @@ func schedGammaKey(schedKey string, gamma float64) string {
 }
 
 // deployEntry holds the deployment-determined artifacts of one DeployKey.
-// ready is closed when the builder finishes (err says how); after that the
-// artifact fields are immutable and safe to share across instances.
+// Once built, the artifact fields are immutable and safe to share across
+// instances.
 type deployEntry struct {
-	ready chan struct{}
-	err   error
-
 	pts  []geom.Point
 	tree *mst.Tree
 
@@ -82,76 +80,31 @@ type deployEntry struct {
 	// content) and safe for concurrent use, so specs with different graph
 	// kinds or deltas coexist in one; the ceiling must match exactly
 	// because the annotated build's strengths only cover γ ≤ ceiling.
-	laMu sync.Mutex
-	las  map[float64]*conflict.Lookahead
+	las *lru.Cache[float64, *conflict.Lookahead]
 
 	// scheds shares the pre-power stage product — the schedule skeleton and
 	// its strategy diagnostics — across the specs of this deployment, keyed
 	// by schedGammaKey (SchedKey + the attempt's concrete γ). Strategies are
 	// deterministic in (links, Config) and the cached *schedule.Schedule and
 	// Diag are immutable after publish, so a reused stage is bit-identical
-	// to the build a cold run would have done. Same singleflight protocol as
-	// the deployment itself: the first requester builds, the rest wait.
-	schedMu sync.Mutex
-	scheds  map[string]*schedEntry
-
-	// LRU linkage (guarded by the owning cache's mutex).
-	key        string
-	prev, next *deployEntry
+	// to the build a cold run would have done. It is unbounded: it lives
+	// and dies with its deployment.
+	scheds *lru.Cache[string, schedStage]
 }
 
-// schedEntry is one cached pre-power stage product: the schedule skeleton
-// (ordering+coloring) of one (SchedKey, γ) under this deployment. ready is
-// closed when the builder finishes; after that sched/diag are immutable.
-type schedEntry struct {
-	ready chan struct{}
-	err   error
-
+// schedStage is one cached pre-power stage product: the schedule skeleton
+// (ordering+coloring) of one (SchedKey, γ) under a deployment.
+type schedStage struct {
 	sched *schedule.Schedule
 	diag  scheduler.Diag
-}
-
-// schedAcquire returns the stage entry for key and whether the caller is its
-// builder. Builders must fill the entry and call schedFinish exactly once;
-// non-builders wait on ready.
-func (e *deployEntry) schedAcquire(key string) (*schedEntry, bool) {
-	e.schedMu.Lock()
-	defer e.schedMu.Unlock()
-	if se, ok := e.scheds[key]; ok {
-		return se, false
-	}
-	if e.scheds == nil {
-		e.scheds = make(map[string]*schedEntry)
-	}
-	se := &schedEntry{ready: make(chan struct{})}
-	e.scheds[key] = se
-	return se, true
-}
-
-// schedFinish publishes the builder's outcome. A failed build is removed so
-// the next attempt retries instead of replaying the error.
-func (e *deployEntry) schedFinish(key string, se *schedEntry, err error) {
-	se.err = err
-	close(se.ready)
-	if err != nil {
-		e.schedMu.Lock()
-		if cur, ok := e.scheds[key]; ok && cur == se {
-			delete(e.scheds, key)
-		}
-		e.schedMu.Unlock()
-	}
 }
 
 // lookaheadFor returns the entry's shared Lookahead armed at the given γ
 // ceiling, creating it on first request.
 func (e *deployEntry) lookaheadFor(top float64) *conflict.Lookahead {
-	e.laMu.Lock()
-	defer e.laMu.Unlock()
-	la := e.las[top]
-	if la == nil {
-		la = conflict.NewLookahead(top)
-		e.las[top] = la
-	}
+	la, _, _ := e.las.Fill(context.TODO(), top, func() (*conflict.Lookahead, error) {
+		return conflict.NewLookahead(top), nil
+	})
 	return la
 }
 
@@ -161,18 +114,12 @@ func (e *deployEntry) lookaheadFor(top float64) *conflict.Lookahead {
 // build: the first caller generates the deployment while the rest wait on
 // it. Safe for concurrent use.
 type DeployCache struct {
-	mu         sync.Mutex
-	max        int
-	entries    map[string]*deployEntry
-	head, tail *deployEntry
-
-	hits, misses, evictions int64
+	entries *lru.Cache[string, *deployEntry]
 
 	// Pre-power stage cache counters, across every deployment entry: a hit
 	// is an escalation attempt served by a cached ordering+coloring build
 	// (possibly after waiting for its builder), a miss is an attempt that
-	// built the stage. Atomics so the hot per-attempt path never takes the
-	// cache's LRU lock.
+	// built the stage.
 	schedHits, schedMisses atomic.Int64
 }
 
@@ -188,7 +135,7 @@ func NewDeployCache(maxEntries int) *DeployCache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultDeployCacheEntries
 	}
-	return &DeployCache{max: maxEntries, entries: make(map[string]*deployEntry)}
+	return &DeployCache{entries: lru.New[string, *deployEntry](maxEntries, math.MaxInt64)}
 }
 
 // Len reports the number of cached deployments (including in-flight builds).
@@ -196,9 +143,7 @@ func (dc *DeployCache) Len() int {
 	if dc == nil {
 		return 0
 	}
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	return len(dc.entries)
+	return dc.entries.Len()
 }
 
 // Stats reports the cache's lifetime hit/miss/eviction counters. A hit is a
@@ -208,9 +153,7 @@ func (dc *DeployCache) Stats() (hits, misses, evictions int64) {
 	if dc == nil {
 		return 0, 0, 0
 	}
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	return dc.hits, dc.misses, dc.evictions
+	return dc.entries.Stats()
 }
 
 // SchedStats reports the pre-power stage cache's lifetime hit/miss counters:
@@ -226,184 +169,69 @@ func (dc *DeployCache) SchedStats() (hits, misses int64) {
 }
 
 // schedFor resolves one escalation attempt's pre-power stage product through
-// dep's stage cache: a hit shares the cached schedule skeleton and strategy
-// diagnostics, a miss runs build (the strategy invocation, exactly as the
-// cold path would) and publishes the product for the attempts that follow.
-// A waiter whose builder failed falls back to a private build under its own
-// context — the cache can delay an attempt but never fail one on another's
-// behalf. reused reports a hit, so the caller can skip stamping stage
-// timings for work that never ran in this instance.
+// dep's stage cache, running build (the cold path's strategy invocation) on
+// a miss. reused reports that build did not run here, so the caller can
+// skip stamping stage timings for work that never ran in this instance.
 func (dc *DeployCache) schedFor(ctx context.Context, dep *deployEntry, key string,
 	build func() (*schedule.Schedule, scheduler.Diag, error)) (sched *schedule.Schedule, diag scheduler.Diag, reused bool, err error) {
-	se, builder := dep.schedAcquire(key)
-	if builder {
+	built := false
+	st, hit, err := dep.scheds.Fill(ctx, key, func() (schedStage, error) {
+		built = true
+		s, d, err := build()
+		return schedStage{s, d}, err
+	})
+	if hit {
+		dc.schedHits.Add(1)
+	} else {
 		dc.schedMisses.Add(1)
-		sched, diag, err = build()
-		se.sched, se.diag = sched, diag
-		dep.schedFinish(key, se, err)
-		return sched, diag, false, err
 	}
-	dc.schedHits.Add(1)
-	select {
-	case <-ctx.Done():
-		return nil, scheduler.Diag{}, false, ctx.Err()
-	case <-se.ready:
-	}
-	if se.err != nil {
-		// Builder failed under its own context; retry cold under ours.
-		sched, diag, err = build()
-		return sched, diag, false, err
-	}
-	return se.sched, se.diag, true, nil
-}
-
-// acquire returns the entry for key and whether the caller is its builder.
-// Builders must fill the entry and call finish exactly once; non-builders
-// wait on ready.
-func (dc *DeployCache) acquire(key string) (*deployEntry, bool) {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	if e, ok := dc.entries[key]; ok {
-		dc.hits++
-		dc.moveFront(e)
-		return e, false
-	}
-	dc.misses++
-	e := &deployEntry{
-		ready: make(chan struct{}),
-		las:   make(map[float64]*conflict.Lookahead),
-		key:   key,
-	}
-	dc.entries[key] = e
-	dc.pushFront(e)
-	// Evict least-recently-used completed entries past the budget. In-flight
-	// builds are never evicted — their waiters hold the entry pointer.
-	for n := len(dc.entries); n > dc.max; n-- {
-		victim := dc.tail
-		for victim != nil && !victim.done() {
-			victim = victim.prev
-		}
-		if victim == nil || victim == e {
-			break
-		}
-		dc.unlink(victim)
-		delete(dc.entries, victim.key)
-		dc.evictions++
-	}
-	return e, true
-}
-
-// finish publishes the builder's outcome. A failed build is removed from
-// the cache so the next request retries instead of replaying the error.
-func (dc *DeployCache) finish(e *deployEntry, err error) {
-	e.err = err
-	close(e.ready)
 	if err != nil {
-		dc.mu.Lock()
-		if cur, ok := dc.entries[e.key]; ok && cur == e {
-			dc.unlink(e)
-			delete(dc.entries, e.key)
-		}
-		dc.mu.Unlock()
+		return nil, scheduler.Diag{}, false, err
 	}
-}
-
-func (e *deployEntry) done() bool {
-	select {
-	case <-e.ready:
-		return true
-	default:
-		return false
-	}
-}
-
-func (dc *DeployCache) unlink(e *deployEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		dc.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		dc.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (dc *DeployCache) pushFront(e *deployEntry) {
-	e.prev, e.next = nil, dc.head
-	if dc.head != nil {
-		dc.head.prev = e
-	}
-	dc.head = e
-	if dc.tail == nil {
-		dc.tail = e
-	}
-}
-
-func (dc *DeployCache) moveFront(e *deployEntry) {
-	if dc.head == e {
-		return
-	}
-	dc.unlink(e)
-	dc.pushFront(e)
+	return st.sched, st.diag, !built, nil
 }
 
 // deployFor resolves the deployment artifacts for spec through the cache:
 // a hit shares the cached pointset/tree (stamping Timings.DeployReused), a
 // miss builds them exactly as the cold path would, stamping the same stage
-// timings, and publishes the entry for the specs that follow. A waiter
-// whose builder failed (or whose wait was cut by ctx while the builder's
-// own context died) falls back to a cold build under its own context —
-// the cache can delay an instance but never fail one on another's behalf.
+// timings. As in every lru fill, a waiter whose builder failed builds cold
+// under its own context: the cache can delay an instance, never fail it.
 func deployFor(ctx context.Context, spec Spec, dc *DeployCache, t *Timings) (*deployEntry, error) {
-	e, builder := dc.acquire(DeployKey(spec))
-	if builder {
-		err := buildDeploy(ctx, spec, e, t)
-		dc.finish(e, err)
-		return e, err
+	built := false
+	e, _, err := dc.entries.Fill(ctx, DeployKey(spec), func() (*deployEntry, error) {
+		built = true
+		return buildDeploy(ctx, spec, t)
+	})
+	if err != nil {
+		return nil, err
 	}
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-e.ready:
-	}
-	if e.err != nil {
-		// Builder failed under its own context; retry cold under ours.
-		cold := &deployEntry{
-			ready: make(chan struct{}),
-			las:   make(map[float64]*conflict.Lookahead),
-		}
-		if err := buildDeploy(ctx, spec, cold, t); err != nil {
-			return nil, err
-		}
-		close(cold.ready)
-		return cold, nil
-	}
-	t.DeployReused = true
+	t.DeployReused = !built
 	return e, nil
 }
 
-// buildDeploy runs the deployment stages (generate, EMST) into e, stamping
-// the same per-stage timings the cold pipeline records.
-func buildDeploy(ctx context.Context, spec Spec, e *deployEntry, t *Timings) error {
+// buildDeploy runs the deployment stages (generate, EMST) into a fresh
+// entry, stamping the same per-stage timings the cold pipeline records.
+func buildDeploy(ctx context.Context, spec Spec, t *Timings) (*deployEntry, error) {
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
+	}
+	e := &deployEntry{
+		las:    lru.New[float64, *conflict.Lookahead](math.MaxInt, math.MaxInt64),
+		scheds: lru.New[string, schedStage](math.MaxInt, math.MaxInt64),
 	}
 	t0 := time.Now()
 	e.pts = spec.Scenario.Generate(spec.N, spec.Seed)
 	t.GenerateSec = time.Since(t0).Seconds()
 
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	t0 = time.Now()
 	tree, err := mst.NewMSTTreeCtx(ctx, e.pts, spec.Sink)
 	if err != nil {
-		return fmt.Errorf("experiment: mst: %w", err)
+		return nil, fmt.Errorf("experiment: mst: %w", err)
 	}
 	e.tree = tree
 	t.MSTSec = time.Since(t0).Seconds()
-	return nil
+	return e, nil
 }

@@ -3,8 +3,14 @@ package experiment
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"reflect"
+	"sync"
 	"testing"
+	"time"
 
+	"aggrate/internal/geom"
+	"aggrate/internal/mst"
 	"aggrate/internal/scheduler"
 )
 
@@ -231,5 +237,162 @@ func TestDeployCacheEviction(t *testing.T) {
 	}
 	if hits, _, _ := dc.Stats(); hits != 1 {
 		t.Fatalf("retained deployment not reused: hits=%d", hits)
+	}
+}
+
+// gatedScenario wraps a scenario so that its first Generate call closes
+// entered and then blocks until release is closed: a deployment build held
+// in flight for as long as a test needs. Later calls pass straight through.
+type gatedScenario struct {
+	Scenario
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func newGatedScenario(sc Scenario) *gatedScenario {
+	return &gatedScenario{Scenario: sc, entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *gatedScenario) Generate(n int, seed uint64) []geom.Point {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	return g.Scenario.Generate(n, seed)
+}
+
+// TestDeployCacheKeepsInFlight: a deployment still being built is never
+// evicted, even past the entry budget; the budget is restored by the next
+// insertion once the build has finished.
+func TestDeployCacheKeepsInFlight(t *testing.T) {
+	ctx := context.Background()
+	sc := uniformScenario(t)
+	g := newGatedScenario(sc)
+	dc := NewDeployCache(1)
+
+	type built struct {
+		e   *deployEntry
+		err error
+	}
+	done := make(chan built)
+	go func() {
+		e, err := deployFor(ctx, NewSpec(g, 200, 1), dc, &Timings{})
+		done <- built{e, err}
+	}()
+	<-g.entered
+	if _, err := deployFor(ctx, NewSpec(sc, 150, 1), dc, &Timings{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ev := dc.Stats(); ev != 0 || dc.Len() != 2 {
+		t.Fatalf("in-flight build evicted: evictions=%d len=%d, want 0/2", ev, dc.Len())
+	}
+	close(g.release)
+	a := <-done
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+
+	// The finished build stayed cached: a repeat request shares its entry.
+	var tm Timings
+	e, err := deployFor(ctx, NewSpec(sc, 200, 1), dc, &tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e != a.e || !tm.DeployReused {
+		t.Fatalf("finished build not reused (same entry %v, reused %v)", e == a.e, tm.DeployReused)
+	}
+	if _, err := deployFor(ctx, NewSpec(sc, 100, 1), dc, &Timings{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ev := dc.Stats(); ev != 2 || dc.Len() != 1 {
+		t.Fatalf("after a third deployment: evictions=%d len=%d, want 2/1", ev, dc.Len())
+	}
+}
+
+// TestDeployCacheDropsFailedBuild: a failed deployment build is not cached;
+// the next request for the same deployment builds it afresh.
+func TestDeployCacheDropsFailedBuild(t *testing.T) {
+	sc := uniformScenario(t)
+	spec := NewSpec(sc, 200, 2)
+	dc := NewDeployCache(2)
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := deployFor(cancelled, spec, dc, &Timings{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled build: err=%v, want context.Canceled", err)
+	}
+	if dc.Len() != 0 {
+		t.Fatalf("failed build cached: len=%d", dc.Len())
+	}
+
+	var tm Timings
+	e, err := deployFor(context.Background(), spec, dc, &tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tm.DeployReused || e.tree == nil {
+		t.Fatalf("retry did not build: reused=%v tree=%v", tm.DeployReused, e.tree != nil)
+	}
+	if hits, misses, _ := dc.Stats(); hits != 0 || misses != 2 || dc.Len() != 1 {
+		t.Fatalf("hits=%d misses=%d len=%d, want 0/2/1", hits, misses, dc.Len())
+	}
+}
+
+// TestDeployCacheWaiterRebuildsCold: a request that waited on a build whose
+// builder failed completes through its own cold build instead of inheriting
+// the error, and that private build is not published to the cache.
+func TestDeployCacheWaiterRebuildsCold(t *testing.T) {
+	sc := uniformScenario(t)
+	g := newGatedScenario(sc)
+	spec := NewSpec(g, 200, 3)
+	dc := NewDeployCache(2)
+
+	builderCtx, cancel := context.WithCancel(context.Background())
+	builderErr := make(chan error)
+	go func() {
+		_, err := deployFor(builderCtx, spec, dc, &Timings{})
+		builderErr <- err
+	}()
+	<-g.entered
+
+	type waited struct {
+		e   *deployEntry
+		tm  Timings
+		err error
+	}
+	waiter := make(chan waited)
+	go func() {
+		var w waited
+		w.e, w.err = deployFor(context.Background(), spec, dc, &w.tm)
+		waiter <- w
+	}()
+	// The waiter has joined the in-flight build once it counts as a hit.
+	for {
+		if hits, _, _ := dc.Stats(); hits == 1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	close(g.release)
+	if err := <-builderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("builder: err=%v, want context.Canceled", err)
+	}
+	w := <-waiter
+	if w.err != nil {
+		t.Fatalf("waiter inherited the builder's failure: %v", w.err)
+	}
+	if w.tm.DeployReused || w.e.tree == nil {
+		t.Fatalf("waiter did not build cold: reused=%v tree=%v", w.tm.DeployReused, w.e.tree != nil)
+	}
+	cold, err := mst.NewMSTTreeCtx(context.Background(), sc.Generate(200, 3), spec.Sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(w.e.tree.Links, cold.Links) {
+		t.Fatal("waiter's cold build differs from a cold run")
+	}
+	if dc.Len() != 0 {
+		t.Fatalf("waiter's cold build was cached: len=%d", dc.Len())
 	}
 }

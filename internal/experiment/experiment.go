@@ -10,7 +10,7 @@
 // conflict parameter γ, but the concrete constant is not pinned down. Run
 // therefore verifies every slot against the SINR condition and, on
 // failure, escalates γ geometrically and rebuilds — the schedule returned
-// with Verified=true always passed (*schedule.Schedule).VerifySINR.
+// with Verified=true always passed (*schedule.Schedule).VerifySINRDelta.
 package experiment
 
 import (
@@ -29,6 +29,7 @@ import (
 	"aggrate/internal/coloring"
 	"aggrate/internal/conflict"
 	"aggrate/internal/geom"
+	"aggrate/internal/lru"
 	"aggrate/internal/mst"
 	"aggrate/internal/power"
 	"aggrate/internal/schedule"
@@ -237,32 +238,20 @@ func (s Spec) powerFunc(links []geom.Link) (schedule.PowerFunc, error) {
 		// the parity suite, Instance.VerifySchedule — so each distinct slot
 		// is solved exactly once per instance. Callers must not mutate the
 		// returned vector; the function is safe for concurrent use.
-		var mu sync.Mutex
-		cache := make(map[string][]float64)
+		solved := lru.New[string, []float64](math.MaxInt, math.MaxInt64)
 		return func(_ int, linkIdx []int) ([]float64, error) {
 			raw := make([]byte, 0, 4*len(linkIdx))
 			for _, i := range linkIdx {
 				raw = append(raw, byte(i), byte(i>>8), byte(i>>16), byte(i>>24))
 			}
-			key := string(raw)
-			mu.Lock()
-			v, ok := cache[key]
-			mu.Unlock()
-			if ok {
-				return v, nil
-			}
-			slot := make([]geom.Link, len(linkIdx))
-			for k, i := range linkIdx {
-				slot[k] = links[i]
-			}
-			out, err := power.Solve(slot, s.SINR, power.SolveOptions{})
-			if err != nil {
-				return nil, err
-			}
-			mu.Lock()
-			cache[key] = out
-			mu.Unlock()
-			return out, nil
+			out, _, err := solved.Fill(context.TODO(), string(raw), func() ([]float64, error) {
+				slot := make([]geom.Link, len(linkIdx))
+				for k, i := range linkIdx {
+					slot[k] = links[i]
+				}
+				return power.Solve(slot, s.SINR, power.SolveOptions{})
+			})
+			return out, err
 		}, nil
 	default:
 		return nil, fmt.Errorf("experiment: unknown power scheme %q", s.Power)
@@ -295,7 +284,7 @@ type Instance struct {
 	GammaUsed float64
 	// GammaRetries counts escalations before verification succeeded.
 	GammaRetries int
-	// Margin is the worst slot SINR margin observed by VerifySINR
+	// Margin is the worst slot SINR margin observed by VerifySINRDelta
 	// (+Inf when every slot is a singleton under zero noise).
 	Margin float64
 	// VerifyStats is the fast engine's diagnostic record for the final
@@ -326,7 +315,7 @@ func (in *Instance) VerifySchedule(engine string) (float64, schedule.VerifyStats
 		m, err := in.Schedule.VerifySINRNaive(in.Spec.SINR, in.pf)
 		return m, schedule.VerifyStats{}, err
 	case schedule.EngineFast, "":
-		return in.Schedule.VerifySINRFast(in.Spec.SINR, in.pf)
+		return in.Schedule.VerifySINRDelta(context.Background(), in.Spec.SINR, in.pf, nil)
 	default:
 		return 0, schedule.VerifyStats{}, fmt.Errorf("experiment: unknown verify engine %q (have %v)",
 			engine, schedule.Engines())
@@ -356,11 +345,8 @@ func (in *Instance) ReverifyIncremental() (float64, schedule.VerifyStats, error)
 // gate's verify_grid_reused assertion come from here. Falls back to a full
 // cold recompute when the run kept no cache.
 func (in *Instance) ReverifyGridWarm() (float64, schedule.VerifyStats, error) {
-	if in.Schedule == nil || in.pf == nil {
-		return 0, schedule.VerifyStats{}, fmt.Errorf("experiment: instance has no schedule to verify")
-	}
 	in.vc.InvalidateMargins()
-	return in.Schedule.VerifySINRDelta(context.Background(), in.Spec.SINR, in.pf, in.vc)
+	return in.ReverifyIncremental()
 }
 
 // Timings records per-stage wall-clock seconds, plus the verification
@@ -614,8 +600,7 @@ func newInstance(ctx context.Context, spec Spec, ws *Workspace, dc *DeployCache)
 			return nil, res, err
 		}
 	} else {
-		dep = &deployEntry{las: make(map[float64]*conflict.Lookahead)}
-		if err := buildDeploy(ctx, spec, dep, &res.Timings); err != nil {
+		if dep, err = buildDeploy(ctx, spec, &res.Timings); err != nil {
 			return nil, res, err
 		}
 	}

@@ -4,15 +4,15 @@
 //
 // The paper's protocol (Sec. 3) uses the MST with edges directed arbitrarily;
 // for the convergecast semantics of the simulator, edges point from child to
-// parent along the unique sink-rooted orientation. Three constructions are
+// parent along the unique sink-rooted orientation. Two constructions are
 // provided: EMST, a grid-accelerated Borůvka that is near-linear on the
-// experiment scenarios and the production path of NewMSTTree; Prim in O(n²)
-// time and O(n) memory, the oracle EMST is cross-checked against; and
-// Kruskal over all pairs as an independent second oracle. EMST resolves
-// equal-weight candidates with Kruskal's edge order (weight, then the sorted
-// endpoint pair), which makes it exact even on tie-heavy inputs; on
-// pointsets with distinct pairwise distances (all jittered generators) the
-// MST is unique and all three constructions agree edge-for-edge. For
+// experiment scenarios and the production path of NewMSTTree; and Prim in
+// O(n²) time and O(n) memory, the oracle EMST is cross-checked against (the
+// tests add Kruskal over all pairs as an independent third). EMST
+// resolves equal-weight candidates with Kruskal's edge order (weight, then
+// the sorted endpoint pair), which makes it exact even on tie-heavy inputs;
+// on pointsets with distinct pairwise distances (all jittered generators)
+// the MST is unique and all three constructions agree edge-for-edge. For
 // collinear pointsets LineMST exploits the 1-D structure (connect neighbors
 // in sorted order).
 package mst
@@ -81,43 +81,6 @@ func Prim(pts []geom.Point) []Edge {
 		edges = append(edges, Edge{U: bestFrom[next], V: next, Weight: math.Sqrt(nd)})
 		inTree[next] = true
 		cur = next
-	}
-	return edges
-}
-
-// Kruskal computes the Euclidean MST by sorting all O(n²) pairs and adding
-// them greedily with a union-find. It exists as an independent
-// cross-check of Prim and for tests; Prim is the default.
-func Kruskal(pts []geom.Point) []Edge {
-	n := len(pts)
-	if n < 2 {
-		return nil
-	}
-	all := make([]Edge, 0, n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			all = append(all, Edge{U: i, V: j, Weight: pts[i].Dist(pts[j])})
-		}
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].Weight != all[b].Weight {
-			return all[a].Weight < all[b].Weight
-		}
-		// Deterministic tie-break so Prim/Kruskal agree on grids.
-		if all[a].U != all[b].U {
-			return all[a].U < all[b].U
-		}
-		return all[a].V < all[b].V
-	})
-	dsu := unionfind.New(n)
-	edges := make([]Edge, 0, n-1)
-	for _, e := range all {
-		if dsu.Union(e.U, e.V) {
-			edges = append(edges, e)
-			if len(edges) == n-1 {
-				break
-			}
-		}
 	}
 	return edges
 }

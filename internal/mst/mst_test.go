@@ -3,10 +3,12 @@ package mst
 import (
 	"context"
 	"math"
+	"sort"
 	"testing"
 
 	"aggrate/internal/geom"
 	"aggrate/internal/rng"
+	"aggrate/internal/unionfind"
 )
 
 func randomPoints(n int, seed uint64, side float64) []geom.Point {
@@ -301,4 +303,41 @@ func BenchmarkMST(b *testing.B) {
 			EMST(pts)
 		}
 	})
+}
+
+// Kruskal computes the Euclidean MST by sorting all O(n²) pairs and adding
+// them greedily with a union-find. It is the
+// tests' independent cross-check of Prim and EMST.
+func Kruskal(pts []geom.Point) []Edge {
+	n := len(pts)
+	if n < 2 {
+		return nil
+	}
+	all := make([]Edge, 0, n*(n-1)/2)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			all = append(all, Edge{U: i, V: j, Weight: pts[i].Dist(pts[j])})
+		}
+	}
+	sort.Slice(all, func(a, b int) bool {
+		if all[a].Weight != all[b].Weight {
+			return all[a].Weight < all[b].Weight
+		}
+		// Deterministic tie-break so Prim/Kruskal agree on grids.
+		if all[a].U != all[b].U {
+			return all[a].U < all[b].U
+		}
+		return all[a].V < all[b].V
+	})
+	dsu := unionfind.New(n)
+	edges := make([]Edge, 0, n-1)
+	for _, e := range all {
+		if dsu.Union(e.U, e.V) {
+			edges = append(edges, e)
+			if len(edges) == n-1 {
+				break
+			}
+		}
+	}
+	return edges
 }

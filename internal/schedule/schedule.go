@@ -166,7 +166,7 @@ func FixedPower(perLink []float64) PowerFunc {
 
 // VerifySINRNaive checks every slot by the exact O(m²) pairwise evaluation
 // (sinr.Params.Margin), sequentially. It is retained as the oracle for the
-// fast engine behind VerifySINR (see verify.go): both return the same
+// fast engine behind VerifySINRDelta (see verify.go): both return the same
 // margins (up to floating-point accumulation order) and identical error
 // conditions and messages.
 func (s *Schedule) VerifySINRNaive(p sinr.Params, pf PowerFunc) (float64, error) {

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -67,13 +68,13 @@ func TestVerifySINR(t *testing.T) {
 	links := pairLinks()
 	// Separate slots: singletons, infinite margin, feasible.
 	s, _ := FromColoring(links, []int{0, 1})
-	m, err := s.VerifySINR(p, FixedPower([]float64{1, 1}))
+	m, _, err := s.VerifySINRDelta(context.Background(), p, FixedPower([]float64{1, 1}), nil)
 	if err != nil || !math.IsInf(m, 1) {
 		t.Fatalf("singleton slots: margin=%v err=%v, want +Inf, nil", m, err)
 	}
 	// Same slot: the hand-computed margin 364.5 from the sinr tests.
 	s2, _ := FromColoring(links, []int{0, 0})
-	m, err = s2.VerifySINR(p, FixedPower([]float64{1, 1}))
+	m, _, err = s2.VerifySINRDelta(context.Background(), p, FixedPower([]float64{1, 1}), nil)
 	if err != nil || math.Abs(m-364.5) > 1e-9 {
 		t.Fatalf("joint slot: margin=%v err=%v, want 364.5, nil", m, err)
 	}
@@ -83,8 +84,8 @@ func TestVerifySINR(t *testing.T) {
 		geom.NewLink(2, 3, geom.Point{X: 2}, geom.Point{X: 3}),
 	}
 	s3, _ := FromColoring(close2, []int{0, 0})
-	if _, err := s3.VerifySINR(p, FixedPower([]float64{1, 1})); err == nil {
-		t.Fatal("VerifySINR accepted an infeasible slot")
+	if _, _, err := s3.VerifySINRDelta(context.Background(), p, FixedPower([]float64{1, 1}), nil); err == nil {
+		t.Fatal("VerifySINRDelta accepted an infeasible slot")
 	}
 }
 

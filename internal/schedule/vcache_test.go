@@ -63,7 +63,7 @@ func TestVerifyCacheGridTier(t *testing.T) {
 	if st.ReusedGrids != st.Slots {
 		t.Fatalf("power-changed pass reused %d of %d grids", st.ReusedGrids, st.Slots)
 	}
-	f2, _, err := s.VerifySINRFast(p, pf2)
+	f2, _, err := s.VerifySINRDelta(context.Background(), p, pf2, nil)
 	if err != nil {
 		t.Fatalf("scratch fast: %v", err)
 	}

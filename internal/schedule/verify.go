@@ -1,4 +1,4 @@
-// SINR verification engines. VerifySINR routes through the fast engine
+// SINR verification engines. VerifySINRDelta routes through the fast engine
 // (internal/sinr.Engine: cached gains, grid-aggregated far-field intervals,
 // exact fallback) with slots verified across the shared internal/par worker
 // pool; VerifySINRNaive in schedule.go retains the exact O(m²)-per-slot
@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"aggrate/internal/lru"
 	"aggrate/internal/par"
 	"aggrate/internal/sinr"
 )
@@ -118,16 +119,17 @@ func hashSlotMembers(slot []int) slotKey {
 // grow without bound across escalation chains.
 const DefaultVerifyCacheBytes = 256 << 20
 
-// vcEntry is one cache line: either a margin (keyed by slot content,
+// vcKey tags a slot key with its tier: a margin (keyed by slot content,
 // membership + powers) or a built slot grid (keyed by membership alone).
-// Entries of both kinds share a single LRU list and byte budget.
+type vcKey struct {
+	slotKey
+	grid bool
+}
+
+// vcEntry is one cache line: a margin or, in the grid tier, a built grid.
 type vcEntry struct {
-	key        slotKey
-	grid       bool // which map owns the entry
-	margin     float64
-	g          *sinr.SlotGrid
-	size       int64
-	prev, next *vcEntry
+	margin float64
+	g      *sinr.SlotGrid
 }
 
 // VerifyCache memoizes slot verification work by content key, enabling the
@@ -138,10 +140,10 @@ type vcEntry struct {
 // exact margins keyed by full slot content (membership + powers), and built
 // sender grids + pyramids keyed by membership alone — so a slot that kept
 // its links but changed powers skips the grid build and only refreshes the
-// masses. Both tiers share one LRU list bounded by a byte budget; margins
-// are ~100 bytes each, grids carry their measured SizeBytes, and the
-// least-recently-used entries of either kind are evicted once the budget
-// is exceeded.
+// masses. Both tiers share one LRU bounded by a byte budget; margins are
+// charged vcMarginSize bytes each, grids their measured SizeBytes on top,
+// and the least-recently-used entries of either kind are evicted once the
+// budget is exceeded.
 //
 // A cache is only meaningful across verifications over the same link set
 // and SINR params it was created for; VerifySINRDelta falls back to a full
@@ -151,13 +153,8 @@ type vcEntry struct {
 // immutable: the engine refreshes into a fresh grid rather than mutating a
 // cached one, so read-only concurrent lookups during a fan-out are safe.
 type VerifyCache struct {
-	p       sinr.Params
-	budget  int64
-	used    int64
-	margins map[slotKey]*vcEntry
-	grids   map[slotKey]*vcEntry
-	// LRU list: head is most recently used, tail is next to evict.
-	head, tail *vcEntry
+	p     sinr.Params
+	lines *lru.Cache[vcKey, vcEntry]
 }
 
 // vcMarginSize approximates the resident cost of one margin entry (struct,
@@ -174,28 +171,26 @@ func NewVerifyCache(p sinr.Params) *VerifyCache {
 // an explicit byte budget. A budget ≤ 0 disables grid retention and keeps
 // only the margin most recently inserted — still correct, just cold.
 func NewVerifyCacheBytes(p sinr.Params, budget int64) *VerifyCache {
-	return &VerifyCache{
-		p:       p,
-		budget:  budget,
-		margins: make(map[slotKey]*vcEntry),
-		grids:   make(map[slotKey]*vcEntry),
-	}
+	return &VerifyCache{p: p, lines: lru.New[vcKey, vcEntry](math.MaxInt, budget)}
 }
 
 // Len reports the number of cached slot margins.
-func (vc *VerifyCache) Len() int {
-	if vc == nil {
-		return 0
-	}
-	return len(vc.margins)
-}
+func (vc *VerifyCache) Len() int { return vc.count(false) }
 
 // GridLen reports the number of cached built slot grids.
-func (vc *VerifyCache) GridLen() int {
+func (vc *VerifyCache) GridLen() int { return vc.count(true) }
+
+func (vc *VerifyCache) count(grid bool) int {
 	if vc == nil {
 		return 0
 	}
-	return len(vc.grids)
+	n := 0
+	for _, k := range vc.lines.Keys() {
+		if k.grid == grid {
+			n++
+		}
+	}
+	return n
 }
 
 // Bytes reports the cache's current charge against its byte budget.
@@ -203,7 +198,7 @@ func (vc *VerifyCache) Bytes() int64 {
 	if vc == nil {
 		return 0
 	}
-	return vc.used
+	return vc.lines.Bytes()
 }
 
 // InvalidateMargins drops every cached margin while keeping the built slot
@@ -215,132 +210,29 @@ func (vc *VerifyCache) InvalidateMargins() {
 	if vc == nil {
 		return
 	}
-	for k, e := range vc.margins {
-		vc.unlink(e)
-		vc.used -= e.size
-		delete(vc.margins, k)
-	}
-}
-
-// unlink removes e from the LRU list.
-func (vc *VerifyCache) unlink(e *vcEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		vc.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		vc.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-// pushFront makes e the most recently used entry.
-func (vc *VerifyCache) pushFront(e *vcEntry) {
-	e.prev, e.next = nil, vc.head
-	if vc.head != nil {
-		vc.head.prev = e
-	}
-	vc.head = e
-	if vc.tail == nil {
-		vc.tail = e
-	}
-}
-
-// touch moves an existing entry to the front of the LRU list.
-func (vc *VerifyCache) touch(e *vcEntry) {
-	if vc.head == e {
-		return
-	}
-	vc.unlink(e)
-	vc.pushFront(e)
-}
-
-// insertMargin adds (or refreshes) a margin entry and evicts past budget.
-func (vc *VerifyCache) insertMargin(key slotKey, margin float64) {
-	if e, ok := vc.margins[key]; ok {
-		e.margin = margin
-		vc.touch(e)
-		return
-	}
-	e := &vcEntry{key: key, margin: margin, size: vcMarginSize}
-	vc.margins[key] = e
-	vc.used += e.size
-	vc.pushFront(e)
-	vc.evict()
-}
-
-// insertGrid adds (or replaces) a grid entry and evicts past budget. g must
-// not be mutated after insertion.
-func (vc *VerifyCache) insertGrid(key slotKey, g *sinr.SlotGrid) {
-	size := g.SizeBytes() + vcMarginSize
-	if e, ok := vc.grids[key]; ok {
-		vc.used += size - e.size
-		e.g, e.size = g, size
-		vc.touch(e)
-		vc.evict()
-		return
-	}
-	e := &vcEntry{key: key, grid: true, g: g, size: size}
-	vc.grids[key] = e
-	vc.used += size
-	vc.pushFront(e)
-	vc.evict()
-}
-
-// evict drops least-recently-used entries until the budget is respected,
-// always keeping the most recent entry so a single oversized grid still
-// serves the verification that built it.
-func (vc *VerifyCache) evict() {
-	for vc.used > vc.budget && vc.tail != nil && vc.tail != vc.head {
-		e := vc.tail
-		vc.unlink(e)
-		vc.used -= e.size
-		if e.grid {
-			delete(vc.grids, e.key)
-		} else {
-			delete(vc.margins, e.key)
+	for _, k := range vc.lines.Keys() {
+		if !k.grid {
+			vc.lines.Remove(k)
 		}
 	}
 }
 
-// VerifySINR checks that every slot of the schedule is SINR-feasible under
-// the powers provided by pf, via the fast engine. It returns the worst slot
-// margin observed (min over slots of min over links of SINR/β) and an error
-// naming the first infeasible slot, if any — the same contract, margins, and
-// error messages as VerifySINRNaive. pf must be safe for concurrent use;
-// FixedPower and the experiment layer's power functions are.
-func (s *Schedule) VerifySINR(p sinr.Params, pf PowerFunc) (float64, error) {
-	m, _, err := s.VerifySINRFast(p, pf)
-	return m, err
-}
-
-// VerifySINRFast is VerifySINR returning the engine diagnostics alongside.
-func (s *Schedule) VerifySINRFast(p sinr.Params, pf PowerFunc) (float64, VerifyStats, error) {
-	return s.VerifySINRCtx(context.Background(), p, pf)
-}
-
-// VerifySINRCtx is VerifySINRFast with cancellation: the per-slot fan-out
-// checks ctx at slot boundaries, so a cancel stops verification within one
-// slot of work per active worker. On cancellation it returns
-// (0, partial stats, ctx.Err()) — never a feasibility verdict, since an
-// unknown set of slots went unexamined.
-func (s *Schedule) VerifySINRCtx(ctx context.Context, p sinr.Params, pf PowerFunc) (float64, VerifyStats, error) {
-	return s.VerifySINRDelta(ctx, p, pf, nil)
-}
-
-// VerifySINRDelta is VerifySINRCtx with incremental re-verification: slots
-// whose content key (membership + powers) is present in vc reuse the cached
-// exact margin and skip the engine entirely; freshly computed margins are
-// added to vc afterwards (including on infeasible schedules, so the next
-// γ-escalation attempt reuses every slot it kept). A nil vc — or one bound
-// to different params — degrades to a full recompute. Margins, verdicts,
-// error messages, and stats determinism are identical with and without a
-// cache, because cached values are the engine's own exact margins for
-// identical slot content. vc must not be shared between concurrent
-// verifications.
+// VerifySINRDelta checks that every slot of the schedule is SINR-feasible
+// under the powers provided by pf (which must be safe for concurrent use),
+// via the fast engine. It returns the worst slot margin (min over slots of
+// min over links of SINR/β), the engine diagnostics, and an error naming
+// the first infeasible slot, if any — the same contract, margins, and error
+// messages as VerifySINRNaive. A cancelled ctx stops the per-slot fan-out
+// within one slot per worker and returns (0, partial stats, ctx.Err()),
+// never a verdict.
+//
+// vc makes re-verification incremental: slots whose content key
+// (membership + powers) is in vc reuse the cached exact margin and skip the
+// engine; fresh margins are added afterwards, also on infeasible schedules,
+// so the next γ-escalation attempt reuses every slot it kept. A nil vc, or
+// one bound to other params, means a full recompute. Results are identical
+// with and without a cache, because cached values are the engine's own
+// exact margins. vc must not be shared between concurrent verifications.
 func (s *Schedule) VerifySINRDelta(ctx context.Context, p sinr.Params, pf PowerFunc, vc *VerifyCache) (float64, VerifyStats, error) {
 	var st VerifyStats
 	if vc != nil && vc.p != p {
@@ -393,10 +285,10 @@ func (s *Schedule) VerifySINRDelta(ctx context.Context, p sinr.Params, pf PowerF
 					continue
 				}
 				if vc != nil {
-					// Both maps are read-only for the whole fan-out (inserts
-					// happen after it), so concurrent lookups are safe.
+					// The cache is only peeked during the fan-out (recency
+					// updates and inserts happen after it, in slot order).
 					o.key = hashSlot(slot, powers)
-					if e, ok := vc.margins[o.key]; ok {
+					if e, ok := vc.lines.Peek(vcKey{o.key, false}); ok {
 						o.margin, o.reused = e.margin, true
 						if o.margin < 1 {
 							lowerCut(&failCut, int64(k))
@@ -407,10 +299,8 @@ func (s *Schedule) VerifySINRDelta(ctx context.Context, p sinr.Params, pf PowerF
 					// membership key and verify grid-warm, retaining the
 					// built/refreshed grid for insertion after the fan-out.
 					o.gkey = hashSlotMembers(slot)
-					var cg *sinr.SlotGrid
-					if e, ok := vc.grids[o.gkey]; ok {
-						cg = e.g
-					}
+					cached, _ := vc.lines.Peek(vcKey{o.gkey, true})
+					cg := cached.g
 					t0 = time.Now()
 					o.margin, o.grid, o.gridReused, o.mErr =
 						eng.MarginSlotGrid(slot, powers, sc, &o.stats, cg, true)
@@ -442,39 +332,40 @@ func (s *Schedule) VerifySINRDelta(ctx context.Context, p sinr.Params, pf PowerF
 				continue
 			}
 			if o.reused {
-				if e, ok := vc.margins[o.key]; ok {
-					vc.touch(e)
-				}
+				vc.lines.Get(vcKey{o.key, false})
 				continue
 			}
 			if o.mErr == nil {
-				vc.insertMargin(o.key, o.margin)
+				vc.lines.Add(vcKey{o.key, false}, vcEntry{margin: o.margin}, vcMarginSize)
 			}
 			if o.grid != nil {
-				vc.insertGrid(o.gkey, o.grid)
+				vc.lines.Add(vcKey{o.gkey, true}, vcEntry{g: o.grid}, o.grid.SizeBytes()+vcMarginSize)
 			}
 		}
 	}
 
+	// tally adds one examined slot's work to st. Both exits below tally in
+	// slot order, so the stats are deterministic.
+	tally := func(o *slotOut) {
+		st.Slots++
+		if o.reused {
+			st.ReusedSlots++
+		}
+		if o.gridReused {
+			st.ReusedGrids++
+		}
+		st.Engine.Add(o.stats)
+		st.PowerSec += o.powerSec
+		st.MarginSec += o.marginSec
+	}
 	if err != nil {
 		// Cancelled mid-fan-out: an unknown subset of slots never ran, so the
 		// zero-valued outs must not be read as margins. Partial stats cover
-		// only the slots a worker actually examined (work performed), summed
-		// in slot order so the report is deterministic for a fixed ran set.
+		// only the slots a worker actually examined (work performed).
 		for k := range outs {
-			if !outs[k].ran {
-				continue
+			if outs[k].ran {
+				tally(&outs[k])
 			}
-			st.Slots++
-			if outs[k].reused {
-				st.ReusedSlots++
-			}
-			if outs[k].gridReused {
-				st.ReusedGrids++
-			}
-			st.Engine.Add(outs[k].stats)
-			st.PowerSec += outs[k].powerSec
-			st.MarginSec += outs[k].marginSec
 		}
 		return 0, st, err
 	}
@@ -491,16 +382,7 @@ func (s *Schedule) VerifySINRDelta(ctx context.Context, p sinr.Params, pf PowerF
 			continue
 		}
 		o := &outs[k]
-		st.Slots++
-		if o.reused {
-			st.ReusedSlots++
-		}
-		if o.gridReused {
-			st.ReusedGrids++
-		}
-		st.Engine.Add(o.stats)
-		st.PowerSec += o.powerSec
-		st.MarginSec += o.marginSec
+		tally(o)
 		if o.pfErr != nil {
 			return 0, st, fmt.Errorf("schedule: slot %d power assignment: %w", k, o.pfErr)
 		}

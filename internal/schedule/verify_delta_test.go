@@ -70,7 +70,7 @@ func annulusInstance(n, k int, radius float64, seed int64) (*Schedule, []float64
 func checkDeltaParity(t *testing.T, s *Schedule, p sinr.Params, pf PowerFunc, vc *VerifyCache) {
 	t.Helper()
 	dm, _, derr := s.VerifySINRDelta(context.Background(), p, pf, vc)
-	fm, _, ferr := s.VerifySINRFast(p, pf)
+	fm, _, ferr := s.VerifySINRDelta(context.Background(), p, pf, nil)
 	nm, nerr := s.VerifySINRNaive(p, pf)
 	if (derr == nil) != (ferr == nil) || (derr == nil) != (nerr == nil) {
 		t.Fatalf("error mismatch: delta=%v fast=%v naive=%v", derr, ferr, nerr)
@@ -129,7 +129,7 @@ func TestVerifyDeltaAfterMutations(t *testing.T) {
 				// An infeasible schedule stops at the first bad slot, so only
 				// the examined prefix is reused; demand full reuse only when
 				// the schedule verified cleanly.
-				if _, _, err := s.VerifySINRFast(p, pf); err == nil {
+				if _, _, err := s.VerifySINRDelta(context.Background(), p, pf, nil); err == nil {
 					t.Fatalf("%s/%d: unchanged re-verify reused %d of %d slots",
 						m.name, seed, st.ReusedSlots, st.Slots)
 				}
@@ -185,7 +185,7 @@ func TestVerifyDeltaParamsMismatch(t *testing.T) {
 	if st.ReusedSlots != 0 || vc.Len() != 0 {
 		t.Fatalf("mismatched cache used: reused=%d len=%d", st.ReusedSlots, vc.Len())
 	}
-	m2, _, _ := s.VerifySINRFast(p, pf)
+	m2, _, _ := s.VerifySINRDelta(context.Background(), p, pf, nil)
 	if m1 != m2 {
 		t.Fatalf("margin %g != scratch %g", m1, m2)
 	}
@@ -203,7 +203,7 @@ func TestVerifyCtxCancelDeterministic(t *testing.T) {
 	p := sinr.DefaultParams()
 	// The instance must be feasible: an infeasible slot before cancelAt would
 	// move failCut and skip the later slots, so the cancel would never fire.
-	if _, _, err := s.VerifySINRFast(p, FixedPower(powers)); err != nil {
+	if _, _, err := s.VerifySINRDelta(context.Background(), p, FixedPower(powers), nil); err != nil {
 		t.Fatalf("precondition: instance not feasible: %v", err)
 	}
 	const cancelAt = 7
@@ -300,7 +300,7 @@ func FuzzVerifyDelta(f *testing.F) {
 		vc := NewVerifyCache(p)
 		for pass := 0; pass < 2; pass++ { // cold, then fully warm
 			dm, _, derr := s.VerifySINRDelta(context.Background(), p, pf, vc)
-			fm, _, ferr := s.VerifySINRFast(p, pf)
+			fm, _, ferr := s.VerifySINRDelta(context.Background(), p, pf, nil)
 			nm, nerr := s.VerifySINRNaive(p, pf)
 			if (derr == nil) != (ferr == nil) || (derr == nil) != (nerr == nil) {
 				t.Fatalf("pass %d error mismatch: delta=%v fast=%v naive=%v", pass, derr, ferr, nerr)

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -36,7 +37,7 @@ func randInstance(n, k int, side, lenDiv float64, seed int64) (*Schedule, []floa
 // relative, +Inf exact) and identical error presence and message.
 func checkVerifyParity(t *testing.T, s *Schedule, p sinr.Params, pf PowerFunc) {
 	t.Helper()
-	fast, _, ferr := s.VerifySINRFast(p, pf)
+	fast, _, ferr := s.VerifySINRDelta(context.Background(), p, pf, nil)
 	naive, nerr := s.VerifySINRNaive(p, pf)
 	if (ferr == nil) != (nerr == nil) {
 		t.Fatalf("error mismatch: fast=%v naive=%v", ferr, nerr)
@@ -90,8 +91,8 @@ func TestVerifyPowerFuncError(t *testing.T) {
 		return FixedPower(powers)(slot, linkIdx)
 	}
 	checkVerifyParity(t, s, sinr.DefaultParams(), bad)
-	if _, err := s.VerifySINR(sinr.DefaultParams(), bad); err == nil {
-		t.Fatal("VerifySINR swallowed the power error")
+	if _, _, err := s.VerifySINRDelta(context.Background(), sinr.DefaultParams(), bad, nil); err == nil {
+		t.Fatal("VerifySINRDelta swallowed the power error")
 	}
 }
 
@@ -107,9 +108,9 @@ func TestVerifyBadPower(t *testing.T) {
 // naive-pair total matching the schedule shape.
 func TestVerifyStatsPlumbing(t *testing.T) {
 	s, powers := randInstance(200, 8, 50000, 400, 6)
-	_, st, err := s.VerifySINRFast(sinr.DefaultParams(), FixedPower(powers))
+	_, st, err := s.VerifySINRDelta(context.Background(), sinr.DefaultParams(), FixedPower(powers), nil)
 	if err != nil {
-		t.Fatalf("VerifySINRFast: %v", err)
+		t.Fatalf("VerifySINRDelta: %v", err)
 	}
 	if st.Slots != 8 {
 		t.Fatalf("Slots = %d, want 8", st.Slots)
@@ -138,7 +139,7 @@ func BenchmarkVerify(b *testing.B) {
 	pf := FixedPower(powers)
 	b.Run("fast", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := s.VerifySINR(p, pf); err != nil {
+			if _, _, err := s.VerifySINRDelta(context.Background(), p, pf, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

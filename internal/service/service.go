@@ -32,6 +32,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/big"
 	"net/http"
 	"strconv"
 	"sync"
@@ -39,6 +40,7 @@ import (
 	"time"
 
 	"aggrate/internal/experiment"
+	"aggrate/internal/lru"
 	"aggrate/internal/scenario"
 	"aggrate/internal/schedule"
 	"aggrate/internal/scheduler"
@@ -145,7 +147,7 @@ func (c Config) withDefaults() Config {
 // New, serve via Handler, stop with Shutdown (graceful) or Close (hard).
 type Server struct {
 	cfg      Config
-	cache    *resultCache
+	cache    resultCache
 	deploy   *experiment.DeployCache
 	metrics  *metrics
 	journal  *journal
@@ -305,19 +307,22 @@ func (s *Server) registerGauges() {
 		return float64(s.cache.len())
 	})
 	m.registerGauge("aggrate_cache_bytes", "", "Approximate encoded bytes held by the result cache.", func() float64 {
-		return float64(s.cache.sizeBytes())
+		return float64(s.cache.Bytes())
 	})
 	m.registerGauge("aggrate_cache_capacity_bytes", "", "Result-cache byte budget.", func() float64 {
 		return float64(s.cfg.CacheBytes)
 	})
 	m.registerCounter("aggrate_cache_hits_total", "", "Result-cache hits.", func() float64 {
-		return float64(s.cache.hits.Load())
+		n, _, _ := s.cache.Stats()
+		return float64(n)
 	})
 	m.registerCounter("aggrate_cache_misses_total", "", "Result-cache misses.", func() float64 {
-		return float64(s.cache.misses.Load())
+		_, n, _ := s.cache.Stats()
+		return float64(n)
 	})
 	m.registerCounter("aggrate_cache_evictions_total", "", "Result-cache evictions.", func() float64 {
-		return float64(s.cache.evictions.Load())
+		_, _, n := s.cache.Stats()
+		return float64(n)
 	})
 	m.registerCounter("aggrate_instance_cache_hits_total", "", "Stage-split instance-cache hits (deployments reused across specs).", func() float64 {
 		h, _, _ := s.deploy.Stats()
@@ -342,6 +347,42 @@ func (s *Server) registerGauges() {
 		_, mi := s.deploy.SchedStats()
 		return float64(mi)
 	})
+}
+
+// resultCache is the LRU over completed experiment results, keyed by
+// experiment.SpecKey and weighted by approxResultSize, so CacheBytes caps
+// actual memory while CacheSize bounds the entry count. Cached *Result
+// values are shared across jobs and must be treated as immutable by every
+// reader — the HTTP layer only marshals them.
+type resultCache struct {
+	*lru.Cache[string, *experiment.Result]
+}
+
+// newResultCache applies the Config defaults to non-positive budgets.
+func newResultCache(maxItems int, maxBytes int64) resultCache {
+	c := Config{CacheSize: maxItems, CacheBytes: maxBytes}.withDefaults()
+	return resultCache{lru.New[string, *experiment.Result](c.CacheSize, c.CacheBytes)}
+}
+
+// cacheEntryOverhead approximates the per-entry bookkeeping (list links,
+// map slot, struct headers) added on top of the encoded payload.
+const cacheEntryOverhead = 256
+
+// approxResultSize is the eviction weight of one cached result: its JSON
+// encoding plus key and overhead. Marshal failures (impossible for Result)
+// fall back to the overhead alone.
+func approxResultSize(key string, res *experiment.Result) int64 {
+	n := int64(len(key) + cacheEntryOverhead)
+	if b, err := json.Marshal(res); err == nil {
+		n += int64(len(b))
+	}
+	return n
+}
+
+func (c resultCache) get(key string) (*experiment.Result, bool) { return c.Get(key) }
+func (c resultCache) len() int                                  { return c.Len() }
+func (c resultCache) add(key string, res *experiment.Result) {
+	c.Add(key, res, approxResultSize(key, res))
 }
 
 // newDeployCache resolves the InstanceCacheSize config: negative disables
@@ -741,8 +782,14 @@ func (r *JobRequest) specs(maxSpecs int) ([]experiment.Spec, error) {
 	if err := base.SINR.Validate(); err != nil {
 		return nil, err
 	}
-	if total := len(scList) * len(ns) * seeds * len(powers) * len(algos); total > maxSpecs {
-		return nil, fmt.Errorf("grid expands to %d specs, server limit is %d", total, maxSpecs)
+	// The grid size is multiplied exactly: a huge seeds count must not wrap
+	// the int product back under the limit.
+	total := big.NewInt(1)
+	for _, f := range []int{len(scList), len(ns), seeds, len(powers), len(algos)} {
+		total.Mul(total, big.NewInt(int64(f)))
+	}
+	if total.Cmp(big.NewInt(int64(maxSpecs))) > 0 {
+		return nil, fmt.Errorf("grid expands to %s specs, server limit is %d", total, maxSpecs)
 	}
 	return experiment.Expand(scList, ns, seeds, powers, algos, base), nil
 }
@@ -989,7 +1036,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"queue_depth":   depth,
 		"queue_size":    s.cfg.QueueSize,
 		"cache_entries": s.cache.len(),
-		"cache_bytes":   s.cache.sizeBytes(),
+		"cache_bytes":   s.cache.Bytes(),
 		"journal":       s.cfg.JournalPath,
 		"workers":       experiment.Workers(s.cfg.Workers, 1<<30),
 	})

@@ -136,6 +136,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad engine", `{"scenarios":["uniform"],"verify_engine":"warp"}`, "unknown verify_engine"},
 		{"bad alpha", `{"scenarios":["uniform"],"alpha":1.5}`, "alpha"},
 		{"oversized grid", `{"scenarios":["uniform"],"ns":[100,200],"seeds":6}`, "server limit"},
+		{"overflowing grid", `{"scenarios":["uniform"],"ns":[100],"seeds":4611686018427387904,"algos":["greedy","dsatur"]}`, "grid expands to 9223372036854775808 specs"},
+		{"wrapping grid", `{"scenarios":["uniform"],"ns":[100],"seeds":4611686018427387904,"algos":["greedy","dsatur","jp","naive"]}`, "grid expands to 18446744073709551616 specs"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

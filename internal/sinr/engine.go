@@ -1,5 +1,5 @@
 // Engine is the fast SINR verification kernel behind
-// (*schedule.Schedule).VerifySINR. The naive Margin does exact O(m²)
+// (*schedule.Schedule).VerifySINRDelta. The naive Margin does exact O(m²)
 // pairwise interference per slot with a fresh math.Pow on every pair; the
 // engine cuts the hot path to near-linear in three tiers while keeping
 // every returned verdict and margin exact:
