@@ -9,17 +9,14 @@
 //	                  incrementally as instances complete)
 //	aggrate compare — run every scheduling strategy on identical instances
 //	                  and print a per-strategy comparison table
-//	aggrate bench   — time the conflict-graph build (bucketed vs naive) and
-//	                  the full pipeline per strategy across instance sizes
-//	                  and GOMAXPROCS settings, emit BENCH_pipeline.json
 //	aggrate serve   — long-running HTTP JSON job API over the same engine,
 //	                  with a durable job journal, spec-keyed result caching,
 //	                  admission control, and /metrics (see internal/service)
-//	aggrate loadtest — drive a running serve instance with heavy-tailed
-//	                  traffic and write BENCH_serve.json
 //
-// run and bench accept --cpuprofile/--memprofile to write pprof profiles of
-// the exercised pipeline, --trace to capture a runtime/trace execution
+// The repository's benchmark lives in its own module: bash bench/run.sh.
+//
+// run accepts --cpuprofile/--memprofile to write pprof profiles of the
+// exercised pipeline, --trace to capture a runtime/trace execution
 // trace over the same window, and --timeout to bound the batch wall clock. A
 // SIGINT (or an expired --timeout) cancels the engine mid-flight and
 // flushes every completed result instead of discarding the batch.
@@ -31,8 +28,6 @@
 //	aggrate run --scenario uniform --n 10000 --algo greedy,lengthclass --seeds 4
 //	aggrate run --scenario uniform --n 20000 --seeds 64 --format ndjson --timeout 30s
 //	aggrate compare --scenario uniform --n 5000 --seeds 3
-//	aggrate bench --sizes 1000,5000,10000,20000 --out BENCH_pipeline.json
-//	aggrate bench --sizes 20000,100000,200000 --procs 1,0 --out BENCH_pipeline.json
 //	aggrate serve --addr 127.0.0.1:8080
 package main
 
@@ -44,7 +39,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -59,9 +53,7 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"aggrate/internal/conflict"
 	"aggrate/internal/experiment"
-	"aggrate/internal/mst"
 	"aggrate/internal/scenario"
 	"aggrate/internal/schedule"
 	"aggrate/internal/scheduler"
@@ -86,12 +78,8 @@ func runMain(args []string, stdout, stderr io.Writer) int {
 		err = cmdRun(args[1:], stdout, stderr)
 	case "compare":
 		err = cmdCompare(args[1:], stdout, stderr)
-	case "bench":
-		err = cmdBench(args[1:], stdout, stderr)
 	case "serve":
 		err = cmdServe(args[1:], stdout, stderr)
-	case "loadtest":
-		err = cmdLoadtest(args[1:], stdout, stderr)
 	case "-h", "--help", "help":
 		usage(stderr)
 		return 0
@@ -114,13 +102,11 @@ func runMain(args []string, stdout, stderr io.Writer) int {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintf(w, `usage: aggrate <run|compare|bench|serve|loadtest> [flags]
+	fmt.Fprintf(w, `usage: aggrate <run|compare|serve> [flags]
 
 run      executes an experiment batch; see 'aggrate run -h'
 compare  runs all scheduling strategies on identical instances; see 'aggrate compare -h'
-bench    times conflict-graph builds and the full pipeline; see 'aggrate bench -h'
 serve    runs the HTTP job API with a durable journal and result caching; see 'aggrate serve -h'
-loadtest drives a running server with heavy-tailed traffic; see 'aggrate loadtest -h'
 
 scenario presets: %s
 algorithms:       %s
@@ -135,12 +121,12 @@ func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {
 	return fs
 }
 
-// profileFlags registers the pprof and execution-trace flags shared by run
-// and bench; start begins the requested profiles and returns the function
-// that stops the CPU profile and the trace and writes the heap profile. All
-// three paths are optional and independent. CPU profiling and execution
-// tracing are mutually exclusive in the runtime (tracing also samples the
-// CPU profiler's signal), so requesting both is rejected up front.
+// profileFlags registers run's pprof and execution-trace flags; start
+// begins the requested profiles and returns the function that stops the CPU
+// profile and the trace and writes the heap profile. All three paths are
+// optional and independent. CPU profiling and execution tracing are
+// mutually exclusive in the runtime (tracing also samples the CPU
+// profiler's signal), so requesting both is rejected up front.
 type profileFlags struct {
 	cpu, mem, trace *string
 }
@@ -240,11 +226,11 @@ func validateChoices(flagName string, given, valid []string) error {
 // resolve validates them and materializes the scenario list, size list, and
 // base Spec.
 type specFlags struct {
-	scenarios, ns, graph, engine           *string
-	seeds, workers, lookDepth              *int
-	seed                                   *uint64
-	gamma, delta, alpha, beta, noise       *float64
-	verify, incr, noLookahead, noInstCache *bool
+	scenarios, ns, graph, engine     *string
+	seeds, workers                   *int
+	seed                             *uint64
+	gamma, delta, alpha, beta, noise *float64
+	verify                           *bool
 }
 
 func addSpecFlags(fs *flag.FlagSet, defaultN string, defaultSeeds int) *specFlags {
@@ -261,13 +247,7 @@ func addSpecFlags(fs *flag.FlagSet, defaultN string, defaultSeeds int) *specFlag
 		noise:     fs.Float64("noise", 0, "ambient noise N"),
 		verify:    fs.Bool("verify", true, "verify every slot against the SINR condition, escalating γ on failure"),
 		engine:    fs.String("verify-engine", schedule.EngineFast, "SINR verification engine (fast, naive)"),
-		incr:      fs.Bool("verify-incremental", true, "reuse exact slot verdicts across γ escalations (fast engine; identical results, less work)"),
-		noLookahead: fs.Bool("no-lookahead", false,
-			"build each γ escalation's conflict graph from scratch instead of filtering one strength-annotated lookahead build (identical results, more work)"),
-		lookDepth: fs.Int("lookahead-depth", 1, "γ-escalation steps the lookahead build covers ahead of the current γ"),
-		noInstCache: fs.Bool("no-instance-cache", false,
-			"rebuild nodes+EMST+lookahead per spec instead of sharing one deployment build across specs that differ only in scheduling knobs (identical results, more work)"),
-		workers: fs.Int("workers", 0, "parallel instances (0 = GOMAXPROCS)"),
+		workers:   fs.Int("workers", 0, "parallel instances (0 = GOMAXPROCS)"),
 	}
 }
 
@@ -288,17 +268,13 @@ func (sf *specFlags) resolve() ([]experiment.Scenario, []int, experiment.Spec, e
 		return nil, nil, zero, err
 	}
 	base := experiment.Spec{
-		Seed:                *sf.seed,
-		Graph:               *sf.graph,
-		Gamma:               *sf.gamma,
-		Delta:               *sf.delta,
-		SINR:                sinr.Params{Alpha: *sf.alpha, Beta: *sf.beta, Noise: *sf.noise, Epsilon: 0.5},
-		Verify:              *sf.verify,
-		VerifyEngine:        *sf.engine,
-		NoIncrementalVerify: !*sf.incr,
-		NoLookahead:         *sf.noLookahead,
-		NoInstanceCache:     *sf.noInstCache,
-		GammaLookahead:      *sf.lookDepth,
+		Seed:         *sf.seed,
+		Graph:        *sf.graph,
+		Gamma:        *sf.gamma,
+		Delta:        *sf.delta,
+		SINR:         sinr.Params{Alpha: *sf.alpha, Beta: *sf.beta, Noise: *sf.noise, Epsilon: 0.5},
+		Verify:       *sf.verify,
+		VerifyEngine: *sf.engine,
 	}
 	return scList, nList, base, nil
 }
@@ -646,336 +622,6 @@ func writeCompareTable(w io.Writer, summaries []experiment.Summary) {
 	flush()
 }
 
-// AlgoBench is the per-strategy slice of one bench entry: the full pipeline
-// (schedule + verification with γ escalation) timed per algorithm on the
-// same instance, plus the per-stage split (conflict-graph build, vertex
-// ordering, coloring — summed over γ escalations) and the
-// verification-engine split. VerifySec and ExactPairsFrac time the selected
-// engine re-verifying the final schedule; when the naive reference also ran
-// (n ≤ --naive-max, fast engine selected),
-// VerifyNaiveSec/VerifySpeedup/VerifyMatch record the cross-check —
-// VerifyMatch means identical verdict and margins within 1e-9 relative.
-type AlgoBench struct {
-	Algo             string  `json:"algo"`
-	Colors           int     `json:"colors"`
-	ScheduleLength   int     `json:"schedule_length"`
-	Rate             float64 `json:"rate"`
-	ColorsPerLogStar float64 `json:"colors_per_logstar"`
-	PipelineSec      float64 `json:"pipeline_sec"`
-	BuildSec         float64 `json:"build_sec"`
-	// BuildFilterSec is the share of BuildSec spent in lookahead filter scans
-	// (γ-escalation retries served from the strength-annotated build);
-	// BuildReused records that at least one retry was so served.
-	BuildFilterSec float64 `json:"build_filter_sec,omitempty"`
-	BuildReused    bool    `json:"build_reused,omitempty"`
-	// Conflict-build pruning counters (summed over γ escalations, from
-	// Timings): cells streamed vs rejected whole by the per-cell screen,
-	// candidates distance-tested vs edges accepted. The scanned/accepted
-	// ratio is hardware-independent, so the regression gate can hold the
-	// build's candidate efficiency without wall-clock noise.
-	BuildCellsScanned int64   `json:"build_cells_scanned,omitempty"`
-	BuildCellsPruned  int64   `json:"build_cells_pruned,omitempty"`
-	BuildCandScanned  int64   `json:"build_cand_scanned,omitempty"`
-	BuildCandAccepted int64   `json:"build_cand_accepted,omitempty"`
-	OrderSec          float64 `json:"order_sec"`
-	ColorSec          float64 `json:"color_sec"`
-	GammaRetries      int     `json:"gamma_retries"`
-	Verified          bool    `json:"verified"`
-	VerifySec         float64 `json:"verify_sec"`
-	ExactPairsFrac    float64 `json:"exact_pairs_frac"`
-	// VerifyWarmSec times a second verification of the same schedule through
-	// the pipeline's incremental cache (every unchanged slot answers from its
-	// cached exact margin); VerifyReusedSlots counts the slots so answered,
-	// out of VerifySlots. Absent when --verify-incremental=false.
-	VerifyWarmSec     float64 `json:"verify_warm_sec,omitempty"`
-	VerifyReusedSlots int     `json:"verify_reused_slots,omitempty"`
-	VerifySlots       int     `json:"verify_slots,omitempty"`
-	// VerifyGridWarmSec times a re-verify with the cached margins dropped but
-	// the built slot structures retained: every margin is recomputed, with
-	// buildGrid answered from the cache on VerifyGridReused slots. This is
-	// the path an escalation retry with changed powers takes per slot.
-	VerifyGridWarmSec float64 `json:"verify_grid_warm_sec,omitempty"`
-	VerifyGridReused  int     `json:"verify_grid_reused,omitempty"`
-	// VerifyRefinedCells counts far-field cells the engine re-aggregated at
-	// tightened openings (adaptive-refinement tier) during the cold re-verify.
-	VerifyRefinedCells int64   `json:"verify_refined_cells,omitempty"`
-	VerifyNaiveSec     float64 `json:"verify_naive_sec,omitempty"`
-	VerifySpeedup      float64 `json:"verify_speedup,omitempty"`
-	VerifyMatch        *bool   `json:"verify_match,omitempty"`
-}
-
-// BenchEntry is one row of the bench report. EdgesMatched is only present
-// when the naive reference actually ran (n ≤ --naive-max); absent means
-// "not cross-checked at this size", never "checked and passed". The legacy
-// top-level pipeline fields mirror the first requested algorithm's
-// AlgoBench row (greedy, under the default --algo list).
-type BenchEntry struct {
-	N            int         `json:"n"`
-	Links        int         `json:"links"`
-	Edges        int         `json:"edges"`
-	BuildSec     float64     `json:"build_sec"`
-	NaiveSec     float64     `json:"naive_sec,omitempty"`
-	Speedup      float64     `json:"speedup,omitempty"`
-	MSTSec       float64     `json:"mst_sec"`
-	PipelineSec  float64     `json:"pipeline_sec"`
-	Colors       int         `json:"colors"`
-	Verified     bool        `json:"verified"`
-	EdgesMatched *bool       `json:"edges_matched,omitempty"`
-	Algos        []AlgoBench `json:"algos"`
-}
-
-// BenchRun is one full sweep of the sizes at a fixed GOMAXPROCS.
-// KernelNsPerPair is a once-per-run micro-measurement of the symmetric
-// near-field kernel (ns per pairwise interference term on a fixed synthetic
-// slot); the regression gate compares it against the checked-in baseline so
-// a de-optimized inner loop is caught even when slot structures hide it.
-type BenchRun struct {
-	GoMaxProcs      int          `json:"gomaxprocs"`
-	KernelNsPerPair float64      `json:"kernel_ns_per_pair,omitempty"`
-	Entries         []BenchEntry `json:"entries"`
-}
-
-// BenchReport is the schema of BENCH_pipeline.json: one run per requested
-// --procs value, so sequential and all-core trajectories of the same sizes
-// sit side by side in one artifact.
-type BenchReport struct {
-	Scenario string     `json:"scenario"`
-	Seed     uint64     `json:"seed"`
-	Runs     []BenchRun `json:"runs"`
-}
-
-func cmdBench(args []string, stdout, stderr io.Writer) error {
-	fs := newFlagSet("bench", stderr)
-	sizes := fs.String("sizes", "1000,2000,5000,10000,20000", "comma-separated instance sizes")
-	naiveMax := fs.Int("naive-max", 20000, "largest n to also run the O(n²) reference build and verifier at")
-	seed := fs.Uint64("seed", 1, "instance seed")
-	preset := fs.String("scenario", "uniform", "scenario preset to benchmark on")
-	algos := fs.String("algo", strings.Join(scheduler.Names(), ","), "comma-separated algorithms to time the pipeline with")
-	engine := fs.String("verify-engine", schedule.EngineFast, "SINR verification engine (fast, naive)")
-	incr := fs.Bool("verify-incremental", true, "reuse exact slot verdicts across γ escalations and report the warm re-verify split")
-	noLookahead := fs.Bool("no-lookahead", false, "rebuild the conflict graph from scratch at every γ escalation instead of filtering the lookahead build")
-	procs := fs.String("procs", "0", "comma-separated GOMAXPROCS values to sweep (0 = NumCPU); one bench run each")
-	out := fs.String("out", "BENCH_pipeline.json", "output path ('-' = stdout)")
-	timeout := fs.Duration("timeout", 0, "cancel the sweep after this duration, writing the entries completed so far (0 = none)")
-	prof := addProfileFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := validateChoices("verify-engine", []string{*engine}, validEngines); err != nil {
-		return err
-	}
-	nList, err := parseInts(*sizes)
-	if err != nil {
-		return fmt.Errorf("bad --sizes: %w", err)
-	}
-	procList, err := parseInts(*procs)
-	if err != nil {
-		return fmt.Errorf("bad --procs: %w", err)
-	}
-	sc, err := scenario.Lookup(*preset)
-	if err != nil {
-		return err
-	}
-	algoList := splitList(*algos)
-	if err := validateChoices("algo", algoList, scheduler.Names()); err != nil {
-		return err
-	}
-	stopProf, err := prof.start()
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if perr := stopProf(); perr != nil {
-			fmt.Fprintf(stderr, "aggrate: profile: %v\n", perr)
-		}
-	}()
-
-	ctx, cancel := batchContext(*timeout)
-	defer cancel()
-	report := BenchReport{Scenario: *preset, Seed: *seed}
-	var sweepErr error
-	for _, p := range procList {
-		run, err := benchRun(ctx, sc, nList, algoList, p, *naiveMax, *seed, *engine, *incr, *noLookahead, stderr)
-		// A cancelled sweep still writes the completed entries (partial
-		// runs included); any other error aborts without a report.
-		if err != nil && ctx.Err() == nil {
-			return err
-		}
-		report.Runs = append(report.Runs, run)
-		if ctx.Err() != nil {
-			sweepErr = fmt.Errorf("bench interrupted (%v); report covers the completed entries", ctx.Err())
-			break
-		}
-	}
-
-	w, closeFn, err := openOut(*out, stdout)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	werr := enc.Encode(report)
-	if cerr := closeFn(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return werr
-	}
-	return sweepErr
-}
-
-// benchRun sweeps the sizes once at the given GOMAXPROCS (0 = leave at
-// NumCPU), restoring the previous setting before returning. A ctx cancel
-// stops the sweep and returns the entries completed so far with ctx.Err().
-func benchRun(ctx context.Context, sc scenario.Spec, nList []int, algoList []string,
-	procsWanted, naiveMax int, seed uint64, engine string, incremental, noLookahead bool, stderr io.Writer) (BenchRun, error) {
-	if procsWanted > 0 {
-		prev := runtime.GOMAXPROCS(procsWanted)
-		defer runtime.GOMAXPROCS(prev)
-	}
-	run := BenchRun{GoMaxProcs: runtime.GOMAXPROCS(0)}
-	run.KernelNsPerPair = sinr.MeasureKernelNsPerPair(sinr.Params{Alpha: 3, Beta: 2, Epsilon: 0.5}, 4096, 3)
-	fmt.Fprintf(stderr, "aggrate bench: gomaxprocs=%d kernel=%.3gns/pair\n", run.GoMaxProcs, run.KernelNsPerPair)
-	for _, n := range nList {
-		if err := ctx.Err(); err != nil {
-			return run, err
-		}
-		entry := BenchEntry{N: n}
-		pts := sc.Generate(n, seed)
-
-		t0 := time.Now()
-		tree, err := mst.NewMSTTree(pts, 0)
-		if err != nil {
-			return run, err
-		}
-		entry.MSTSec = time.Since(t0).Seconds()
-		links := tree.Links
-		entry.Links = len(links)
-
-		f := conflict.PowerLaw(2, 0.5)
-		t0 = time.Now()
-		g, err := conflict.BuildCtx(ctx, links, f)
-		if err != nil {
-			return run, err
-		}
-		entry.BuildSec = time.Since(t0).Seconds()
-		entry.Edges = g.Edges()
-
-		if n <= naiveMax {
-			t0 = time.Now()
-			ng := conflict.BuildNaive(links, f)
-			entry.NaiveSec = time.Since(t0).Seconds()
-			if entry.BuildSec > 0 {
-				entry.Speedup = entry.NaiveSec / entry.BuildSec
-			}
-			matched := sameEdgeSet(ng, g)
-			entry.EdgesMatched = &matched
-		}
-
-		// Per-strategy pipeline trajectory on the same instance.
-		for _, algo := range algoList {
-			spec := experiment.NewSpec(sc, n, seed)
-			spec.Algo = algo
-			spec.VerifyEngine = engine
-			spec.NoIncrementalVerify = !incremental
-			spec.NoLookahead = noLookahead
-			t0 = time.Now()
-			inst, res, err := experiment.NewInstance(ctx, spec)
-			sec := time.Since(t0).Seconds()
-			if err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return run, cerr
-				}
-				return run, fmt.Errorf("bench pipeline algo=%s n=%d: %w", algo, n, err)
-			}
-			ab := AlgoBench{
-				Algo:              algo,
-				Colors:            res.Colors,
-				ScheduleLength:    res.ScheduleLength,
-				Rate:              res.Rate,
-				ColorsPerLogStar:  res.ColorsPerLogStar,
-				PipelineSec:       sec,
-				BuildSec:          res.Timings.BuildSec,
-				BuildFilterSec:    res.Timings.BuildFilterSec,
-				BuildReused:       res.Timings.BuildReused,
-				BuildCellsScanned: res.Timings.BuildCellsScanned,
-				BuildCellsPruned:  res.Timings.BuildCellsPruned,
-				BuildCandScanned:  res.Timings.BuildCandScanned,
-				BuildCandAccepted: res.Timings.BuildCandAccepted,
-				OrderSec:          res.Timings.OrderSec,
-				ColorSec:          res.Timings.ColorSec,
-				GammaRetries:      res.GammaRetries,
-				Verified:          res.Verified,
-			}
-			// Verification split: time the selected engine re-verifying the
-			// final schedule (so gamma escalations don't muddy the number),
-			// and cross-check it against the naive oracle at sizes where the
-			// O(m²) path is affordable.
-			t0 = time.Now()
-			margin, vst, verr := inst.VerifySchedule(engine)
-			ab.VerifySec = time.Since(t0).Seconds()
-			if verr != nil {
-				return run, fmt.Errorf("bench re-verify algo=%s n=%d: %w", algo, n, verr)
-			}
-			ab.ExactPairsFrac = vst.Engine.ExactPairsFrac()
-			ab.VerifyRefinedCells = vst.Engine.RefinedCells
-			if incremental && engine == schedule.EngineFast {
-				// Warm pass: the escalation loop's cache holds every slot of
-				// the final schedule, so this measures pure cache-hit
-				// verification of an unchanged schedule.
-				t0 = time.Now()
-				wm, wst, werr := inst.ReverifyIncremental()
-				ab.VerifyWarmSec = time.Since(t0).Seconds()
-				if werr != nil {
-					return run, fmt.Errorf("bench warm re-verify algo=%s n=%d: %w", algo, n, werr)
-				}
-				if !marginsClose(margin, wm) {
-					return run, fmt.Errorf("bench warm re-verify algo=%s n=%d: margin %g != cold %g", algo, n, wm, margin)
-				}
-				ab.VerifyReusedSlots = wst.ReusedSlots
-				ab.VerifySlots = wst.Slots
-				// Grid-warm pass: drop the margins, keep the built slot
-				// structures — measures the structure-reuse tier the retries
-				// with changed powers hit.
-				t0 = time.Now()
-				gm, gst, gerr := inst.ReverifyGridWarm()
-				ab.VerifyGridWarmSec = time.Since(t0).Seconds()
-				if gerr != nil {
-					return run, fmt.Errorf("bench grid-warm re-verify algo=%s n=%d: %w", algo, n, gerr)
-				}
-				if !marginsClose(margin, gm) {
-					return run, fmt.Errorf("bench grid-warm re-verify algo=%s n=%d: margin %g != cold %g", algo, n, gm, margin)
-				}
-				ab.VerifyGridReused = gst.ReusedGrids
-			}
-			if engine == schedule.EngineFast && n <= naiveMax {
-				t0 = time.Now()
-				nm, _, nerr := inst.VerifySchedule(schedule.EngineNaive)
-				ab.VerifyNaiveSec = time.Since(t0).Seconds()
-				match := nerr == nil && marginsClose(margin, nm)
-				ab.VerifyMatch = &match
-				if ab.VerifySec > 0 {
-					ab.VerifySpeedup = ab.VerifyNaiveSec / ab.VerifySec
-				}
-			}
-			entry.Algos = append(entry.Algos, ab)
-			if algo == algoList[0] {
-				entry.PipelineSec = sec
-				entry.Colors = res.Colors
-				entry.Verified = res.Verified
-			}
-			fmt.Fprintf(stderr,
-				"aggrate bench: n=%-6d algo=%-11s colors=%-5d rate=%.5f c/log*=%.2f pipeline=%.3fs color=%.3fs verify=%.3fs exact=%.3f\n",
-				n, algo, ab.Colors, ab.Rate, ab.ColorsPerLogStar, sec, ab.OrderSec+ab.ColorSec, ab.VerifySec, ab.ExactPairsFrac)
-		}
-		run.Entries = append(run.Entries, entry)
-		fmt.Fprintf(stderr,
-			"aggrate bench: n=%-6d links=%-6d edges=%-7d build=%.3fs naive=%.3fs\n",
-			n, entry.Links, entry.Edges, entry.BuildSec, entry.NaiveSec)
-	}
-	return run, nil
-}
-
 // cmdServe runs the HTTP job API (internal/service) until SIGINT/SIGTERM:
 // POST /v1/jobs submits a spec grid, GET /v1/jobs/{id} reports progress, GET
 // /v1/jobs/{id}/stream streams events and results as NDJSON, DELETE
@@ -1104,23 +750,6 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// marginsClose reports whether two verification margins agree within 1e-9
-// relative (the fast engine's documented tolerance against the naive
-// oracle); +Inf margins (singleton slots, zero noise) must agree exactly.
-func marginsClose(a, b float64) bool {
-	if math.IsInf(a, 1) || math.IsInf(b, 1) {
-		return a == b
-	}
-	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
-}
-
-// sameEdgeSet reports whether two conflict graphs over the same link set
-// have identical edges, by full CSR comparison (both builds emit sorted
-// rows, so RowPtr+Neighbors equality is edge-set equality).
-func sameEdgeSet(a, b *conflict.Graph) bool {
-	return slices.Equal(a.RowPtr, b.RowPtr) && slices.Equal(a.Neighbors, b.Neighbors)
 }
 
 // openOut returns the output writer and a close function whose error must

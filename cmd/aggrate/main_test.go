@@ -31,18 +31,16 @@ func runCLI(args ...string) (stdout, stderr string, code int) {
 // function of the seed.
 var timingKeys = map[string]bool{
 	"generate_sec": true, "mst_sec": true, "build_sec": true,
-	"build_filter_sec": true,
-	"order_sec":        true, "color_sec": true, "refine_sec": true,
-	"verify_sec": true, "verify_warm_sec": true,
-	"verify_grid_warm_sec": true, "kernel_ns_per_pair": true,
-	"power_solve_sec": true, "verify_naive_sec": true, "verify_speedup": true,
-	"total_sec": true, "mean_total_sec": true, "pipeline_sec": true,
-	"naive_sec": true, "speedup": true, "gomaxprocs": true,
-	// Not a timing, but scheduling-dependent all the same: which spec of a
-	// same-deployment group pays the build (and which reuse it) depends on
-	// worker interleaving, so the flag is scrubbed like a wall-clock field.
-	"deploy_reused": true,
+	"build_filter_sec": true, "order_sec": true, "color_sec": true,
+	"refine_sec": true, "verify_sec": true, "power_solve_sec": true,
+	"total_sec": true, "mean_total_sec": true,
 }
+
+// interleavingKeys are dropped rather than zeroed: which spec of a
+// same-deployment group pays the build (and which reuse it) depends on
+// worker interleaving, and the omitempty flag is present only on the specs
+// that reused, so even its presence is scheduling-dependent.
+var interleavingKeys = map[string]bool{"deploy_reused": true}
 
 // normalizeJSON parses arbitrary JSON and zeroes every timing-dependent
 // field, then re-encodes with stable indentation.
@@ -64,7 +62,9 @@ func scrub(v any) any {
 	switch x := v.(type) {
 	case map[string]any:
 		for k, val := range x {
-			if timingKeys[k] {
+			if interleavingKeys[k] {
+				delete(x, k)
+			} else if timingKeys[k] {
 				x[k] = 0
 			} else {
 				x[k] = scrub(val)
@@ -183,16 +183,6 @@ func TestRunSummaryOnlyGolden(t *testing.T) {
 	checkGolden(t, "run_summary.golden", normalizeJSON(t, stdout))
 }
 
-// TestBenchJSONGolden pins the bench report schema, including the
-// per-strategy trajectory, on a tiny instance.
-func TestBenchJSONGolden(t *testing.T) {
-	stdout, _, code := runCLI("bench", "--sizes", "80,120", "--seed", "5", "--out", "-")
-	if code != 0 {
-		t.Fatalf("bench exited %d", code)
-	}
-	checkGolden(t, "bench_json.golden", normalizeJSON(t, stdout))
-}
-
 // TestCompareTableGolden pins the human-readable compare table across all
 // registered strategies.
 func TestCompareTableGolden(t *testing.T) {
@@ -251,8 +241,6 @@ func TestFlagValidation(t *testing.T) {
 		{"compare bad algo", []string{"compare", "--algo", "bogus"}, `unknown --algo "bogus"`},
 		{"compare bad graph", []string{"compare", "--graph", "bogus"}, `unknown --graph "bogus"`},
 		{"compare bad power", []string{"compare", "--power", "bogus"}, `unknown --power "bogus"`},
-		{"bench bad algo", []string{"bench", "--algo", "bogus"}, `unknown --algo "bogus"`},
-		{"bench bad procs", []string{"bench", "--procs", "abc"}, "bad --procs"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -267,8 +255,9 @@ func TestFlagValidation(t *testing.T) {
 	}
 }
 
-// TestProfilingFlags: --cpuprofile/--memprofile write non-empty pprof files
-// on both run and bench.
+// TestProfilingFlags: --cpuprofile/--memprofile write non-empty pprof files,
+// and --trace writes a non-empty execution trace but refuses to run
+// alongside --cpuprofile.
 func TestProfilingFlags(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pprof")
@@ -282,13 +271,16 @@ func TestProfilingFlags(t *testing.T) {
 			t.Fatalf("profile %s missing or empty (err=%v)", p, err)
 		}
 	}
-	benchCPU := filepath.Join(dir, "bench_cpu.pprof")
-	if _, stderr, code := runCLI("bench", "--sizes", "80", "--algo", "greedy",
-		"--cpuprofile", benchCPU, "--out", filepath.Join(dir, "bench.json")); code != 0 {
-		t.Fatalf("bench with profile exited %d: %s", code, stderr)
+	tr := filepath.Join(dir, "run.trace")
+	if _, stderr, code := runCLI("run", "--scenario", "uniform", "--n", "60", "--trace", tr); code != 0 {
+		t.Fatalf("run with trace exited %d: %s", code, stderr)
 	}
-	if st, err := os.Stat(benchCPU); err != nil || st.Size() == 0 {
-		t.Fatalf("bench profile missing or empty (err=%v)", err)
+	if st, err := os.Stat(tr); err != nil || st.Size() == 0 {
+		t.Fatalf("trace %s missing or empty (err=%v)", tr, err)
+	}
+	if _, stderr, code := runCLI("run", "--n", "60", "--cpuprofile", cpu, "--trace", tr); code != 1 ||
+		!strings.Contains(stderr, "mutually exclusive") {
+		t.Fatalf("--cpuprofile with --trace: code=%d stderr=%s", code, stderr)
 	}
 }
 
@@ -298,8 +290,11 @@ func TestUsagePaths(t *testing.T) {
 	if _, stderr, code := runCLI(); code != 2 || !strings.Contains(stderr, "usage:") {
 		t.Fatalf("no args: code=%d stderr=%q", code, stderr)
 	}
-	if _, stderr, code := runCLI("frobnicate"); code != 2 || !strings.Contains(stderr, "unknown subcommand") {
-		t.Fatalf("unknown subcommand: code=%d stderr=%q", code, stderr)
+	// bench and loadtest were retired in favour of the bench module.
+	for _, sub := range []string{"frobnicate", "bench", "loadtest"} {
+		if _, stderr, code := runCLI(sub); code != 2 || !strings.Contains(stderr, "unknown subcommand") {
+			t.Fatalf("%s: code=%d stderr=%q", sub, code, stderr)
+		}
 	}
 	if _, _, code := runCLI("help"); code != 0 {
 		t.Fatalf("help exited %d", code)

@@ -65,7 +65,7 @@ func TestDeployCacheSharedBuild(t *testing.T) {
 	}
 }
 
-// TestNoInstanceCacheParity: the --no-instance-cache escape hatch rebuilds
+// TestNoInstanceCacheParity: the Spec.NoInstanceCache escape hatch rebuilds
 // per spec — no reuse reported, no cache traffic — and stays bit-identical
 // to the cached batch.
 func TestNoInstanceCacheParity(t *testing.T) {
@@ -107,7 +107,7 @@ func TestNoInstanceCacheParity(t *testing.T) {
 // TestSchedCacheParity: specs differing only in power scheme share the
 // pre-power stage (conflict build + ordering + coloring) through the
 // deployment entry's stage map — the stage builds once per (SchedKey, γ)
-// rung — and every result stays bit-identical to a cold --no-instance-cache
+// rung — and every result stays bit-identical to a cold NoInstanceCache
 // run of the same spec.
 func TestSchedCacheParity(t *testing.T) {
 	sc := uniformScenario(t)

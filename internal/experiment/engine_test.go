@@ -143,7 +143,7 @@ func TestGlobalPowerSolveCache(t *testing.T) {
 	if &p1[0] != &p2[0] {
 		t.Fatal("per-slot power vector was re-solved instead of cached")
 	}
-	// And the re-verify path (bench cross-check) agrees across engines.
+	// And the re-verify path (fast-vs-naive cross-check) agrees across engines.
 	verifyBothEngines(t, inst, "global-power")
 	if res.Timings.PowerSolveSec <= 0 {
 		t.Fatal("PowerSolveSec not measured for global power")

@@ -234,8 +234,8 @@ func (s Spec) powerFunc(links []geom.Link) (schedule.PowerFunc, error) {
 		// Per-instance memo of solved slot power vectors, keyed by slot
 		// content. Jacobi solving dominates global-power verification, and
 		// the same slot is verified more than once whenever the final
-		// schedule is re-checked — the bench's fast-vs-naive cross-check,
-		// the parity suite, Instance.VerifySchedule — so each distinct slot
+		// schedule is re-checked — the fast-vs-naive parity suite through
+		// Instance.VerifySchedule, a warm re-verify — so each distinct slot
 		// is solved exactly once per instance. Callers must not mutate the
 		// returned vector; the function is safe for concurrent use.
 		solved := lru.New[string, []float64](math.MaxInt, math.MaxInt64)
@@ -296,16 +296,14 @@ type Instance struct {
 	pf schedule.PowerFunc
 	// vc is the incremental verification cache the escalation loop used
 	// (nil when Spec.NoIncrementalVerify or Verify was off); it holds the
-	// exact margin of every slot of the final schedule, so
-	// ReverifyIncremental answers from cached verdicts.
+	// exact margin and built grid of every slot of the final schedule.
 	vc *schedule.VerifyCache
 }
 
 // VerifySchedule re-verifies the instance's final schedule with the named
 // engine (schedule.EngineFast or schedule.EngineNaive; empty means fast),
 // returning the worst slot margin and, for the fast engine, its
-// diagnostics. It is the cross-check hook of the bench command and the
-// fast≡naive parity suite.
+// diagnostics. It is the cross-check hook of the fast≡naive parity suite.
 func (in *Instance) VerifySchedule(engine string) (float64, schedule.VerifyStats, error) {
 	if in.Schedule == nil || in.pf == nil {
 		return 0, schedule.VerifyStats{}, fmt.Errorf("experiment: instance has no schedule to verify")
@@ -322,36 +320,9 @@ func (in *Instance) VerifySchedule(engine string) (float64, schedule.VerifyStats
 	}
 }
 
-// ReverifyIncremental re-verifies the final schedule through the run's
-// incremental cache: every slot already certified during the escalation loop
-// answers from its cached exact margin, so a clean re-check of an unchanged
-// schedule does no engine work (VerifyStats.ReusedSlots == VerifyStats.Slots).
-// It falls back to a full recompute when the run kept no cache (naive engine,
-// Verify off, or Spec.NoIncrementalVerify). This is the warm path the bench
-// command reports as verify_warm_sec.
-func (in *Instance) ReverifyIncremental() (float64, schedule.VerifyStats, error) {
-	if in.Schedule == nil || in.pf == nil {
-		return 0, schedule.VerifyStats{}, fmt.Errorf("experiment: instance has no schedule to verify")
-	}
-	return in.Schedule.VerifySINRDelta(context.Background(), in.Spec.SINR, in.pf, in.vc)
-}
-
-// ReverifyGridWarm re-verifies the final schedule with the run's cached
-// margins dropped but its built slot grids retained: every margin is
-// recomputed, with the grid-build stage answered from the cache
-// (VerifyStats.ReusedGrids counts the slots so served). This isolates the
-// grid-warm path that escalation retries with changed powers take per slot
-// — the bench command's verify_grid_warm_sec column and the regression
-// gate's verify_grid_reused assertion come from here. Falls back to a full
-// cold recompute when the run kept no cache.
-func (in *Instance) ReverifyGridWarm() (float64, schedule.VerifyStats, error) {
-	in.vc.InvalidateMargins()
-	return in.ReverifyIncremental()
-}
-
 // Timings records per-stage wall-clock seconds, plus the verification
-// engine's work diagnostics (which ride along here so the bench artifact
-// and golden outputs carry them next to the times they explain).
+// engine's work diagnostics (which ride along here so the run output and
+// golden files carry them next to the times they explain).
 type Timings struct {
 	GenerateSec float64 `json:"generate_sec"`
 	MSTSec      float64 `json:"mst_sec"`
@@ -414,7 +385,7 @@ type Timings struct {
 	// bbox/min-length screen, and candidates distance-tested vs edges
 	// accepted. BuildCandScanned/BuildCandAccepted is the mean number of
 	// distance tests per accepted edge — a hardware-independent
-	// candidate-efficiency signal the bench regression gate tracks. Zero
+	// candidate-efficiency signal TestPipelineWorkCounters holds. Zero
 	// for attempts served by the stage cache (no build ran here).
 	BuildCellsScanned int64   `json:"build_cells_scanned,omitempty"`
 	BuildCellsPruned  int64   `json:"build_cells_pruned,omitempty"`

@@ -11,13 +11,13 @@ import (
 // TestMillionLinkPipeline is the long certified-pipeline check: generate,
 // schedule, and SINR-verify n=1e6 uniform links end to end. It is gated on
 // AGGRATE_LONG=1 because a full run takes tens of seconds on one core —
-// CI's bench-smoke covers the same invariants at n=20k instead.
+// TestPipelineWorkCounters holds the same work counters at n=20k instead.
 //
 // The hard assertions are correctness (verified schedule, sane stats); the
 // stage split is logged so regressions in any one stage are visible. The
-// verify stage itself must stay under 15s — the sub-15s *total* pipeline is
-// tracked in BENCH_pipeline.json and ROADMAP.md, with conflict-graph
-// construction (two γ-escalation builds) the remaining dominant cost.
+// verify stage itself must stay under 15s — the total pipeline time is
+// tracked by the benchmark's mean-1m workload (bash bench/run.sh), with
+// conflict-graph construction the dominant cost.
 func TestMillionLinkPipeline(t *testing.T) {
 	if os.Getenv("AGGRATE_LONG") == "" {
 		t.Skip("set AGGRATE_LONG=1 to run the n=1e6 pipeline test")

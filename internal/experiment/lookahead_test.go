@@ -58,7 +58,7 @@ func TestEscalationLookaheadReuse(t *testing.T) {
 }
 
 // TestLookaheadMatchesDirectRun is the end-to-end parity half: the lookahead
-// run and a --no-lookahead run must land on the identical schedule — same
+// run and a NoLookahead run must land on the identical schedule — same
 // escalation count, same final γ, same palette, same conflict-graph size,
 // same worst margin — because filtered graphs are bit-identical to direct
 // builds.
@@ -74,7 +74,7 @@ func TestLookaheadMatchesDirectRun(t *testing.T) {
 		t.Fatalf("direct run: %v", err)
 	}
 	if resDirect.Timings.BuildReused || resDirect.Timings.BuildFilterSec != 0 {
-		t.Fatalf("--no-lookahead run reports lookahead activity: %+v", resDirect.Timings)
+		t.Fatalf("NoLookahead run reports lookahead activity: %+v", resDirect.Timings)
 	}
 	if resLA.GammaUsed != resDirect.GammaUsed || resLA.GammaRetries != resDirect.GammaRetries {
 		t.Fatalf("escalation differs: lookahead (γ=%g, %d retries) vs direct (γ=%g, %d retries)",

@@ -23,8 +23,8 @@ import (
 
 // The slot pool is sized once at init. NumCPU (not just the starting
 // GOMAXPROCS) is included so callers that raise GOMAXPROCS at runtime —
-// e.g. `aggrate bench --procs` sweeping from a pinned GOMAXPROCS=1 env —
-// actually gain workers; For/ForBlocks still spawn at most GOMAXPROCS-1
+// e.g. a benchmark sweeping up from a pinned GOMAXPROCS=1 env — actually
+// gain workers; For/ForBlocks still spawn at most GOMAXPROCS-1
 // extras per call, so the current setting remains the effective bound.
 var slots = make(chan struct{}, max(runtime.GOMAXPROCS(0), runtime.NumCPU()))
 

@@ -12,6 +12,7 @@ import (
 // and base powers through math.Pow, and a one-row-at-a-time mat-vec in both
 // the spectral screen and the Jacobi sweep. Solve must agree with it bit for
 // bit, error text included, on every set of positive-length links.
+// Non-finite gains are rejected with ErrNonFiniteGain before the screen.
 func refSolve(links []geom.Link, p sinr.Params, opts SolveOptions) ([]float64, error) {
 	opts.defaults()
 	if err := p.Validate(); err != nil {
@@ -22,6 +23,13 @@ func refSolve(links []geom.Link, p sinr.Params, opts SolveOptions) ([]float64, e
 		return []float64{}, nil
 	}
 	b := refGainMatrix(links, p)
+	for i := range b {
+		for j, g := range b[i] {
+			if math.IsInf(g, 0) || math.IsNaN(g) {
+				return nil, fmt.Errorf("%w: link %d on link %d", ErrNonFiniteGain, j, i)
+			}
+		}
+	}
 	if rho := refSpectralRadius(b, 100); rho >= 1 {
 		return nil, fmt.Errorf("%w (spectral radius %.6g)", ErrInfeasible, rho)
 	}

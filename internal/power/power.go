@@ -23,6 +23,7 @@
 package power
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -111,11 +112,19 @@ func (s *SolveOptions) defaults() {
 // power assignment (spectral radius of the gain matrix ≥ 1).
 var ErrInfeasible = fmt.Errorf("power: set is infeasible under any power assignment")
 
+// ErrNonFiniteGain is returned by Solve when the gain of one link on
+// another is +Inf or NaN: a sender sits on another link's receiver (two
+// adjacent tree links), or their distance is so small that d^α underflows
+// to zero. No power assignment certifies such a pair, and the iteration
+// would otherwise return non-finite powers.
+var ErrNonFiniteGain = errors.New("power: non-finite gain")
+
 // Solve computes a power assignment making the whole set feasible in one
 // slot, for the global-power-control mode. It solves P = B·P + v by Jacobi
 // iteration with v_i = max((1+ε)·β·N·l_i^α, l_i^α·scale): the fixed point
 // satisfies every SINR constraint with strict slack and the
-// interference-limited floor. Returns ErrInfeasible when ρ(B) ≥ 1.
+// interference-limited floor. Returns ErrInfeasible when ρ(B) ≥ 1 and
+// ErrNonFiniteGain when some gain is not finite.
 func Solve(links []geom.Link, p sinr.Params, opts SolveOptions) ([]float64, error) {
 	opts.defaults()
 	if err := p.Validate(); err != nil {
@@ -141,6 +150,9 @@ func Solve(links []geom.Link, p sinr.Params, opts SolveOptions) ([]float64, erro
 		}
 	}
 	b := p.GainMatrix(links)
+	if err := checkGains(b); err != nil {
+		return nil, err
+	}
 	if rho := sinr.SpectralRadius(b, 100); rho >= 1 {
 		return nil, fmt.Errorf("%w (spectral radius %.6g)", ErrInfeasible, rho)
 	}
@@ -161,6 +173,20 @@ func Solve(links []geom.Link, p sinr.Params, opts SolveOptions) ([]float64, erro
 		}
 	}
 	return nil, fmt.Errorf("power: Jacobi did not converge in %d iterations", opts.MaxIters)
+}
+
+// checkGains returns ErrNonFiniteGain for the first entry of b, in row-major
+// order, that is +Inf or NaN. Gains are non-negative, so one comparison per
+// entry in a single pass over the matrix decides both.
+func checkGains(b [][]float64) error {
+	for i, row := range b {
+		for j, g := range row {
+			if !(g <= math.MaxFloat64) {
+				return fmt.Errorf("%w: link %d on link %d", ErrNonFiniteGain, j, i)
+			}
+		}
+	}
+	return nil
 }
 
 // Validate checks that a concrete power assignment is interference-limited:

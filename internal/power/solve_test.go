@@ -44,6 +44,48 @@ func TestSolveRejectsNonPositiveLength(t *testing.T) {
 	}
 }
 
+// TestSolveRejectsNonFiniteGain: a sender on another link's receiver, or
+// close enough that d^α underflows, gives an infinite gain. Solve and the
+// reference must both refuse the set with ErrNonFiniteGain, naming the
+// same pair, instead of returning +Inf/NaN powers with a nil error.
+func TestSolveRejectsNonFiniteGain(t *testing.T) {
+	p := sinr.Params{Alpha: 3, Beta: 2, Epsilon: 0.5}
+	cases := []struct {
+		name  string
+		links []geom.Link
+		want  string
+	}{
+		{
+			"adjacent tree links",
+			[]geom.Link{
+				geom.NewLink(0, 1, geom.Point{X: 0}, geom.Point{X: 1}),
+				geom.NewLink(1, 2, geom.Point{X: 1}, geom.Point{X: 3}),
+			},
+			"power: non-finite gain: link 1 on link 0",
+		},
+		{
+			"underflowing distance",
+			[]geom.Link{
+				geom.NewLink(0, 1, geom.Point{X: 1}, geom.Point{}),
+				geom.NewLink(2, 3, geom.Point{X: 5}, geom.Point{X: 6}),
+				geom.NewLink(4, 5, geom.Point{X: 1e-200}, geom.Point{X: -1}),
+			},
+			"power: non-finite gain: link 2 on link 0",
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := Solve(c.links, p, SolveOptions{})
+			if !errors.Is(err, ErrNonFiniteGain) || err.Error() != c.want {
+				t.Fatalf("Solve = %v, %v; want error %q", got, err, c.want)
+			}
+			if _, err := refSolve(c.links, p, SolveOptions{}); err == nil || err.Error() != c.want {
+				t.Fatalf("refSolve error %v, want %q", err, c.want)
+			}
+		})
+	}
+}
+
 // fuzzAlphas are the path-loss exponents the differential tests draw from:
 // the three integer exponents PowAlpha multiplies out, two fractional ones
 // that fall through to math.Pow, and α = 2, which Params.Validate rejects.

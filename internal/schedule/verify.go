@@ -205,7 +205,8 @@ func (vc *VerifyCache) Bytes() int64 {
 // grids. A following verification of the same schedule recomputes every
 // margin with the grid-build stage skipped — the grid-warm path that
 // escalation retries with changed powers take per slot, exposed whole for
-// re-verification sweeps and the warm-verify benchmark.
+// re-verification sweeps, the warm-verify benchmark and the pipeline's
+// work-counter test.
 func (vc *VerifyCache) InvalidateMargins() {
 	if vc == nil {
 		return

@@ -151,9 +151,9 @@ type Diag struct {
 	BuildReused    bool
 	// BuildStats aggregates the bucketed conflict build's pruning counters
 	// over every graph this Schedule call constructed (per-class graphs
-	// included) — the hardware-independent candidate-efficiency signal the
-	// bench regression gate tracks. Lookahead-filtered graphs report the
-	// annotated build's counters.
+	// included) — the hardware-independent candidate-efficiency signal
+	// experiment.TestPipelineWorkCounters holds. Lookahead-filtered graphs
+	// report the annotated build's counters.
 	BuildStats conflict.BuildStats
 }
 

@@ -2,8 +2,7 @@
 // queue-pressure load shedding. Every rejection carries a machine-readable
 // error code and a Retry-After derived from the actual state — the token
 // refill time for rate limits, the queue drain rate for pressure — so
-// well-behaved clients (aggrate loadtest among them) can back off precisely
-// instead of hammering.
+// well-behaved clients can back off precisely instead of hammering.
 package service
 
 import (

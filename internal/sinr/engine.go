@@ -134,7 +134,6 @@ type Engine struct {
 // pow-mode fast paths for (d²)^(α/2).
 const (
 	powGeneric = iota
-	powAlpha2
 	powAlpha3
 	powAlpha4
 )
@@ -145,8 +144,6 @@ const (
 func NewEngine(p Params, links []geom.Link) *Engine {
 	e := &Engine{p: p, alphaHalf: p.Alpha / 2, powMode: powGeneric, links: links}
 	switch p.Alpha {
-	case 2:
-		e.powMode = powAlpha2
 	case 3:
 		e.powMode = powAlpha3
 	case 4:
@@ -161,8 +158,8 @@ func NewEngine(p Params, links []geom.Link) *Engine {
 
 // powD2 returns (d2)^(α/2) = d^α for the squared distance d2. Only the
 // default α=3 path is kept small enough to inline into the descent's
-// far-node bounds (math.Sqrt compiles to a single instruction); α=2, α=4
-// and the generic fractional exponent pay an out-of-line call via powD2Slow.
+// far-node bounds (math.Sqrt compiles to a single instruction); α=4 and the
+// generic fractional exponent pay an out-of-line call via powD2Slow.
 // The pairwise sums never come through here — they use the per-α rowSum
 // kernels below.
 func (e *Engine) powD2(d2 float64) float64 {
@@ -177,10 +174,7 @@ func (e *Engine) powD2(d2 float64) float64 {
 //
 //go:noinline
 func (e *Engine) powD2Slow(d2 float64) float64 {
-	switch e.powMode {
-	case powAlpha2:
-		return d2
-	case powAlpha4:
+	if e.powMode == powAlpha4 {
 		return d2 * d2
 	}
 	return math.Pow(d2, e.alphaHalf)
@@ -195,8 +189,6 @@ func (e *Engine) rowSum(acc float64, px, py, pw []float64, qx, qy float64) float
 	switch e.powMode {
 	case powAlpha3:
 		return rowSumA3(acc, px, py, pw, qx, qy)
-	case powAlpha2:
-		return rowSumA2(acc, px, py, pw, qx, qy)
 	case powAlpha4:
 		return rowSumA4(acc, px, py, pw, qx, qy)
 	}
@@ -214,18 +206,6 @@ func rowSumA3(acc float64, px, py, pw []float64, qx, qy float64) float64 {
 		dy := py[j] - qy
 		d2 := dx*dx + dy*dy
 		acc += pw[j] / (d2 * math.Sqrt(d2))
-	}
-	return acc
-}
-
-// rowSumA2 is the α=2 kernel: d² directly.
-func rowSumA2(acc float64, px, py, pw []float64, qx, qy float64) float64 {
-	py = py[:len(px)]
-	pw = pw[:len(px)]
-	for j := range px {
-		dx := px[j] - qx
-		dy := py[j] - qy
-		acc += pw[j] / (dx*dx + dy*dy)
 	}
 	return acc
 }
@@ -270,8 +250,6 @@ func (e *Engine) rowSumFast(acc float64, px, py, pw []float64, qx, qy float64) f
 	switch e.powMode {
 	case powAlpha3:
 		return rowSumFastA3(acc, px, py, pw, qx, qy)
-	case powAlpha2:
-		return rowSumFastA2(acc, px, py, pw, qx, qy)
 	case powAlpha4:
 		return rowSumFastA4(acc, px, py, pw, qx, qy)
 	}
@@ -317,44 +295,6 @@ func rowSumFastA3(acc float64, px, py, pw []float64, qx, qy float64) float64 {
 		dy := py[j] - qy
 		d2 := dx*dx + dy*dy
 		acc += pw[j] / (d2 * math.Sqrt(d2))
-	}
-	return acc + acc2
-}
-
-// rowSumFastA2 is the batched α=2 interval kernel.
-func rowSumFastA2(acc float64, px, py, pw []float64, qx, qy float64) float64 {
-	n := len(px)
-	py = py[:n]
-	pw = pw[:n]
-	var acc2 float64
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		dx0 := px[j] - qx
-		dy0 := py[j] - qy
-		g0 := dx0*dx0 + dy0*dy0
-		dx1 := px[j+1] - qx
-		dy1 := py[j+1] - qy
-		g1 := dx1*dx1 + dy1*dy1
-		dx2 := px[j+2] - qx
-		dy2 := py[j+2] - qy
-		g2 := dx2*dx2 + dy2*dy2
-		dx3 := px[j+3] - qx
-		dy3 := py[j+3] - qy
-		g3 := dx3*dx3 + dy3*dy3
-		g01 := g0 * g1
-		g23 := g2 * g3
-		if inv := 1 / (g01 * g23); inv > 0 && !math.IsInf(inv, 1) {
-			acc += (pw[j]*g1 + pw[j+1]*g0) * g23 * inv
-			acc2 += (pw[j+2]*g3 + pw[j+3]*g2) * g01 * inv
-		} else {
-			acc += pw[j]/g0 + pw[j+1]/g1
-			acc2 += pw[j+2]/g2 + pw[j+3]/g3
-		}
-	}
-	for ; j < n; j++ {
-		dx := px[j] - qx
-		dy := py[j] - qy
-		acc += pw[j] / (dx*dx + dy*dy)
 	}
 	return acc + acc2
 }
@@ -892,8 +832,6 @@ func (e *Engine) pairRow(accJ float64, accT []float64, sc *EngineScratch, j, t0 
 	switch e.powMode {
 	case powAlpha3:
 		return pairRowA3(accJ, accT, sc.px, sc.py, sc.qx, sc.qy, sc.pw, j, t0)
-	case powAlpha2:
-		return pairRowA2(accJ, accT, sc.px, sc.py, sc.qx, sc.qy, sc.pw, j, t0)
 	case powAlpha4:
 		return pairRowA4(accJ, accT, sc.px, sc.py, sc.qx, sc.qy, sc.pw, j, t0)
 	}
@@ -915,23 +853,6 @@ func pairRowA3(accJ float64, accT []float64, px, py, qx, qy, pw []float64, j, t0
 		ey := syj - qy[t]
 		e2 := ex*ex + ey*ey
 		accT[i] += pwj / (e2 * math.Sqrt(e2))
-	}
-	return accJ
-}
-
-// pairRowA2 is the α=2 symmetric kernel.
-func pairRowA2(accJ float64, accT []float64, px, py, qx, qy, pw []float64, j, t0 int) float64 {
-	sxj, syj := px[j], py[j]
-	rxj, ryj := qx[j], qy[j]
-	pwj := pw[j]
-	for i := range accT {
-		t := t0 + i
-		dx := px[t] - rxj
-		dy := py[t] - ryj
-		accJ += pw[t] / (dx*dx + dy*dy)
-		ex := sxj - qx[t]
-		ey := syj - qy[t]
-		accT[i] += pwj / (ex*ex + ey*ey)
 	}
 	return accJ
 }

@@ -118,7 +118,7 @@ func TestSlotGridSizeBytes(t *testing.T) {
 // BenchmarkNearFieldKernel times the symmetric tiled pair kernel (exactAll)
 // against the per-row naive-order fallback (exactOne over every row) on the
 // same slot — the two must agree bit for bit, and the symmetric kernel is
-// the one the regression gate watches via kernel_ns_per_pair.
+// the one the benchmark reports as sinr.kernel_ns_per_pair.
 func BenchmarkNearFieldKernel(b *testing.B) {
 	const m = 2048
 	p := DefaultParams()

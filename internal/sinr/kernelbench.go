@@ -37,8 +37,8 @@ func kernelBenchLinks(m int) []geom.Link {
 // unordered-pair enumeration behind exactAll, the engine's hottest inner
 // loop — on a synthetic m-sender slot, and returns nanoseconds per ordered
 // pairwise term (the m·(m−1) terms a naive evaluation would compute). The
-// bench command records it as kernel_ns_per_pair so the regression gate can
-// catch a de-optimized kernel (a lost unroll, a reintroduced math.Pow)
+// benchmark records it as sinr.kernel_ns_per_pair, which exposes a
+// de-optimized kernel (a lost unroll, a reintroduced math.Pow)
 // independently of slot-structure and pipeline effects.
 func MeasureKernelNsPerPair(p Params, m, rounds int) float64 {
 	if m < 2 || rounds < 1 {
