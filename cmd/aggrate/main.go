@@ -276,6 +276,9 @@ func (sf *specFlags) resolve() ([]experiment.Scenario, []int, experiment.Spec, e
 		Verify:       *sf.verify,
 		VerifyEngine: *sf.engine,
 	}
+	if err := base.CheckFinite(); err != nil {
+		return nil, nil, zero, err
+	}
 	return scList, nList, base, nil
 }
 

@@ -241,6 +241,9 @@ func TestFlagValidation(t *testing.T) {
 		{"compare bad algo", []string{"compare", "--algo", "bogus"}, `unknown --algo "bogus"`},
 		{"compare bad graph", []string{"compare", "--graph", "bogus"}, `unknown --graph "bogus"`},
 		{"compare bad power", []string{"compare", "--power", "bogus"}, `unknown --power "bogus"`},
+		{"gamma NaN", []string{"run", "--n", "60", "--gamma", "NaN"}, "gamma is NaN"},
+		{"gamma Inf", []string{"run", "--n", "60", "--gamma", "Inf"}, "gamma is +Inf"},
+		{"delta NaN", []string{"run", "--n", "60", "--delta", "NaN"}, "delta is NaN"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

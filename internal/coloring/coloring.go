@@ -8,9 +8,7 @@
 // All colorings walk the conflict graph's CSR rows. The Workspace variants
 // are the production hot path: every scratch buffer is owned by the
 // Workspace and reused across calls, so steady-state coloring performs zero
-// allocations per vertex (see the AllocsPerRun guards in the tests). The
-// package-level functions allocate a fresh Workspace per call and remain
-// the convenient entry points.
+// allocations per vertex (see the AllocsPerRun guards in the tests).
 package coloring
 
 import (
@@ -112,15 +110,6 @@ func (ws *Workspace) FirstFit(g *conflict.Graph, order []int, colors []int) int 
 	return int(numColors)
 }
 
-// FirstFit is the allocating wrapper over (*Workspace).FirstFit; see there.
-// It returns one color per vertex, colors numbered from 0, and the number
-// of colors used.
-func FirstFit(g *conflict.Graph, order []int) ([]int, int) {
-	colors := make([]int, g.N())
-	k := NewWorkspace().FirstFit(g, order, colors)
-	return colors, k
-}
-
 // IndexOrder returns the identity order 0, 1, …, n-1: first-fit in input
 // order, the length-oblivious baseline.
 func IndexOrder(n int) []int {
@@ -155,7 +144,7 @@ func (s *lengthSorter) Swap(a, b int) { s.order[a], s.order[b] = s.order[b], s.o
 // avoids the three radix scratch buffers.
 const lengthRadixMin = 128
 
-// LengthOrder returns the vertex order GreedyByLength processes: links in
+// LengthOrder returns the greedy strategy's first-fit vertex order: links in
 // non-increasing length, ties by index. Lengths are computed once per
 // vertex into a reused key buffer (not once per comparison), and the
 // returned slice aliases the Workspace; callers must copy it to keep it
@@ -234,29 +223,6 @@ func (ws *Workspace) radixSortByLength(n int) {
 	if &src[0] != &ws.order[0] {
 		copy(ws.order[:n], src)
 	}
-}
-
-// ByLengthOrder is the allocating wrapper over (*Workspace).LengthOrder.
-func ByLengthOrder(g *conflict.Graph) []int {
-	return append([]int(nil), NewWorkspace().LengthOrder(g)...)
-}
-
-// GreedyByLength colors the conflict graph by first-fit, processing links
-// in non-increasing order of length (App. A / Ye–Borodin elimination
-// orders). colors must have length g.N(); returns the number of colors.
-func (ws *Workspace) GreedyByLength(g *conflict.Graph, colors []int) int {
-	return ws.FirstFit(g, ws.LengthOrder(g), colors)
-}
-
-// GreedyByLength colors the conflict graph by first-fit, processing links in
-// non-increasing order of length (App. A / Ye–Borodin elimination orders):
-// each link gets the smallest color not used by an already-colored neighbor.
-// It returns one color per vertex, colors numbered from 0, and the number of
-// colors used.
-func GreedyByLength(g *conflict.Graph) ([]int, int) {
-	colors := make([]int, g.N())
-	k := NewWorkspace().GreedyByLength(g, colors)
-	return colors, k
 }
 
 // satEntry is a (possibly stale) priority-queue entry of the DSATUR loop.
@@ -386,14 +352,6 @@ func (ws *Workspace) DSatur(g *conflict.Graph, colors []int) int {
 	return numColors
 }
 
-// DSatur is the allocating wrapper over (*Workspace).DSatur. Returns colors
-// (0-based, dense) and the count.
-func DSatur(g *conflict.Graph) ([]int, int) {
-	colors := make([]int, g.N())
-	k := NewWorkspace().DSatur(g, colors)
-	return colors, k
-}
-
 // splitmix64 is the vertex-priority hash of JP: a fixed, high-quality
 // 64-bit mixer, so priorities are deterministic in (seed, vertex) with no
 // RNG state to share between goroutines.
@@ -511,13 +469,6 @@ func (ws *Workspace) JP(g *conflict.Graph, seed uint64, colors []int) int {
 	return numColors
 }
 
-// JP is the allocating wrapper over (*Workspace).JP.
-func JP(g *conflict.Graph, seed uint64) ([]int, int) {
-	colors := make([]int, g.N())
-	k := NewWorkspace().JP(g, seed, colors)
-	return colors, k
-}
-
 // Verify checks that colors is a proper coloring of g: every vertex colored
 // with a value in [0, numColors) and no edge monochromatic.
 func Verify(g *conflict.Graph, colors []int) error {
@@ -535,29 +486,6 @@ func Verify(g *conflict.Graph, colors []int) error {
 		}
 	}
 	return nil
-}
-
-// NumColors returns the number of distinct colors (max+1, assuming colors
-// are the dense 0-based palette produced by GreedyByLength).
-func NumColors(colors []int) int {
-	m := 0
-	for _, c := range colors {
-		if c+1 > m {
-			m = c + 1
-		}
-	}
-	return m
-}
-
-// Classes groups vertex indices by color. Class k lists the vertices of
-// color k in increasing index order.
-func Classes(colors []int) [][]int {
-	k := NumColors(colors)
-	out := make([][]int, k)
-	for v, c := range colors {
-		out[c] = append(out[c], v)
-	}
-	return out
 }
 
 // Refine implements the first-fit refinement from the proof of Theorem 2:
@@ -631,24 +559,6 @@ func VerifyRefinement(links []geom.Link, sets [][]int, p sinr.Params) error {
 	for i, ok := range seen {
 		if !ok {
 			return fmt.Errorf("coloring: link %d missing from refinement", i)
-		}
-	}
-	return nil
-}
-
-// RefinementIndependentInG1 checks the feasibility half of Theorem 2's
-// proof: each refinement set must be an independent set of G₁ = G_γ with
-// γ = 1.
-func RefinementIndependentInG1(links []geom.Link, sets [][]int) error {
-	g1 := conflict.Gamma(1)
-	for k, set := range sets {
-		for a := 0; a < len(set); a++ {
-			for b := a + 1; b < len(set); b++ {
-				i, j := set[a], set[b]
-				if conflict.Conflicting(g1, links[i], links[j]) {
-					return fmt.Errorf("coloring: refinement set %d not independent in G1: links %d,%d conflict", k, i, j)
-				}
-			}
 		}
 	}
 	return nil

@@ -28,13 +28,9 @@ func testLinks(t *testing.T, n int, seed uint64) []geom.Link {
 // every conflict-graph flavor, with a dense 0-based palette.
 func TestGreedyProper(t *testing.T) {
 	links := testLinks(t, 400, 1)
-	funcs := []conflict.Func{
-		conflict.Gamma(1),
-		conflict.PowerLaw(2, 0.5),
-		conflict.LogThreshold(1.5, 3),
-	}
+	funcs := testFlavors()
 	for _, f := range funcs {
-		g := conflict.Build(links, f)
+		g := buildGraph(t, links, f.fam, f.gamma)
 		colors, k := GreedyByLength(g)
 		if err := Verify(g, colors); err != nil {
 			t.Fatalf("%s: Verify: %v", f.Name, err)
@@ -65,7 +61,7 @@ func TestGreedyProper(t *testing.T) {
 // TestVerifyCatchesBadColoring ensures the checker actually rejects.
 func TestVerifyCatchesBadColoring(t *testing.T) {
 	links := testLinks(t, 100, 2)
-	g := conflict.Build(links, conflict.Gamma(1))
+	g := buildGraph(t, links, conflict.GammaFamily(), 1)
 	colors, _ := GreedyByLength(g)
 	// Find an edge and make it monochromatic.
 	for v := range colors {
@@ -124,13 +120,9 @@ func TestVerifyRefinementCatchesViolations(t *testing.T) {
 // conflict-graph flavor and never use more than MaxDegree+1 colors.
 func TestDSaturProper(t *testing.T) {
 	links := testLinks(t, 400, 2)
-	funcs := []conflict.Func{
-		conflict.Gamma(1),
-		conflict.PowerLaw(2, 0.5),
-		conflict.LogThreshold(1.5, 3),
-	}
+	funcs := testFlavors()
 	for _, f := range funcs {
-		g := conflict.Build(links, f)
+		g := buildGraph(t, links, f.fam, f.gamma)
 		colors, k := DSatur(g)
 		if err := Verify(g, colors); err != nil {
 			t.Fatalf("%s: Verify: %v", f.Name, err)
@@ -185,7 +177,7 @@ func TestDSaturKnownGraphs(t *testing.T) {
 // GreedyByLength exactly; index order is a valid (if weaker) coloring.
 func TestFirstFitOrders(t *testing.T) {
 	links := testLinks(t, 300, 3)
-	g := conflict.Build(links, conflict.PowerLaw(2, 0.5))
+	g := buildGraph(t, links, conflict.PowerLawFamily(0.5), 2)
 	byLen, kLen := GreedyByLength(g)
 	ffLen, kFF := FirstFit(g, ByLengthOrder(g))
 	if kLen != kFF {

@@ -199,14 +199,10 @@ func sameColoring(t *testing.T, label string, got []int, kGot int, want []int, k
 // uniform, cluster, and annulus instances across every conflict-graph
 // flavor.
 func TestCSRMatchesSliceOracles(t *testing.T) {
-	funcs := []conflict.Func{
-		conflict.Gamma(1),
-		conflict.PowerLaw(2, 0.5),
-		conflict.LogThreshold(1.5, 3),
-	}
+	funcs := testFlavors()
 	for name, links := range parityInstances(t) {
 		for _, f := range funcs {
-			g := conflict.Build(links, f)
+			g := buildGraph(t, links, f.fam, f.gamma)
 			adj := adjacency(g)
 			label := name + "/" + f.Name
 
@@ -239,7 +235,7 @@ func TestCSRMatchesSliceOracles(t *testing.T) {
 func TestWorkspaceReuseAcrossGraphs(t *testing.T) {
 	ws := NewWorkspace()
 	for name, links := range parityInstances(t) {
-		g := conflict.Build(links, conflict.PowerLaw(2, 0.5))
+		g := buildGraph(t, links, conflict.PowerLawFamily(0.5), 2)
 		adj := adjacency(g)
 		colors := make([]int, g.N())
 
@@ -266,7 +262,7 @@ func TestWorkspaceReuseAcrossGraphs(t *testing.T) {
 // — not "zero per vertex", zero total.
 func TestFirstFitZeroAllocs(t *testing.T) {
 	links := testLinks(t, 2000, 9)
-	g := conflict.Build(links, conflict.PowerLaw(2, 0.5))
+	g := buildGraph(t, links, conflict.PowerLawFamily(0.5), 2)
 	ws := NewWorkspace()
 	colors := make([]int, g.N())
 	order := IndexOrder(g.N())
@@ -296,13 +292,9 @@ func TestFirstFitZeroAllocs(t *testing.T) {
 // the result), and different seeds may recolor but stay proper.
 func TestJPProperAndDeterministic(t *testing.T) {
 	links := testLinks(t, 400, 5)
-	funcs := []conflict.Func{
-		conflict.Gamma(1),
-		conflict.PowerLaw(2, 0.5),
-		conflict.LogThreshold(1.5, 3),
-	}
+	funcs := testFlavors()
 	for _, f := range funcs {
-		g := conflict.Build(links, f)
+		g := buildGraph(t, links, f.fam, f.gamma)
 		colors, k := JP(g, 7)
 		if err := Verify(g, colors); err != nil {
 			t.Fatalf("%s: JP improper: %v", f.Name, err)

@@ -35,7 +35,9 @@ func TestLengthOrderRadixTies(t *testing.T) {
 				r := geom.Point{X: float64(3*i) + tc.lengths(i, n), Y: 0}
 				links[i] = geom.NewLink(2*i, 2*i+1, s, r)
 			}
-			g := conflict.Build(links, conflict.Gamma(1))
+			// The order reads only link lengths, so an edgeless graph serves
+			// (zero-length links are not buildable).
+			g := conflict.FromAdj(links, conflict.Gamma(1), make([][]int32, n))
 			got := ByLengthOrder(g)
 
 			want := make([]int, n)

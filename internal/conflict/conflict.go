@@ -23,15 +23,19 @@
 // loops walk contiguous memory and the build allocates O(1) slices instead
 // of one per vertex.
 //
-// Build is the production constructor: it buckets links into dyadic length
-// classes, indexes endpoints in one uniform hash grid per class, and detects
-// edges with a goroutine pool, so 10⁵-link instances build in seconds.
-// BuildNaive keeps the exact O(n²) pairwise scan as a cross-check oracle.
+// BuildLookaheadCtx is the one constructor: it buckets links into dyadic
+// length classes, indexes endpoints in one uniform hash grid per class,
+// detects edges with a goroutine pool, and annotates every edge with its
+// conflict strength, so 10⁵-link instances build in seconds and one build
+// serves a whole γ-escalation ladder (see Lookahead). Inputs the grid cannot
+// index are refused with ErrDegenerate. The exact O(n²) pairwise scan lives
+// in the package tests as the oracle.
 package conflict
 
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -44,7 +48,7 @@ import (
 )
 
 // Func is a conflict-threshold function f together with a display name.
-// Eval must be positive and non-decreasing on [1, ∞): the bucketed Build
+// Eval must be positive and non-decreasing on [1, ∞): the bucketed build
 // relies on monotonicity to bound candidate-search radii, and a decreasing
 // Eval silently breaks its exactness guarantee. Sub-linearity is the
 // paper's additional requirement for constant inductive independence
@@ -56,8 +60,8 @@ type Func struct {
 	Eval func(x float64) float64
 	// Const, when positive, asserts that Eval is the constant function
 	// x ↦ Const. The bucketed build's innermost pair test then computes the
-	// threshold directly instead of calling the Eval closure per pair — the
-	// dominant per-candidate cost for G_γ builds. Constructors that set it
+	// threshold directly instead of calling a closure (Eval, or the family
+	// factor) per pair — the dominant per-candidate cost for G_γ builds. Constructors that set it
 	// (Gamma) guarantee agreement with Eval; leave it zero otherwise.
 	Const float64
 }
@@ -112,13 +116,6 @@ func LogThreshold(gamma, alpha float64) Func {
 // Conflicting reports whether links i and j are f-conflicting.
 func Conflicting(f Func, i, j geom.Link) bool {
 	lmin, lmax := geom.MinMaxLen(i, j)
-	return conflictingLens(f, i, j, lmin, lmax)
-}
-
-// conflictingLens is Conflicting with the two link lengths already known
-// (ordered lmin ≤ lmax). The bucketed build precomputes every length once,
-// so its pair tests skip the two hypot calls that dominate Conflicting.
-func conflictingLens(f Func, i, j geom.Link, lmin, lmax float64) bool {
 	if lmin <= 0 {
 		return true
 	}
@@ -141,11 +138,11 @@ type Graph struct {
 	// Strengths, when non-nil, parallels Neighbors: Strengths[k] is the
 	// conflict strength of the pair (i, Neighbors[k]) — the smallest γ at
 	// which the two links f_γ-conflict under the threshold family the graph
-	// was built for (see Family and BuildLookaheadCtx). Only strength-
-	// annotated builds populate it; plain Build leaves it nil.
+	// was built for (see Family and BuildLookaheadCtx). Every built or
+	// filtered graph carries it; only FromAdj leaves it nil.
 	Strengths []float64
 	// Stats counts the candidate-pruning work of the bucketed build that
-	// produced the graph; zero for naive or test-constructed graphs.
+	// produced the graph; zero for test-constructed graphs.
 	// FilterCtx propagates it, so filtered lookahead graphs report the
 	// annotated build's counters.
 	Stats BuildStats
@@ -178,27 +175,18 @@ func (s *BuildStats) Add(o BuildStats) {
 	s.CandAccepted += o.CandAccepted
 }
 
-// CandRatio returns CandScanned/CandAccepted — the mean number of
-// distance-tested candidates per accepted edge (0 for an edgeless or
-// naive-built graph). Lower is tighter pruning.
-func (s BuildStats) CandRatio() float64 {
-	if s.CandAccepted == 0 {
-		return 0
-	}
-	return float64(s.CandScanned) / float64(s.CandAccepted)
-}
-
 // edge is one undirected edge, owned by the discovering endpoint.
 type edge struct{ i, j int32 }
 
 // fromEdges assembles the CSR adjacency from an undirected edge list in one
 // counting pass: count both endpoint degrees, prefix-sum into RowPtr, then
-// scatter each edge in both directions. Rows come out in edge-list order;
-// sortRows reports whether a per-row sort pass is still required (the naive
-// builder's lexicographic discovery order needs none). qs, when non-nil,
-// parallels edges with per-edge conflict strengths, scattered (and co-sorted)
-// into Graph.Strengths alongside the neighbor entries.
-func fromEdges(links []geom.Link, f Func, edges []edge, qs []float64, sortRows bool) *Graph {
+// scatter each edge in both directions. Rows come out in edge-list order, so
+// a lexicographically ordered edge list yields ascending rows directly; the
+// bucketed build, which discovers edges out of order, sorts afterwards
+// (sortRowsWithStrengths). qs, when non-nil, parallels edges with per-edge
+// conflict strengths, scattered into Graph.Strengths alongside the neighbor
+// entries.
+func fromEdges(links []geom.Link, f Func, edges []edge, qs []float64) *Graph {
 	n := len(links)
 	g := &Graph{
 		Links:  append([]geom.Link(nil), links...),
@@ -234,21 +222,11 @@ func fromEdges(links []geom.Link, f Func, edges []edge, qs []float64, sortRows b
 		fill[e.i]++
 		fill[e.j]++
 	}
-	if sortRows {
-		if qs == nil {
-			par.For(n, func(i int) {
-				slices.Sort(g.Row(i))
-			})
-		} else {
-			sortRowsWithStrengths(g)
-		}
-	}
 	return g
 }
 
 // sortRowsWithStrengths sorts every adjacency row ascending, permuting the
-// parallel Strengths entries in lockstep, so annotated rows keep the same
-// neighbor order as plain builds.
+// parallel Strengths entries in lockstep.
 func sortRowsWithStrengths(g *Graph) {
 	n := g.N()
 	par.ForBlocks(n, 256, func(next func() (int, int, bool)) {
@@ -279,7 +257,7 @@ func sortRowsWithStrengths(g *Graph) {
 // FromAdj assembles a Graph from explicit adjacency lists — the test-side
 // constructor for synthetic graphs and slice-form oracles. adj must be
 // symmetric (j in adj[i] ⟺ i in adj[j]); rows are copied, deduplicated,
-// and sorted into CSR form.
+// and sorted into CSR form. The result carries no Strengths.
 func FromAdj(links []geom.Link, f Func, adj [][]int32) *Graph {
 	var edges []edge
 	for i, row := range adj {
@@ -296,63 +274,7 @@ func FromAdj(links []geom.Link, f Func, adj [][]int32) *Graph {
 		return cmp.Compare(a.j, b.j)
 	})
 	edges = slices.Compact(edges)
-	return fromEdges(links, f, edges, nil, true)
-}
-
-// naiveCutoff is the instance size below which the bucketed build is not
-// worth its setup cost and Build falls back to the pairwise scan.
-const naiveCutoff = 128
-
-// Build constructs G_f(links). Instances above naiveCutoff links with all
-// lengths positive go through the grid-bucketed parallel search; the result
-// is bit-identical (same edge set, same sorted adjacency) to BuildNaive,
-// which remains the oracle for small or degenerate inputs.
-func Build(links []geom.Link, f Func) *Graph {
-	g, _ := BuildCtx(context.Background(), links, f) // Background never cancels
-	return g
-}
-
-// BuildCtx is Build with cancellation: the parallel candidate search checks
-// ctx at block boundaries, so a cancel or deadline stops a large build
-// mid-flight. On cancellation it returns (nil, ctx.Err()) — a partial edge
-// set is never assembled into a Graph.
-func BuildCtx(ctx context.Context, links []geom.Link, f Func) (*Graph, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if len(links) <= naiveCutoff {
-		return BuildNaive(links, f), nil
-	}
-	g, err := buildBucketed(ctx, links, f, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	if g != nil {
-		return g, nil
-	}
-	// Degenerate-input fallback: the O(n²) scan is not chunk-cancellable,
-	// so at least refuse to start it once the context is done.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return BuildNaive(links, f), nil
-}
-
-// BuildNaive constructs G_f(links) by exact pairwise testing (O(n²)). The
-// double loop discovers edges in lexicographic (i, j) order, so the CSR
-// scatter emits both directions of every row already ascending with no
-// sorting pass.
-func BuildNaive(links []geom.Link, f Func) *Graph {
-	n := len(links)
-	var edges []edge
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if Conflicting(f, links[i], links[j]) {
-				edges = append(edges, edge{int32(i), int32(j)})
-			}
-		}
-	}
-	return fromEdges(links, f, edges, nil, false)
+	return fromEdges(links, f, edges, nil)
 }
 
 // classGrid indexes the link endpoints of one dyadic length class, in a
@@ -392,7 +314,7 @@ type classGrid struct {
 	// below the class-wide bound).
 	bbMinX, bbMaxX, bbMinY, bbMaxY []float64
 	cMinL, cMaxL                   []float64
-	// fillTmp is the scatter cursor used only while buildBucketed packs
+	// fillTmp is the scatter cursor used only while BuildLookaheadCtx packs
 	// members; nil afterwards.
 	fillTmp []int32
 }
@@ -414,8 +336,8 @@ func (cg *classGrid) cellCoordXY(x, y float64) (int64, int64) {
 }
 
 // insertSlot returns the table slot of cell (x, y), claiming an empty slot
-// on first use. The capacity chosen in buildBucketed bounds the load factor
-// by ½, so probe chains stay short and the loop always terminates.
+// on first use. The capacity chosen in BuildLookaheadCtx bounds the load
+// factor by ½, so probe chains stay short and the loop always terminates.
 func (cg *classGrid) insertSlot(x, y int64) int {
 	h := cellHash(x, y) & cg.mask
 	for {
@@ -556,16 +478,30 @@ func interleave16(v uint64) uint64 {
 	return v
 }
 
-// buildBucketed is the grid-bucketed parallel construction. It returns
-// (nil, nil) when the instance is degenerate (non-positive or non-finite
-// lengths, or a non-positive threshold function value), signalling BuildCtx
-// to fall back, and (nil, ctx.Err()) when the search was cancelled.
+// ErrDegenerate reports an input the bucketed build cannot index: a link
+// length that is non-positive or non-finite (no dyadic length class), a
+// threshold f(2) that is not finite and positive, or a grid cell side
+// l·f(2) outside float64's positive finite range. Builders wrap it with the
+// reason; test with errors.Is. A length ratio or search radius that
+// overflows is not degenerate: the infinite radius clamps to the class's
+// occupied cells, and the pair test (like the pairwise oracle) then sees an
+// infinite threshold.
+var ErrDegenerate = errors.New("conflict: degenerate input")
+
+// BuildLookaheadCtx constructs G_f(links) for f = fam.At(gm) with
+// Graph.Strengths populated: CSR arrays with rows sorted ascending, plus one
+// conflict strength per directed entry, so FilterCtx can materialize the
+// graph at any smaller γ without another build. It is the package's only
+// builder: a grid-bucketed parallel search for every input size. A
+// degenerate input gets a wrapped ErrDegenerate. The candidate search
+// checks ctx at block boundaries, so a cancel or deadline stops a large
+// build mid-flight with (nil, ctx.Err()) — a partial edge set is never
+// assembled into a Graph.
 //
-// When h is non-nil the build is strength-annotated: f must be fam.At(gm)
-// for a Family with factor h, the pair test computes the threshold as
-// lmin·(gm·h(x)) — the exact expression Family.At's contract makes f.Eval
-// compute — and every accepted edge additionally gets its conflict strength
-// (see strengthOf), emitted into Graph.Strengths.
+// The pair test computes the threshold as lmin·(gm·h(x)) with h = fam.H —
+// the exact expression Family.At's contract makes f.Eval compute — and
+// every accepted edge additionally gets its conflict strength (see
+// strengthOf).
 //
 // Correctness sketch: links are partitioned into dyadic length classes
 // [b_c, b_{c+1}) by comparison against precomputed boundaries, so class
@@ -575,18 +511,22 @@ func interleave16(v uint64) uint64 {
 // for higher classes, where m_c, n_c are the actual max/min lengths stored
 // per class. Scanning every grid cell intersecting the disks of that radius
 // around both endpoints of i therefore yields a candidate superset; the
-// exact Conflicting test then reproduces the naive edge set. Each edge is
+// exact pair test then reproduces the pairwise edge set. Each edge is
 // discovered exactly once, owned by the lower-class (ties: lower-index)
 // endpoint, collected into per-worker flat edge buffers, and scattered into
 // the CSR arrays in one counting pass — no per-vertex slices anywhere.
-func buildBucketed(ctx context.Context, links []geom.Link, f Func, h func(float64) float64, gm float64) (*Graph, error) {
+func BuildLookaheadCtx(ctx context.Context, links []geom.Link, fam Family, gm float64) (*Graph, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	f := fam.At(gm)
 	n := len(links)
 	lens := make([]float64, n)
 	lmin, lmax := math.Inf(1), 0.0
 	for i, l := range links {
 		le := l.Length()
 		if !(le > 0) || math.IsInf(le, 1) {
-			return nil, nil
+			return nil, fmt.Errorf("%w: link %d has length %g", ErrDegenerate, i, le)
 		}
 		lens[i] = le
 		lmin = math.Min(lmin, le)
@@ -594,17 +534,11 @@ func buildBucketed(ctx context.Context, links []geom.Link, f Func, h func(float6
 	}
 	f2 := f.Eval(2)
 	if !(f2 > 0) || math.IsInf(f2, 1) {
-		return nil, nil
+		return nil, fmt.Errorf("%w: %s has f(2) = %g", ErrDegenerate, f.Name, f2)
 	}
-	// Guard the radius computation: if the extreme length ratio or the
-	// largest possible search radius overflows, the cell loops below would
-	// effectively never terminate. Fall back to the exact quadratic scan.
-	ratio := lmax / lmin
-	if math.IsInf(ratio, 1) || math.IsNaN(ratio) {
-		return nil, nil
-	}
-	if rmax := lmax * f.Eval(ratio); math.IsInf(rmax, 1) || math.IsNaN(rmax) {
-		return nil, nil
+	// Every class cell side maxL·f(2) lies between these two products.
+	if lo, hi := lmin*f2, lmax*f2; !(lo > 0) || math.IsInf(hi, 1) {
+		return nil, fmt.Errorf("%w: %s cell sizes [%g, %g] out of range", ErrDegenerate, f.Name, lo, hi)
 	}
 
 	// Spatial relabeling: the build works in Morton (Z-order) indices of the
@@ -667,9 +601,6 @@ func buildBucketed(ctx context.Context, links []geom.Link, f Func, h func(float6
 			continue
 		}
 		cg.size = cg.maxL * f2
-		if !(cg.size > 0) || math.IsInf(cg.size, 1) {
-			return nil, nil
-		}
 		// A class of k links occupies at most 2k cells, so capacity 4k keeps
 		// the open-addressed load factor at or below ½.
 		capSlots := 8
@@ -783,17 +714,18 @@ func buildBucketed(ctx context.Context, links []geom.Link, f Func, h func(float6
 
 	bs := &bucketedSearch{
 		lens: lens, class: class, grids: grids, f: f, fConst: f.Const,
-		h: h, gm: gm, orig: orig, maxAbs: maxAbs,
+		h: fam.H, gm: gm, orig: orig, maxAbs: maxAbs,
 		sx: sxs, sy: sys, rx: rxs, ry: rys,
 	}
 
 	// Parallel candidate search. Each worker appends the edges its vertices
 	// own — same-class neighbors j > i and all conflicting neighbors in
-	// strictly higher classes — to one flat per-worker buffer drawn from the
-	// shared pool (returned once the CSR scatter has consumed it).
+	// strictly higher classes — to one flat per-worker edge buffer and an
+	// index-aligned strength buffer, both drawn from the shared pools
+	// (returned once the CSR scatter has consumed them).
 	var mu sync.Mutex
 	var bufs []*[]edge
-	var qbufs []*[]float64 // index-aligned with bufs when annotating
+	var qbufs []*[]float64 // index-aligned with bufs
 	var stats BuildStats
 	defer func() {
 		for _, b := range bufs {
@@ -808,14 +740,8 @@ func buildBucketed(ctx context.Context, links []geom.Link, f Func, h func(float6
 		for i := range stamp {
 			stamp[i] = -1
 		}
-		bufp := getEdgeBuf()
-		buf := *bufp
-		var qbufp *[]float64
-		var qbuf []float64
-		if h != nil {
-			qbufp = getStrengthBuf()
-			qbuf = *qbufp
-		}
+		bufp, qbufp := getEdgeBuf(), getStrengthBuf()
+		buf, qbuf := *bufp, *qbufp
 		// One-shot buffer reservation: at large sizes append grows slices by
 		// only ~1.25×, so accumulating tens of millions of edges through the
 		// default growth path allocates (and discards) several times the
@@ -828,35 +754,22 @@ func buildBucketed(ctx context.Context, links []geom.Link, f Func, h func(float6
 		var wst BuildStats
 		for lo, hi, ok := next(); ok; lo, hi, ok = next() {
 			for i := lo; i < hi; i++ {
-				if h != nil {
-					bs.searchLink(int32(i), stamp, &buf, &qbuf, &wst)
-				} else {
-					bs.searchLink(int32(i), stamp, &buf, nil, &wst)
-				}
+				bs.searchLink(int32(i), stamp, &buf, &qbuf, &wst)
 			}
 			seen += hi - lo
 			if !grown && seen >= share/16 && seen >= 4096 && len(buf) > 0 {
 				grown = true
 				proj := int(float64(len(buf)) / float64(seen) * float64(share) * 1.15)
 				if proj > cap(buf) {
-					nb := make([]edge, len(buf), proj)
-					copy(nb, buf)
-					buf = nb
-					if h != nil {
-						nq := make([]float64, len(qbuf), proj)
-						copy(nq, qbuf)
-						qbuf = nq
-					}
+					buf = append(make([]edge, 0, proj), buf...)
+					qbuf = append(make([]float64, 0, proj), qbuf...)
 				}
 			}
 		}
-		*bufp = buf
+		*bufp, *qbufp = buf, qbuf
 		mu.Lock()
 		bufs = append(bufs, bufp)
-		if qbufp != nil {
-			*qbufp = qbuf
-			qbufs = append(qbufs, qbufp)
-		}
+		qbufs = append(qbufs, qbufp)
 		stats.Add(wst)
 		mu.Unlock()
 	})
@@ -866,48 +779,38 @@ func buildBucketed(ctx context.Context, links []geom.Link, f Func, h func(float6
 	var edges []edge
 	var qs []float64
 	if len(bufs) == 1 {
-		edges = *bufs[0]
-		if h != nil {
-			qs = *qbufs[0]
-		}
+		edges, qs = *bufs[0], *qbufs[0]
 	} else {
+		// Strength buffers merge in the same worker order as the edge
+		// buffers, keeping qs aligned with edges entry for entry.
 		total := 0
 		for _, b := range bufs {
 			total += len(*b)
 		}
-		mergep := getEdgeBuf()
-		merge := *mergep
+		mergep, qmergep := getEdgeBuf(), getStrengthBuf()
+		merge, qmerge := *mergep, *qmergep
 		if cap(merge) < total {
 			merge = make([]edge, 0, total)
 		}
-		for _, b := range bufs {
+		if cap(qmerge) < total {
+			qmerge = make([]float64, 0, total)
+		}
+		for k, b := range bufs {
 			merge = append(merge, *b...)
+			qmerge = append(qmerge, *qbufs[k]...)
 		}
-		*mergep = merge
+		*mergep, *qmergep = merge, qmerge
 		bufs = append(bufs, mergep)
-		edges = merge
-		if h != nil {
-			// Strength buffers merge in the same worker order, keeping qs
-			// aligned with edges entry for entry.
-			qmergep := getStrengthBuf()
-			qmerge := *qmergep
-			if cap(qmerge) < total {
-				qmerge = make([]float64, 0, total)
-			}
-			for _, b := range qbufs {
-				qmerge = append(qmerge, *b...)
-			}
-			*qmergep = qmerge
-			qbufs = append(qbufs, qmergep)
-			qs = qmerge
-		}
+		qbufs = append(qbufs, qmergep)
+		edges, qs = merge, qmerge
 	}
-	if h != nil && qs == nil {
-		// Zero accepted edges: pooled buffers stay nil, but an annotated
-		// build must still mark the graph filterable (non-nil Strengths).
+	if qs == nil {
+		// Zero accepted edges: pooled buffers stay nil, but the graph must
+		// still be marked filterable (non-nil Strengths).
 		qs = []float64{}
 	}
-	g := fromEdges(links, f, edges, qs, true)
+	g := fromEdges(links, f, edges, qs)
+	sortRowsWithStrengths(g)
 	g.Stats = stats
 	return g, nil
 }
@@ -922,9 +825,9 @@ type bucketedSearch struct {
 	class          []int
 	grids          []*classGrid
 	f              Func
-	fConst         float64 // Func.Const: > 0 ⟹ skip the Eval closure per pair
-	h              func(x float64) float64
-	gm             float64 // build γ of a strength-annotated search (h != nil)
+	fConst         float64                 // Func.Const: > 0 ⟹ skip the Eval and h closures
+	h              func(x float64) float64 // the family factor: f = γ·h
+	gm             float64                 // build γ
 	orig           []int32
 	maxAbs         float64 // largest coordinate magnitude; scales the prune slack
 	sx, sy, rx, ry []float64
@@ -959,8 +862,8 @@ func cellNear(cx, cy int64, s, rp2, sx, sy, rx, ry float64) bool {
 	return dx*dx+dy*dy <= rp2
 }
 
-// searchLink appends to *out every edge (i, j) that link i owns; when qout
-// is non-nil, each edge's conflict strength is appended to *qout in lockstep.
+// searchLink appends to *out every edge (i, j) that link i owns, and each
+// edge's conflict strength to *qout in lockstep.
 // st accumulates the worker's pruning counters.
 func (b *bucketedSearch) searchLink(i int32, stamp []int32, out *[]edge, qout *[]float64, st *BuildStats) {
 	li := b.lens[i]
@@ -972,7 +875,7 @@ func (b *bucketedSearch) searchLink(i int32, stamp []int32, out *[]edge, qout *[
 		if cg == nil {
 			continue
 		}
-		// Radius bound; see buildBucketed. The 1e-9 relative pad absorbs
+		// Radius bound; see BuildLookaheadCtx. The 1e-9 relative pad absorbs
 		// the few-ulp slop between this bound and the exact threshold
 		// computed inside Conflicting.
 		var x float64
@@ -1097,15 +1000,12 @@ func (b *bucketedSearch) scanSlot(i int32, sameClass bool, li float64, cg *class
 // cell, recording the edges link i owns. Candidate coordinates and lengths
 // stream from the cell-local SoA mirror (one contiguous block per cell — no
 // gather-loads through members), and for constant f (G_γ) the threshold
-// skips the Eval closure; the arithmetic — min over the four endpoint
-// squared distances against (l_min·f(l_max/l_min))² — is
-// expression-identical to conflictingLens, so the edge set matches
-// BuildNaive bit-for-bit.
-//
-// A strength-annotated search (qout non-nil) computes the threshold through
-// the family factor h instead of f.Eval — lmin·(gm·h(x)), the identical
-// floating-point expression by Family.At's contract — and appends each
-// accepted edge's strength.
+// skips the factor h; the arithmetic — min over the four endpoint squared
+// distances against (l_min·(γ·h(l_max/l_min)))², the floating-point
+// expression f.Eval computes by Family.At's contract — is
+// expression-identical to Conflicting, so the edge set matches the exact
+// pairwise scan bit-for-bit. Each accepted edge's strength is appended to
+// *qout.
 //
 // The loop is ordered cheapest-reject-first: the squared distance (pure SoA
 // loads and arithmetic) is compared against rr — the squared padded
@@ -1158,11 +1058,9 @@ func (b *bucketedSearch) scanCell(i int32, sameClass bool, rr float64,
 		if b.fConst > 0 {
 			thr = lmin * b.fConst
 			hx = 1
-		} else if qout != nil {
+		} else {
 			hx = b.h(lmax / lmin)
 			thr = lmin * (b.gm * hx)
-		} else {
-			thr = lmin * b.f.Eval(lmax/lmin)
 		}
 		if d <= thr*thr {
 			if stamp[j] == i {
@@ -1171,9 +1069,7 @@ func (b *bucketedSearch) scanCell(i int32, sameClass bool, rr float64,
 			stamp[j] = i
 			st.CandAccepted++
 			*out = append(*out, edge{b.orig[i], b.orig[j]})
-			if qout != nil {
-				*qout = append(*qout, strengthOf(d, lmin, hx, b.gm))
-			}
+			*qout = append(*qout, strengthOf(d, lmin, hx, b.gm))
 		}
 	}
 }
@@ -1205,13 +1101,6 @@ func (g *Graph) MaxDegree() int {
 	return int(d)
 }
 
-// HasEdge reports whether i and j are adjacent, by binary search in i's row.
-func (g *Graph) HasEdge(i, j int) bool {
-	adj := g.Row(i)
-	k := sort.Search(len(adj), func(k int) bool { return adj[k] >= int32(j) })
-	return k < len(adj) && adj[k] == int32(j)
-}
-
 // IsIndependent reports whether the given vertex subset is pairwise
 // non-adjacent.
 func (g *Graph) IsIndependent(set []int) bool {
@@ -1227,57 +1116,6 @@ func (g *Graph) IsIndependent(set []int) bool {
 		}
 	}
 	return true
-}
-
-// LongerNeighbors returns N⁺_i: the neighbors of i whose links are at least
-// as long as link i (ties included, self excluded).
-func (g *Graph) LongerNeighbors(i int) []int {
-	li := g.Links[i].Length()
-	var out []int
-	for _, w := range g.Row(i) {
-		if g.Links[w].Length() >= li {
-			out = append(out, int(w))
-		}
-	}
-	return out
-}
-
-// InductiveIndependence returns an estimate of the graph's inductive
-// independence number: the maximum, over vertices i, of the size of a
-// greedily-built independent subset of N⁺_i. Appendix A shows this is O(1)
-// for all G_f with sub-linear f, which is what makes first-fit coloring a
-// constant-factor approximation; this probe lets experiments verify the
-// constant empirically. Greedy gives a lower bound on each ind. set,
-// so the returned value is a lower bound on the true number.
-func (g *Graph) InductiveIndependence() int {
-	best := 0
-	for i := range g.Links {
-		cand := g.LongerNeighbors(i)
-		// Greedy max independent subset: repeatedly take the candidate with
-		// fewest conflicts among remaining candidates.
-		taken := independentGreedy(g, cand)
-		if taken > best {
-			best = taken
-		}
-	}
-	return best
-}
-
-func independentGreedy(g *Graph, cand []int) int {
-	chosen := []int{}
-	for _, v := range cand {
-		ok := true
-		for _, c := range chosen {
-			if g.HasEdge(v, c) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			chosen = append(chosen, v)
-		}
-	}
-	return len(chosen)
 }
 
 // AverageDegree returns 2·|E|/|V| (0 for an empty graph).

@@ -2,7 +2,9 @@ package conflict
 
 import (
 	"context"
+	"errors"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,12 +13,25 @@ import (
 	"aggrate/internal/rng"
 )
 
-// buildBucketedBG is the test-side shim over the context-aware bucketed
-// build: Background never cancels, so the error leg is dead and the old
-// nil-means-fallback contract is preserved for the parity suites.
-func buildBucketedBG(links []geom.Link, f Func) *Graph {
-	g, _ := buildBucketed(context.Background(), links, f, nil, 0)
+// build runs BuildLookaheadCtx with a background context and fails the test
+// on any error: callers pass inputs that are not degenerate.
+func build(t testing.TB, links []geom.Link, fam Family, gamma float64) *Graph {
+	t.Helper()
+	g, err := BuildLookaheadCtx(context.Background(), links, fam, gamma)
+	if err != nil {
+		t.Fatalf("BuildLookaheadCtx(%s, γ=%g): %v", fam.Name, gamma, err)
+	}
 	return g
+}
+
+// CandRatio returns CandScanned/CandAccepted — the mean number of
+// distance-tested candidates per accepted edge (0 for an edgeless graph).
+// Lower is tighter pruning.
+func (s BuildStats) CandRatio() float64 {
+	if s.CandAccepted == 0 {
+		return 0
+	}
+	return float64(s.CandScanned) / float64(s.CandAccepted)
 }
 
 // mstLinks generates the canonical test workload: the convergecast links of
@@ -52,42 +67,59 @@ func annulusLinks(t testing.TB, n int, seed uint64) []geom.Link {
 	return tree.Links
 }
 
-func testFuncs() []Func {
-	return []Func{
-		Gamma(1),
-		Gamma(0.5),
-		Gamma(3),
-		PowerLaw(2, 0.5),
-		PowerLaw(1, 0.25),
-		LogThreshold(1.5, 3),
-		LogThreshold(2, 2.5),   // exponent 4: log factor overtakes x on a wide range
-		LogThreshold(1.5, 2.1), // exponent 20: search radius dwarfs the grid extent
+// famGamma is one threshold function in factored form: fam.At(gamma).
+type famGamma struct {
+	fam   Family
+	gamma float64
+}
+
+func (fg famGamma) String() string { return fg.fam.At(fg.gamma).Name }
+
+func testFamilies() []famGamma {
+	return []famGamma{
+		{GammaFamily(), 1},
+		{GammaFamily(), 0.5},
+		{GammaFamily(), 3},
+		{PowerLawFamily(0.5), 2},
+		{PowerLawFamily(0.25), 1},
+		{LogThresholdFamily(3), 1.5},
+		{LogThresholdFamily(2.5), 2},   // exponent 4: log factor overtakes x on a wide range
+		{LogThresholdFamily(2.1), 1.5}, // exponent 20: search radius dwarfs the grid extent
 	}
 }
 
+// graphsEqual asserts got matches the oracle want bit for bit: the same
+// RowPtr and Neighbors, and — when want carries them — the same Strengths.
 func graphsEqual(t *testing.T, want, got *Graph, label string) {
 	t.Helper()
 	if want.Edges() != got.Edges() {
-		t.Fatalf("%s: edge count mismatch: naive=%d bucketed=%d", label, want.Edges(), got.Edges())
+		t.Fatalf("%s: edge count mismatch: oracle=%d got=%d", label, want.Edges(), got.Edges())
+	}
+	if !slices.Equal(want.RowPtr, got.RowPtr) {
+		t.Fatalf("%s: RowPtr differs", label)
 	}
 	for i := 0; i < want.N(); i++ {
-		wa, ga := want.Row(i), got.Row(i)
-		if len(wa) != len(ga) {
-			t.Fatalf("%s: vertex %d degree mismatch: naive=%d bucketed=%d", label, i, len(wa), len(ga))
+		if wa, ga := want.Row(i), got.Row(i); !slices.Equal(wa, ga) {
+			t.Fatalf("%s: adjacency of vertex %d differs: oracle=%v got=%v", label, i, wa, ga)
 		}
-		for k := range wa {
-			if wa[k] != ga[k] {
-				t.Fatalf("%s: vertex %d adjacency differs at pos %d: naive=%d bucketed=%d",
-					label, i, k, wa[k], ga[k])
-			}
+	}
+	if want.Strengths == nil {
+		return
+	}
+	if got.Strengths == nil {
+		t.Fatalf("%s: Strengths missing", label)
+	}
+	for k, q := range want.Strengths {
+		if math.Float64bits(q) != math.Float64bits(got.Strengths[k]) {
+			t.Fatalf("%s: strength of entry %d: oracle=%g got=%g", label, k, q, got.Strengths[k])
 		}
 	}
 }
 
 // TestBucketedMatchesNaive is the acceptance property: the grid-bucketed
-// parallel Build must produce an edge set identical (including adjacency
-// order) to the exhaustive O(n²) reference, across conflict functions and
-// both homogeneous and diversity-heavy instances.
+// parallel build must produce a graph identical (adjacency order and
+// strengths included) to the exhaustive O(n²) reference, across conflict
+// functions and both homogeneous and diversity-heavy instances.
 func TestBucketedMatchesNaive(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -99,66 +131,106 @@ func TestBucketedMatchesNaive(t *testing.T) {
 		{"annulus-500", annulusLinks(t, 500, 4)},
 	}
 	for _, tc := range cases {
-		for _, f := range testFuncs() {
-			naive := BuildNaive(tc.links, f)
-			bucketed := buildBucketedBG(tc.links, f)
-			if bucketed == nil {
-				t.Fatalf("%s/%s: bucketed build fell back unexpectedly", tc.name, f.Name)
-			}
-			graphsEqual(t, naive, bucketed, tc.name+"/"+f.Name)
+		for _, fg := range testFamilies() {
+			got := build(t, tc.links, fg.fam, fg.gamma)
+			graphsEqual(t, buildNaiveLookahead(tc.links, fg.fam, fg.gamma), got, tc.name+"/"+fg.String())
 		}
 	}
-}
-
-// TestBuildSmallUsesNaivePath checks the fallback below the cutoff still
-// yields the same graph as an explicit naive build.
-func TestBuildSmallUsesNaivePath(t *testing.T) {
-	links := mstLinks(t, 60, 5, 100)
-	f := Gamma(1)
-	graphsEqual(t, BuildNaive(links, f), Build(links, f), "small")
 }
 
 // TestBuildDeterministic: two builds of the same instance must be
 // identical despite goroutine scheduling.
 func TestBuildDeterministic(t *testing.T) {
 	links := mstLinks(t, 800, 6, 1000)
-	f := PowerLaw(2, 0.5)
-	graphsEqual(t, Build(links, f), Build(links, f), "repeat")
+	fam := PowerLawFamily(0.5)
+	graphsEqual(t, build(t, links, fam, 2), build(t, links, fam, 2), "repeat")
 }
 
-// TestNaiveAdjacencyAscending pins the invariant that let the redundant
-// sort pass be removed from BuildNaive: the i<j double loop emits both
-// adjacency directions in ascending order already.
-func TestNaiveAdjacencyAscending(t *testing.T) {
-	g := BuildNaive(mstLinks(t, 400, 7, 500), Gamma(2))
-	for i := 0; i < g.N(); i++ {
-		adj := g.Row(i)
-		for k := 1; k < len(adj); k++ {
-			if adj[k-1] >= adj[k] {
-				t.Fatalf("Row(%d) not strictly ascending at pos %d: %d >= %d", i, k, adj[k-1], adj[k])
-			}
-		}
-	}
-}
-
-// TestZeroLengthFallsBack: degenerate links (coinciding endpoints) must
-// take the naive path and still conflict with everything.
-func TestZeroLengthFallsBack(t *testing.T) {
+// TestZeroLengthRejected: a link with coinciding endpoints has no dyadic
+// length class, so the build refuses the input with ErrDegenerate instead
+// of scanning it pairwise.
+func TestZeroLengthRejected(t *testing.T) {
 	p := geom.Point{X: 1, Y: 1}
 	links := []geom.Link{
 		geom.NewLink(0, 1, geom.Point{}, geom.Point{X: 1}),
 		geom.NewLink(2, 3, p, p), // zero length
 	}
-	// Pad above the cutoff so Build would prefer the bucketed path.
-	r := rng.New(8)
-	for len(links) <= naiveCutoff+10 {
-		a := geom.Point{X: r.Float64() * 100, Y: r.Float64() * 100}
-		b := geom.Point{X: a.X + 1, Y: a.Y}
-		links = append(links, geom.NewLink(len(links), len(links)+1, a, b))
+	g, err := BuildLookaheadCtx(context.Background(), links, GammaFamily(), 1)
+	if !errors.Is(err, ErrDegenerate) || g != nil {
+		t.Fatalf("zero-length link: got (%v, %v), want (nil, ErrDegenerate)", g, err)
 	}
-	g := Build(links, Gamma(1))
-	if got, want := g.Degree(1), len(links)-1; got != want {
-		t.Fatalf("zero-length link degree = %d, want %d (conflicts with all)", got, want)
+}
+
+// TestDegenerateIsBounded proves no quadratic path is left: each kind of
+// degenerate 10⁵-link input — a zero-length link at the end, a NaN δ, an
+// infinite length, an overflowing f(2) and an overflowing cell side — is
+// refused with ErrDegenerate in well under a second. A pairwise scan would
+// test 5·10⁹ pairs.
+func TestDegenerateIsBounded(t *testing.T) {
+	const n = 100_000
+	r := rng.New(35)
+	links := make([]geom.Link, n)
+	for i := range links {
+		a := geom.Point{X: r.Float64() * 1e4, Y: r.Float64() * 1e4}
+		links[i] = geom.NewLink(2*i, 2*i+1, a, geom.Point{X: a.X + 1 + r.Float64(), Y: a.Y})
+	}
+	with := func(k int, l geom.Link) []geom.Link {
+		out := slices.Clone(links)
+		out[k] = l
+		return out
+	}
+	cases := []struct {
+		name  string
+		links []geom.Link
+		fg    famGamma
+	}{
+		{"zero-length", with(n-1, geom.NewLink(0, 0, geom.Point{}, geom.Point{})), famGamma{GammaFamily(), 2}},
+		{"nan-delta", links, famGamma{PowerLawFamily(math.NaN()), 2}},
+		{"inf-length", with(n-1, geom.NewLink(0, 1, geom.Point{X: -1e308}, geom.Point{X: 1e308})), famGamma{GammaFamily(), 2}},
+		{"f2-overflow", links, famGamma{GammaFamily(), math.Inf(1)}},
+		{"cell-overflow", with(n-1, geom.NewLink(0, 1, geom.Point{}, geom.Point{X: 1e300})), famGamma{PowerLawFamily(0.5), 1e10}},
+	}
+	for _, tc := range cases {
+		if !degenerate(tc.links, tc.fg.fam.At(tc.fg.gamma)) {
+			t.Fatalf("%s: fixture is not degenerate", tc.name)
+		}
+		start := time.Now()
+		g, err := BuildLookaheadCtx(context.Background(), tc.links, tc.fg.fam, tc.fg.gamma)
+		el := time.Since(start)
+		if !errors.Is(err, ErrDegenerate) || g != nil {
+			t.Fatalf("%s: got (%v, %v), want (nil, ErrDegenerate)", tc.name, g, err)
+		}
+		if el > time.Second {
+			t.Fatalf("%s: refusal took %v, want < 1s", tc.name, el)
+		}
+		t.Logf("%s: %v in %v", tc.name, err, el)
+	}
+}
+
+// TestOverflowingRadiusIsExact: a length ratio or search radius beyond
+// float64 is not degenerate. The infinite radius clamps to the occupied
+// cells, and the build still matches the oracle, whose thresholds are
+// infinite for the same pairs.
+func TestOverflowingRadiusIsExact(t *testing.T) {
+	o := geom.Point{}
+	tiny := geom.Point{X: 1e-308}
+	cases := []struct {
+		name  string
+		links []geom.Link
+	}{
+		// l_max/l_min overflows: the MST of {0, 1e-308, 1e30} on a line.
+		{"ratio", []geom.Link{
+			geom.NewLink(0, 1, o, tiny),
+			geom.NewLink(1, 2, tiny, geom.Point{X: 1e30}),
+		}},
+		// l_max/l_min is finite, l_max·f(l_max/l_min) is not.
+		{"radius", append(mstLinks(t, 200, 36, 100), geom.NewLink(0, 1, o, geom.Point{Y: 1e290}))},
+	}
+	for _, tc := range cases {
+		for _, fg := range testFamilies() {
+			got := build(t, tc.links, fg.fam, fg.gamma)
+			graphsEqual(t, buildNaiveLookahead(tc.links, fg.fam, fg.gamma), got, tc.name+"/"+fg.String())
+		}
 	}
 }
 
@@ -169,16 +241,23 @@ func TestZeroLengthFallsBack(t *testing.T) {
 // clamped scan must complete promptly and still match the naive oracle.
 func TestHugeRadiusTerminates(t *testing.T) {
 	links := annulusLinks(t, 400, 4)
-	f := LogThreshold(1.5, 2.1)
-	done := make(chan *Graph, 1)
-	go func() { done <- Build(links, f) }()
+	fam := LogThresholdFamily(2.1)
+	done := make(chan error, 1)
 	var g *Graph
+	go func() {
+		var err error
+		g, err = BuildLookaheadCtx(context.Background(), links, fam, 1.5)
+		done <- err
+	}()
 	select {
-	case g = <-done:
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("Build did not terminate within 30s on annulus links with LogThreshold(1.5, 2.1)")
+		t.Fatal("build did not terminate within 30s on annulus links with LogThreshold(1.5, 2.1)")
 	}
-	graphsEqual(t, BuildNaive(links, f), g, "huge-radius")
+	graphsEqual(t, buildNaiveLookahead(links, fam, 1.5), g, "huge-radius")
 }
 
 // TestBucketedFasterAt10k is the performance half of the acceptance
@@ -189,17 +268,14 @@ func TestBucketedFasterAt10k(t *testing.T) {
 		t.Skip("timing test skipped in -short mode")
 	}
 	links := mstLinks(t, 10_000, 9, 10_000)
-	f := PowerLaw(2, 0.5)
+	fam := PowerLawFamily(0.5)
 
 	start := time.Now()
-	bucketed := buildBucketedBG(links, f)
+	bucketed := build(t, links, fam, 2)
 	bucketedSec := time.Since(start).Seconds()
-	if bucketed == nil {
-		t.Fatal("bucketed build fell back unexpectedly")
-	}
 
 	start = time.Now()
-	naive := BuildNaive(links, f)
+	naive := buildNaiveLookahead(links, fam, 2)
 	naiveSec := time.Since(start).Seconds()
 
 	graphsEqual(t, naive, bucketed, "10k")
@@ -212,12 +288,9 @@ func TestBucketedFasterAt10k(t *testing.T) {
 
 func BenchmarkBuildBucketed10k(b *testing.B) {
 	links := mstLinks(b, 10_000, 9, 10_000)
-	f := PowerLaw(2, 0.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if g := buildBucketedBG(links, f); g == nil {
-			b.Fatal("fell back")
-		}
+		build(b, links, PowerLawFamily(0.5), 2)
 	}
 }
 
@@ -238,15 +311,10 @@ func BenchmarkBuildNaive10k(b *testing.B) {
 // CI bench-smoke artifact next to the ns/op.
 func BenchmarkScanCell(b *testing.B) {
 	links := mstLinks(b, 20_000, 9, 20_000)
-	f := PowerLaw(2, 0.5)
 	b.ResetTimer()
 	var st BuildStats
 	for i := 0; i < b.N; i++ {
-		g := buildBucketedBG(links, f)
-		if g == nil {
-			b.Fatal("fell back")
-		}
-		st = g.Stats
+		st = build(b, links, PowerLawFamily(0.5), 2).Stats
 	}
 	b.ReportMetric(float64(st.CellsScanned), "cells_scanned")
 	b.ReportMetric(float64(st.CellsPruned), "cells_pruned")
@@ -255,11 +323,8 @@ func BenchmarkScanCell(b *testing.B) {
 
 func BenchmarkBuildBucketed50k(b *testing.B) {
 	links := mstLinks(b, 50_000, 9, 30_000)
-	f := PowerLaw(2, 0.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if g := buildBucketedBG(links, f); g == nil {
-			b.Fatal("fell back")
-		}
+		build(b, links, PowerLawFamily(0.5), 2)
 	}
 }

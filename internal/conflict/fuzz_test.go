@@ -1,8 +1,10 @@
 package conflict
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
-	"slices"
 	"testing"
 
 	"aggrate/internal/geom"
@@ -42,20 +44,50 @@ func fuzzLinks(data []byte) []geom.Link {
 	return links
 }
 
-// fuzzFuncs are the three threshold families of the paper, with the
+// fuzzFamilies are the three threshold families of the paper, with the
 // arbitrary-power graph instantiated at α≈2 where the exponent 2/(α-2)
 // blows up to 40 — the known-pathological regime for the bucketed build's
 // search radii (see TestHugeRadiusTerminates) — plus the linear
 // protocol-model threshold of the naive scheduling strategy, which is
-// monotone but deliberately not sub-linear (Build's exactness must not
+// monotone but deliberately not sub-linear (the build's exactness must not
 // depend on sub-linearity).
-func fuzzFuncs() []Func {
-	return []Func{
-		Gamma(2),
-		PowerLaw(2, 0.5),
-		LogThreshold(2, 2.05),
-		{Name: "protocol(2)", Eval: func(x float64) float64 { return 2 * x }},
+func fuzzFamilies() []famGamma {
+	protocol := Family{
+		Name: "protocol",
+		H:    func(x float64) float64 { return x },
+		At: func(gamma float64) Func {
+			return Func{Name: fmt.Sprintf("protocol(%g)", gamma), Eval: func(x float64) float64 { return gamma * x }}
+		},
 	}
+	return []famGamma{
+		{GammaFamily(), 2},
+		{PowerLawFamily(0.5), 2},
+		{LogThresholdFamily(2.05), 2},
+		{protocol, 2},
+	}
+}
+
+// checkBuild asserts BuildLookaheadCtx on links under fam.At(gamma) refuses
+// exactly the degenerate inputs with ErrDegenerate, and otherwise matches
+// both oracles: the factored pairwise scan bit for bit (strengths
+// included), and the unfactored Conflicting scan edge for edge. It returns
+// the built graph, nil for a degenerate input.
+func checkBuild(t *testing.T, links []geom.Link, fam Family, gamma float64) *Graph {
+	t.Helper()
+	f := fam.At(gamma)
+	g, err := BuildLookaheadCtx(context.Background(), links, fam, gamma)
+	if degenerate(links, f) {
+		if !errors.Is(err, ErrDegenerate) || g != nil {
+			t.Fatalf("%s: degenerate input: got (%v, %v), want (nil, ErrDegenerate) on %v", f.Name, g, err, links)
+		}
+		return nil
+	}
+	if err != nil {
+		t.Fatalf("%s: %v on %v", f.Name, err, links)
+	}
+	graphsEqual(t, buildNaiveLookahead(links, fam, gamma), g, f.Name)
+	graphsEqual(t, BuildNaive(links, f), g, f.Name+"/unfactored")
+	return g
 }
 
 // pathologicalSeed reproduces the α≈2 hang scenario as fuzz input: a hub of
@@ -78,11 +110,10 @@ func pathologicalSeed() []byte {
 	return data
 }
 
-// FuzzBuildMatchesNaive asserts that the grid-bucketed parallel construction
-// is edge-for-edge identical to the exact O(n²) oracle on adversarial small
-// instances, across all three conflict-threshold families. buildBucketed
-// returning nil is the sanctioned degenerate-input fallback (Build then uses
-// the naive path), so nil is skipped, not failed.
+// FuzzBuildMatchesNaive asserts that the builder is bit-identical to the
+// exact O(n²) oracle on adversarial small instances, across all threshold
+// families, and that it refuses exactly the degenerate inputs with
+// ErrDegenerate.
 func FuzzBuildMatchesNaive(f *testing.F) {
 	f.Add(pathologicalSeed())
 	// Duplicate and collinear points on one axis.
@@ -90,26 +121,8 @@ func FuzzBuildMatchesNaive(f *testing.F) {
 	// Mixed scales around a cluster.
 	f.Add([]byte{8, 10, 10, 3, 4, 2, 10, 10, 3, 4, 14, 250, 250, 1, 1, 8, 0, 0, 100, 100, 12})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		links := fuzzLinks(data)
-		if len(links) < 2 {
-			return
-		}
-		for _, fn := range fuzzFuncs() {
-			naive := BuildNaive(links, fn)
-			bucketed := buildBucketedBG(links, fn)
-			if bucketed == nil {
-				continue // degenerate input: Build falls back to naive
-			}
-			if naive.Edges() != bucketed.Edges() {
-				t.Fatalf("%s: edge count %d (bucketed) != %d (naive) on %v",
-					fn.Name, bucketed.Edges(), naive.Edges(), links)
-			}
-			for i := 0; i < naive.N(); i++ {
-				if !slices.Equal(naive.Row(i), bucketed.Row(i)) {
-					t.Fatalf("%s: adjacency of link %d differs: bucketed %v, naive %v on %v",
-						fn.Name, i, bucketed.Row(i), naive.Row(i), links)
-				}
-			}
+		for _, fg := range fuzzFamilies() {
+			checkBuild(t, fuzzLinks(data), fg.fam, fg.gamma)
 		}
 	})
 }
@@ -127,14 +140,9 @@ func TestFuzzSeedsDirectly(t *testing.T) {
 		if len(links) < 2 {
 			t.Fatal("seed decodes to fewer than 2 links")
 		}
-		for _, fn := range fuzzFuncs() {
-			naive := BuildNaive(links, fn)
-			bucketed := buildBucketedBG(links, fn)
-			if bucketed == nil {
-				t.Fatalf("%s: seed unexpectedly degenerate", fn.Name)
-			}
-			if naive.Edges() != bucketed.Edges() {
-				t.Fatalf("%s: edge count %d != %d", fn.Name, bucketed.Edges(), naive.Edges())
+		for _, fg := range fuzzFamilies() {
+			if checkBuild(t, links, fg.fam, fg.gamma) == nil {
+				t.Fatalf("%s: seed unexpectedly degenerate", fg)
 			}
 		}
 	}

@@ -12,8 +12,8 @@
 // true (the predicate is weakly monotone in γ because every operation in
 // l_min·(γ·h(x)) and its square is), so filtering by Strengths[k] ≤ γ
 // reproduces the direct build's pair test exactly — not approximately —
-// at every γ up to the build γ. The parity suite and the lookahead fuzz
-// target pin this against Build and BuildNaive.
+// at every γ up to the build γ. The parity suite and the fuzz targets pin
+// this against the exact pairwise oracle kept in the package tests.
 package conflict
 
 import (
@@ -141,75 +141,12 @@ func strengthOf(d2, lmin, h, buildGamma float64) float64 {
 	return math.Float64frombits(hb)
 }
 
-// BuildLookahead is BuildLookaheadCtx with a background context.
-func BuildLookahead(links []geom.Link, fam Family, gamma float64) *Graph {
-	g, _ := BuildLookaheadCtx(context.Background(), links, fam, gamma)
-	return g
-}
-
-// BuildLookaheadCtx constructs G_{f_γ}(links) for f = fam.At(gamma) with
-// Graph.Strengths populated: the same CSR arrays (same edge set, same sorted
-// row order) as BuildCtx(ctx, links, fam.At(gamma)), plus one conflict
-// strength per directed entry. FilterCtx then materializes the graph at any
-// smaller γ without another build. Cancellation matches BuildCtx.
-func BuildLookaheadCtx(ctx context.Context, links []geom.Link, fam Family, gamma float64) (*Graph, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	f := fam.At(gamma)
-	if len(links) <= naiveCutoff {
-		return buildNaiveLookahead(links, fam, gamma), nil
-	}
-	g, err := buildBucketed(ctx, links, f, fam.H, gamma)
-	if err != nil {
-		return nil, err
-	}
-	if g != nil {
-		return g, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return buildNaiveLookahead(links, fam, gamma), nil
-}
-
-// buildNaiveLookahead is the strength-annotated analogue of BuildNaive: the
-// exact O(n²) pairwise scan, with the pair test phrased through the family
-// factor (bit-identical to Conflicting at fam.At(gamma) by Family.At's
-// contract) and a strength per accepted edge. Degenerate pairs with
-// l_min ≤ 0 conflict at every γ and get strength 0.
-func buildNaiveLookahead(links []geom.Link, fam Family, gamma float64) *Graph {
-	n := len(links)
-	f := fam.At(gamma)
-	var edges []edge
-	qs := []float64{} // non-nil even when edgeless: marks the graph filterable
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			lmin, lmax := geom.MinMaxLen(links[i], links[j])
-			if lmin <= 0 {
-				edges = append(edges, edge{int32(i), int32(j)})
-				qs = append(qs, 0)
-				continue
-			}
-			hx := fam.H(lmax / lmin)
-			thr := lmin * (gamma * hx)
-			d2 := geom.LinkDist2(links[i], links[j])
-			if d2 <= thr*thr {
-				edges = append(edges, edge{int32(i), int32(j)})
-				qs = append(qs, strengthOf(d2, lmin, hx, gamma))
-			}
-		}
-	}
-	return fromEdges(links, f, edges, qs, false)
-}
-
 // FilterCtx materializes the conflict graph at a smaller γ from a
 // strength-annotated graph: one linear scan over the CSR arrays keeping the
 // directed entries with strength ≤ gamma. Row order is preserved (a
 // subsequence of sorted rows stays sorted), so the result is bit-identical —
-// edges, CSR row order, Strengths annotation — to a strength-annotated
-// build at gamma, and its RowPtr/Neighbors match a plain Build at f. f
-// should be the family's Func at gamma; it becomes the result's F.
+// edges, CSR row order, Strengths annotation — to BuildLookaheadCtx at
+// gamma. f should be the family's Func at gamma; it becomes the result's F.
 //
 // Cancellation: ctx is checked at row-block boundaries during both the
 // counting and the scatter pass; on cancellation FilterCtx returns
@@ -298,15 +235,15 @@ func NewLookahead(gammaMax float64) *Lookahead {
 }
 
 // GammaMax returns the γ ceiling the cached builds cover. Requests above it
-// fall back to a direct build (the escalation loop re-arms a fresh Lookahead
-// instead of ever hitting that path).
+// get an uncached build at their own γ (the escalation loop re-arms a fresh
+// Lookahead instead of ever hitting that path).
 func (la *Lookahead) GammaMax() float64 { return la.gammaMax }
 
 // LookaheadStats reports how one GraphFor call split its work, for the
 // build_sec/build_filter_sec/build_reused diagnostics.
 type LookaheadStats struct {
-	// BuildSec is the wall-clock of a full annotated (or fallback direct)
-	// build; zero when the call was served from the cache.
+	// BuildSec is the wall-clock of a full annotated build; zero when the
+	// call was served from the cache.
 	BuildSec float64
 	// FilterSec is everything else: link-set hashing, cache lookup, and the
 	// filter scan.
@@ -317,7 +254,7 @@ type LookaheadStats struct {
 }
 
 // GraphFor returns the conflict graph of links under fam.At(gamma),
-// bit-identical to conflict.BuildCtx(ctx, links, fam.At(gamma)). The first
+// bit-identical to BuildLookaheadCtx(ctx, links, fam, gamma). The first
 // call per link set builds once at GammaMax with strengths; subsequent
 // calls (any γ ≤ GammaMax) filter.
 func (la *Lookahead) GraphFor(ctx context.Context, links []geom.Link, fam Family, gamma float64) (*Graph, LookaheadStats, error) {
@@ -325,7 +262,7 @@ func (la *Lookahead) GraphFor(ctx context.Context, links []geom.Link, fam Family
 	t0 := time.Now()
 	if gamma > la.gammaMax {
 		// Out of coverage: a direct build is always correct.
-		g, err := BuildCtx(ctx, links, fam.At(gamma))
+		g, err := BuildLookaheadCtx(ctx, links, fam, gamma)
 		st.BuildSec = time.Since(t0).Seconds()
 		return g, st, err
 	}

@@ -2,6 +2,7 @@ package conflict
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -57,40 +58,11 @@ func escalationLadder(gamma0, step float64, retries int) []float64 {
 	return ladder
 }
 
-// sameEdgeSet asserts two graphs over the same links have identical edge
-// sets irrespective of row ordering.
-func sameEdgeSet(t *testing.T, want, got *Graph, label string) {
-	t.Helper()
-	if want.N() != got.N() {
-		t.Fatalf("%s: vertex count mismatch: %d vs %d", label, want.N(), got.N())
-	}
-	type pair struct{ i, j int32 }
-	set := make(map[pair]bool, len(want.Neighbors))
-	for i := 0; i < want.N(); i++ {
-		for _, j := range want.Row(i) {
-			set[pair{int32(i), j}] = true
-		}
-	}
-	if len(got.Neighbors) != len(want.Neighbors) {
-		t.Fatalf("%s: directed edge count mismatch: want %d, got %d",
-			label, len(want.Neighbors), len(got.Neighbors))
-	}
-	for i := 0; i < got.N(); i++ {
-		for _, j := range got.Row(i) {
-			if !set[pair{int32(i), j}] {
-				t.Fatalf("%s: extra edge (%d,%d) not in oracle", label, i, j)
-			}
-		}
-	}
-}
-
-// TestLookaheadMatchesBuild is the tentpole's parity wall: one
+// TestLookaheadMatchesBuild is the lookahead's parity wall: one
 // strength-annotated build at the escalation ceiling, filtered down to every
-// ladder rung, must be bit-identical — edge set, CSR row order — to a direct
-// Build at that rung, for all three threshold families over uniform, cluster,
-// and annulus geometry. The smallest case additionally checks the filtered
-// graph against the O(n²) BuildNaive oracle, so the property does not rest
-// on Build alone.
+// ladder rung, must be bit-identical — CSR arrays and strengths — to a
+// direct build at that rung and to the O(n²) oracle, for all three
+// threshold families over uniform, cluster, and annulus geometry.
 func TestLookaheadMatchesBuild(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -104,29 +76,19 @@ func TestLookaheadMatchesBuild(t *testing.T) {
 	gammaMax := ladder[len(ladder)-1]
 	for _, tc := range cases {
 		for _, fam := range lookaheadFamilies() {
-			full, err := BuildLookaheadCtx(context.Background(), tc.links, fam, gammaMax)
-			if err != nil {
-				t.Fatalf("%s/%s: BuildLookaheadCtx: %v", tc.name, fam.Name, err)
-			}
+			full := build(t, tc.links, fam, gammaMax)
 			if full.Strengths == nil || len(full.Strengths) != len(full.Neighbors) {
 				t.Fatalf("%s/%s: Strengths not parallel to Neighbors: %d vs %d",
 					tc.name, fam.Name, len(full.Strengths), len(full.Neighbors))
 			}
-			// The annotated build at the ceiling IS the direct build there.
-			graphsEqual(t, Build(tc.links, fam.At(gammaMax)), full, tc.name+"/"+fam.Name+"/top")
 			for _, gamma := range ladder {
-				f := fam.At(gamma)
-				filtered, err := full.FilterCtx(context.Background(), f, gamma)
+				filtered, err := full.FilterCtx(context.Background(), fam.At(gamma), gamma)
 				if err != nil {
 					t.Fatalf("%s/%s γ=%g: FilterCtx: %v", tc.name, fam.Name, gamma, err)
 				}
-				direct := Build(tc.links, f)
 				label := tc.name + "/" + fam.Name
-				graphsEqual(t, direct, filtered, label)
-				if tc.name == "cluster-400" {
-					naive := BuildNaive(tc.links, f)
-					sameEdgeSet(t, naive, filtered, label+"/naive-oracle")
-				}
+				graphsEqual(t, buildNaiveLookahead(tc.links, fam, gamma), filtered, label+"/oracle")
+				graphsEqual(t, build(t, tc.links, fam, gamma), filtered, label+"/direct")
 			}
 		}
 	}
@@ -140,10 +102,7 @@ func TestLookaheadMatchesBuild(t *testing.T) {
 func TestStrengthIsExactBoundary(t *testing.T) {
 	links := annulusLinks(t, 300, 24)
 	for _, fam := range lookaheadFamilies() {
-		full, err := BuildLookaheadCtx(context.Background(), links, fam, 8)
-		if err != nil {
-			t.Fatalf("%s: BuildLookaheadCtx: %v", fam.Name, err)
-		}
+		full := build(t, links, fam, 8)
 		checked := 0
 		for i := 0; i < full.N(); i++ {
 			row := full.Row(i)
@@ -192,7 +151,7 @@ func TestLookaheadGraphFor(t *testing.T) {
 	if st0.Reused || st0.BuildSec <= 0 {
 		t.Fatalf("first call must build: %+v", st0)
 	}
-	graphsEqual(t, Build(links, fam.At(ladder[0])), g0, "first")
+	graphsEqual(t, buildNaiveLookahead(links, fam, ladder[0]), g0, "first")
 
 	for _, gamma := range ladder[1:] {
 		g, st, err := la.GraphFor(context.Background(), links, fam, gamma)
@@ -202,7 +161,7 @@ func TestLookaheadGraphFor(t *testing.T) {
 		if !st.Reused || st.BuildSec != 0 {
 			t.Fatalf("γ=%g: expected cache reuse, got %+v", gamma, st)
 		}
-		graphsEqual(t, Build(links, fam.At(gamma)), g, "reused")
+		graphsEqual(t, buildNaiveLookahead(links, fam, gamma), g, "reused")
 	}
 
 	// Different link content: must not be served by the first build.
@@ -213,7 +172,7 @@ func TestLookaheadGraphFor(t *testing.T) {
 	if stOther.Reused {
 		t.Fatal("distinct link set reported as reused")
 	}
-	graphsEqual(t, Build(other, fam.At(ladder[0])), gOther, "other")
+	graphsEqual(t, buildNaiveLookahead(other, fam, ladder[0]), gOther, "other")
 
 	// Above the ceiling: correct (direct) build, not a cache hit.
 	gHigh, stHigh, err := la.GraphFor(context.Background(), links, fam, la.GammaMax()*2)
@@ -223,7 +182,7 @@ func TestLookaheadGraphFor(t *testing.T) {
 	if stHigh.Reused {
 		t.Fatal("out-of-coverage γ reported as reused")
 	}
-	graphsEqual(t, Build(links, fam.At(la.GammaMax()*2)), gHigh, "high")
+	graphsEqual(t, buildNaiveLookahead(links, fam, la.GammaMax()*2), gHigh, "high")
 }
 
 // TestFilterCtxCancel: a canceled context must surface as (nil, err) from
@@ -243,11 +202,12 @@ func TestFilterCtxCancel(t *testing.T) {
 	}
 }
 
-// TestFilterRequiresStrengths: filtering a plain (unannotated) build is a
-// programming error and must fail loudly instead of returning an empty graph.
+// TestFilterRequiresStrengths: filtering a graph without strengths (a
+// FromAdj test graph) is a programming error and must fail loudly instead of
+// returning an empty graph.
 func TestFilterRequiresStrengths(t *testing.T) {
 	links := mstLinks(t, 200, 28, 1000)
-	g := Build(links, Gamma(2))
+	g := FromAdj(links, Gamma(2), make([][]int32, len(links)))
 	if _, err := g.FilterCtx(context.Background(), Gamma(1), 1); err == nil {
 		t.Fatal("FilterCtx on a strength-free graph succeeded; want error")
 	}
@@ -256,50 +216,99 @@ func TestFilterRequiresStrengths(t *testing.T) {
 // FuzzLookaheadMatchesBuild extends the build-parity fuzz wall to the
 // lookahead path: on adversarial small instances (int8 lattice points, ~23
 // dyadic length classes, α≈2 radii), the graph filtered from one annotated
-// build at the ladder ceiling must match both Build and the O(n²) naive
-// oracle at every ladder rung, for all three factored families.
+// build at the ladder ceiling must match both a direct build and the O(n²)
+// oracle at every ladder rung, for all three factored families. Degenerate
+// inputs must be refused with ErrDegenerate at the ceiling and every rung.
 func FuzzLookaheadMatchesBuild(f *testing.F) {
 	f.Add(pathologicalSeed())
 	f.Add([]byte{4, 0, 0, 1, 0, 8, 0, 0, 1, 0, 8, 5, 0, 2, 0, 8, 5, 0, 2, 0, 8})
 	f.Add([]byte{8, 10, 10, 3, 4, 2, 10, 10, 3, 4, 14, 250, 250, 1, 1, 8, 0, 0, 100, 100, 12})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		links := fuzzLinks(data)
-		if len(links) < 2 {
-			return
-		}
 		ladder := escalationLadder(0.8, 1.5, 3)
 		gammaMax := ladder[len(ladder)-1]
 		for _, fam := range lookaheadFamilies() {
-			full, err := BuildLookaheadCtx(context.Background(), links, fam, gammaMax)
-			if err != nil {
-				t.Fatalf("%s: BuildLookaheadCtx: %v", fam.Name, err)
-			}
+			full := checkBuild(t, links, fam, gammaMax)
 			for _, gamma := range ladder {
-				fn := fam.At(gamma)
-				filtered, err := full.FilterCtx(context.Background(), fn, gamma)
+				direct := checkBuild(t, links, fam, gamma) // checked against the oracle
+				if full == nil {
+					continue // degenerate at the ceiling: each rung checks its own refusal
+				}
+				if direct == nil {
+					t.Fatalf("%s: degenerate at γ=%g but not at the ceiling %g on %v", fam.Name, gamma, gammaMax, links)
+				}
+				filtered, err := full.FilterCtx(context.Background(), fam.At(gamma), gamma)
 				if err != nil {
 					t.Fatalf("%s γ=%g: FilterCtx: %v", fam.Name, gamma, err)
 				}
-				naive := BuildNaive(links, fn)
-				if naive.Edges() != filtered.Edges() {
-					t.Fatalf("%s γ=%g: edge count %d (filtered) != %d (naive) on %v",
-						fam.Name, gamma, filtered.Edges(), naive.Edges(), links)
-				}
-				direct := Build(links, fn)
-				for i := 0; i < direct.N(); i++ {
-					wa, ga := direct.Row(i), filtered.Row(i)
-					if len(wa) != len(ga) {
-						t.Fatalf("%s γ=%g: degree of %d differs: direct %v, filtered %v on %v",
-							fam.Name, gamma, i, wa, ga, links)
-					}
-					for k := range wa {
-						if wa[k] != ga[k] {
-							t.Fatalf("%s γ=%g: adjacency of %d differs at %d: direct %v, filtered %v on %v",
-								fam.Name, gamma, i, k, wa, ga, links)
-						}
-					}
-				}
+				graphsEqual(t, direct, filtered, fmt.Sprintf("%s γ=%g", fam.Name, gamma))
 			}
 		}
 	})
+}
+
+// TestLookaheadSequenceMatchesOracle drives one Lookahead through a seeded
+// random sequence of GraphFor calls — three families, link sets of 0, 1 and
+// a few hundred links, a content-equal copy of one set, and γ below, at and
+// above the ceiling or exactly at some pair's strength (the filter's
+// boundary) — and checks every answer against the O(n²) oracle (CSR
+// arrays and strengths) and its Reused flag against a model of the cache:
+// a call is served from the cache exactly when its γ is covered and a
+// covered call for the same family and link content came before.
+func TestLookaheadSequenceMatchesOracle(t *testing.T) {
+	uniform := mstLinks(t, 300, 41, 1000)
+	sets := []struct {
+		id    int // content identity: copies share it
+		links []geom.Link
+	}{
+		{0, nil},
+		{1, uniform[:1]},
+		{2, uniform},
+		{2, append([]geom.Link(nil), uniform...)},
+		{3, clusterLinks(t, 250, 42)},
+		{4, annulusLinks(t, 200, 43)},
+	}
+	fams := lookaheadFamilies()
+	ladder := escalationLadder(0.8, 1.5, 3)
+	ceiling := ladder[len(ladder)-1]
+	gammas := append([]float64{0.5, ceiling * 1.5}, ladder...)
+	type key struct {
+		fam string
+		id  int
+	}
+	built := map[key]bool{}
+	la := NewLookahead(ceiling)
+	r := rng.New(44)
+	for step := 0; step < 150; step++ {
+		set := sets[r.Intn(len(sets))]
+		fam := fams[r.Intn(len(fams))]
+		gamma := ceiling
+		if k := r.Intn(len(gammas) + 1); k < len(gammas) {
+			gamma = gammas[k]
+		} else {
+			var qs []float64
+			for _, q := range buildNaiveLookahead(set.links, fam, ceiling).Strengths {
+				if q > 0 {
+					qs = append(qs, q)
+				}
+			}
+			if len(qs) > 0 {
+				gamma = qs[r.Intn(len(qs))]
+			}
+		}
+		label := fmt.Sprintf("step %d: set %d/%d links, %s γ=%g", step, set.id, len(set.links), fam.Name, gamma)
+		g, st, err := la.GraphFor(context.Background(), set.links, fam, gamma)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		graphsEqual(t, buildNaiveLookahead(set.links, fam, gamma), g, label)
+		k := key{fam.Name, set.id}
+		covered := gamma <= ceiling
+		if want := covered && built[k]; st.Reused != want {
+			t.Fatalf("%s: Reused = %v, want %v", label, st.Reused, want)
+		}
+		if covered {
+			built[k] = true
+		}
+	}
 }

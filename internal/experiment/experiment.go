@@ -179,6 +179,22 @@ func SpecKey(s Spec) string {
 	return hex.EncodeToString(h[:16])
 }
 
+// CheckFinite rejects a NaN or infinite Gamma, Delta or GammaStep. The
+// defaults of normalized only replace values that compare out of range, and
+// NaN compares false against every bound, so without this check a NaN γ or
+// δ would run the pipeline and fail late — or not at all.
+func (s Spec) CheckFinite() error {
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{{"gamma", s.Gamma}, {"delta", s.Delta}, {"gamma step", s.GammaStep}} {
+		if math.IsNaN(p.v) || math.IsInf(p.v, 0) {
+			return fmt.Errorf("experiment: %s is %g, want a finite value", p.name, p.v)
+		}
+	}
+	return nil
+}
+
 func (s Spec) normalized() Spec {
 	if s.Power == "" {
 		s.Power = PowerMean
@@ -234,8 +250,8 @@ func (s Spec) powerFunc(links []geom.Link) (schedule.PowerFunc, error) {
 		// Per-instance memo of solved slot power vectors, keyed by slot
 		// content. Jacobi solving dominates global-power verification, and
 		// the same slot is verified more than once whenever the final
-		// schedule is re-checked — the fast-vs-naive parity suite through
-		// Instance.VerifySchedule, a warm re-verify — so each distinct slot
+		// schedule is re-checked — the fast-vs-naive parity tests, a warm
+		// re-verify — so each distinct slot
 		// is solved exactly once per instance. Callers must not mutate the
 		// returned vector; the function is safe for concurrent use.
 		solved := lru.New[string, []float64](math.MaxInt, math.MaxInt64)
@@ -290,34 +306,14 @@ type Instance struct {
 	// VerifyStats is the fast engine's diagnostic record for the final
 	// verification pass; zero when VerifyEngine is naive or Verify is off.
 	VerifyStats schedule.VerifyStats
-	// pf is the slot-power supplier verification used, retained so
-	// VerifySchedule can re-verify without re-deriving powers (and, under
+	// pf is the slot-power supplier verification used, retained so the
+	// parity tests can re-verify without re-deriving powers (and, under
 	// global power control, without re-solving cached slots).
 	pf schedule.PowerFunc
 	// vc is the incremental verification cache the escalation loop used
 	// (nil when Spec.NoIncrementalVerify or Verify was off); it holds the
 	// exact margin and built grid of every slot of the final schedule.
 	vc *schedule.VerifyCache
-}
-
-// VerifySchedule re-verifies the instance's final schedule with the named
-// engine (schedule.EngineFast or schedule.EngineNaive; empty means fast),
-// returning the worst slot margin and, for the fast engine, its
-// diagnostics. It is the cross-check hook of the fast≡naive parity suite.
-func (in *Instance) VerifySchedule(engine string) (float64, schedule.VerifyStats, error) {
-	if in.Schedule == nil || in.pf == nil {
-		return 0, schedule.VerifyStats{}, fmt.Errorf("experiment: instance has no schedule to verify")
-	}
-	switch engine {
-	case schedule.EngineNaive:
-		m, err := in.Schedule.VerifySINRNaive(in.Spec.SINR, in.pf)
-		return m, schedule.VerifyStats{}, err
-	case schedule.EngineFast, "":
-		return in.Schedule.VerifySINRDelta(context.Background(), in.Spec.SINR, in.pf, nil)
-	default:
-		return 0, schedule.VerifyStats{}, fmt.Errorf("experiment: unknown verify engine %q (have %v)",
-			engine, schedule.Engines())
-	}
 }
 
 // Timings records per-stage wall-clock seconds, plus the verification
@@ -514,6 +510,9 @@ func NewWorkspace() *Workspace {
 }
 
 func newInstance(ctx context.Context, spec Spec, ws *Workspace, dc *DeployCache) (*Instance, *Result, error) {
+	if err := spec.CheckFinite(); err != nil {
+		return nil, nil, err
+	}
 	spec = spec.normalized()
 	if spec.Scenario == nil {
 		return nil, nil, fmt.Errorf("experiment: spec has no scenario")

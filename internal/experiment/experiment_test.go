@@ -254,6 +254,35 @@ func TestAggregateSplitsByAlgo(t *testing.T) {
 	}
 }
 
+// TestNonFiniteParamsRejected: a NaN or infinite γ, δ or γ step is refused
+// before any instance is generated, instead of running the pipeline (NaN
+// slips past every range default of normalized).
+func TestNonFiniteParamsRejected(t *testing.T) {
+	gen := 0
+	sc := NamedScenario{Name: "counting", Gen: func(n int, seed uint64) []geom.Point {
+		gen++
+		return uniformScenario(t).Generate(n, seed)
+	}}
+	for _, tc := range []struct {
+		name string
+		set  func(*Spec)
+	}{
+		{"gamma NaN", func(s *Spec) { s.Gamma = math.NaN() }},
+		{"gamma -Inf", func(s *Spec) { s.Gamma = math.Inf(-1) }},
+		{"delta NaN", func(s *Spec) { s.Delta = math.NaN() }},
+		{"gamma step Inf", func(s *Spec) { s.GammaStep = math.Inf(1) }},
+	} {
+		spec := NewSpec(sc, 60, 1)
+		tc.set(&spec)
+		if _, _, err := NewInstance(context.Background(), spec); err == nil || !strings.Contains(err.Error(), "want a finite value") {
+			t.Fatalf("%s: err = %v, want a non-finite rejection", tc.name, err)
+		}
+	}
+	if gen != 0 {
+		t.Fatalf("generator ran %d times for rejected specs", gen)
+	}
+}
+
 // TestOverflowDiversityStaysFinite: when the length ratio overflows float64,
 // the log-space diversity pipeline must still deliver a finite log* instead
 // of the LogStarUndefined sentinel, and Aggregate must not let any sentinel

@@ -104,8 +104,7 @@ func (c Cluster) Generate(n int, r *rng.RNG) []geom.Point {
 }
 
 // Line places points uniformly on a segment of the x-axis (Y ≡ 0), the
-// paper's one-dimensional setting. geom.OnLine holds for the output, so
-// mst.LineMST applies.
+// paper's one-dimensional setting. geom.OnLine holds for the output.
 type Line struct {
 	Length float64
 }

@@ -76,8 +76,9 @@ type Config struct {
 	// at the lookahead ceiling, and later attempts of a γ-escalation ladder
 	// (any γ ≤ Lookahead.GammaMax()) are materialized by a linear filter
 	// scan instead of a grid rebuild. All strategies route their builds —
-	// including lengthclass's per-class graphs — through it. Graphs are
-	// bit-identical either way; only Diag's build-timing split changes.
+	// including lengthclass's per-class graphs — through it. nil means every
+	// build is fresh, at the Config's γ. Graphs are bit-identical either way;
+	// only Diag's build-timing split changes.
 	Lookahead *conflict.Lookahead
 }
 
@@ -205,38 +206,27 @@ func Lookup(name string) (Strategy, error) {
 	}
 }
 
-// All returns every registered strategy in canonical order.
-func All() []Strategy {
-	out := make([]Strategy, 0, len(Names()))
-	for _, n := range Names() {
-		s, _ := Lookup(n)
-		out = append(out, s)
-	}
-	return out
-}
-
-// buildGraph constructs the conflict graph of links under fam.At(gamma),
-// accumulating timings into d. With cfg.Lookahead set it routes through the
-// γ-lookahead cache (full annotated build on first contact with a link set,
-// filter scan afterwards); otherwise it is a plain BuildCtx. The resulting
-// graph is bit-identical either way.
+// buildGraph constructs the conflict graph of links under fam.At(gamma)
+// through the γ-lookahead cache (full annotated build on first contact with
+// a link set, filter scan afterwards), accumulating timings into d. Without
+// cfg.Lookahead a fresh Lookahead at gamma makes every call a full build.
 func buildGraph(ctx context.Context, links []geom.Link, fam conflict.Family, gamma float64,
 	cfg Config, d *Diag) (*conflict.Graph, error) {
-	if cfg.Lookahead != nil {
-		g, st, err := cfg.Lookahead.GraphFor(ctx, links, fam, gamma)
-		d.BuildSec += st.BuildSec
-		d.BuildFilterSec += st.FilterSec
-		if st.Reused {
-			d.BuildReused = true
-		}
-		if g != nil {
-			d.BuildStats.Add(g.Stats)
-		}
-		return g, err
+	la := cfg.Lookahead
+	if la == nil {
+		la = conflict.NewLookahead(gamma)
 	}
-	t0 := time.Now()
-	g, err := conflict.BuildCtx(ctx, links, fam.At(gamma))
-	d.BuildSec += time.Since(t0).Seconds()
+	g, st, err := la.GraphFor(ctx, links, fam, gamma)
+	if cfg.Lookahead == nil {
+		// A private Lookahead never filters: its cache bookkeeping is part
+		// of the build.
+		st.BuildSec, st.FilterSec = st.BuildSec+st.FilterSec, 0
+	}
+	d.BuildSec += st.BuildSec
+	d.BuildFilterSec += st.FilterSec
+	if st.Reused {
+		d.BuildReused = true
+	}
 	if g != nil {
 		d.BuildStats.Add(g.Stats)
 	}

@@ -12,6 +12,16 @@ import (
 	"aggrate/internal/sinr"
 )
 
+// All returns every registered strategy in canonical order.
+func All() []Strategy {
+	out := make([]Strategy, 0, len(Names()))
+	for _, n := range Names() {
+		s, _ := Lookup(n)
+		out = append(out, s)
+	}
+	return out
+}
+
 func defaultConfig() Config {
 	return Config{Graph: GraphOblivious, Gamma: 2, Delta: 0.5, SINR: sinr.DefaultParams()}
 }
@@ -196,8 +206,18 @@ func TestScheduleInvariants(t *testing.T) {
 						in.preset, gk, s.Name(), sched.Period(), diag.NumColors)
 				}
 				// (1) slot independence in the strategy's conflict graph,
-				// checked against the exact naive construction.
-				g := conflict.BuildNaive(links, diag.Func)
+				// rebuilt from scratch at the Config's γ.
+				fam, err := cfg.ConflictFamily()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s.Name() == Naive {
+					fam = NaiveFamily()
+				}
+				g, err := conflict.BuildLookaheadCtx(context.Background(), links, fam, cfg.Gamma)
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", in.preset, gk, s.Name(), err)
+				}
 				for k, slot := range sched.Slots {
 					if !g.IsIndependent(slot) {
 						t.Fatalf("%s/%s/%s: slot %d not independent in %s",

@@ -354,16 +354,3 @@ func (j *journal) close() error {
 	}
 	return j.f.Close()
 }
-
-func (j *journal) crash() {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return
-	}
-	j.closed = true
-	_ = j.f.Close() // no flush, no fsync: what SIGKILL leaves behind
-}

@@ -451,27 +451,6 @@ func (s *Server) stop(ctx context.Context, graceful bool) {
 	_ = s.journal.close()
 }
 
-// Crash simulates kill -9 for recovery drills and tests: the journal fd is
-// closed without flush or fsync and every goroutine is torn down with no
-// terminal journaling — exactly the state a killed process leaves behind.
-// The in-memory registry is NOT trustworthy afterwards; a new Server on the
-// same journal path is the way to observe the outcome.
-func (s *Server) Crash() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	}
-	s.closed = true
-	s.pending = nil
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	s.journal.crash() // before cancel: post-crash appends must not land
-	s.cancel()
-	s.wg.Wait()
-}
-
 // job is one submitted grid and its execution state.
 type job struct {
 	id       string

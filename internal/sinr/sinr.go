@@ -76,12 +76,6 @@ func (p Params) InterferenceAt(powerJ, dJI float64) float64 {
 	return powerJ / math.Pow(dJI, p.Alpha)
 }
 
-// MinPower returns β·N·l^α, the minimum power to decode over a link of
-// length l in the absence of interference, and zero when Noise is zero.
-func (p Params) MinPower(l float64) float64 {
-	return p.Beta * p.Noise * math.Pow(l, p.Alpha)
-}
-
 // Feasible reports whether every link in S satisfies the SINR condition (1)
 // when all of S transmits simultaneously under the given powers
 // (power[k] is the transmit power of links[k]). It returns an error if the
@@ -125,37 +119,6 @@ func (p Params) Margin(links []geom.Link, power []float64) (float64, error) {
 		}
 	}
 	return worst, nil
-}
-
-// RelInterference returns the relative interference (affectance)
-// I_P(j,i) = P(j)·l_i^α / (P(i)·d_ji^α) of link j on link i, the normalized
-// form used in Sec. 4. With zero noise, a set is P-feasible iff
-// Σ_j I_P(j,i) ≤ 1/β for every i.
-func (p Params) RelInterference(j, i geom.Link, powerJ, powerI float64) float64 {
-	if j == i {
-		return 0
-	}
-	d := geom.SenderToReceiver(j, i)
-	return powerJ * math.Pow(i.Length(), p.Alpha) / (powerI * math.Pow(d, p.Alpha))
-}
-
-// RelInterferenceSum returns Σ_{j∈S, j≠i} I_P(j, links[i]).
-func (p Params) RelInterferenceSum(links []geom.Link, power []float64, i int) float64 {
-	s := 0.0
-	for j := range links {
-		if j == i {
-			continue
-		}
-		s += p.RelInterference(links[j], links[i], power[j], power[i])
-	}
-	return s
-}
-
-// AddOp returns the paper's additive operator
-// I(j,i) = min{1, l_j^α / d(i,j)^α}, where d(i,j) is the minimum endpoint
-// distance between the links. Coinciding links (d = 0) give 1.
-func (p Params) AddOp(j, i geom.Link) float64 {
-	return p.addOp(j.Length(), geom.LinkDist2(j, i))
 }
 
 // AddOpSum returns I(i, S) = Σ_{j∈set} I(i, links[j]) for link i of length
@@ -345,18 +308,4 @@ func powExact(x, alpha float64) (v float64, ok bool) {
 		return x2 * x2, true
 	}
 	return 0, false
-}
-
-// FeasibleSomePower reports whether the set is feasible under *some* power
-// assignment with zero noise: ρ(B) < 1 for the normalized gain matrix. The
-// margin returned is 1/ρ(B) (∞ when ρ=0); margins > 1 mean feasible.
-func (p Params) FeasibleSomePower(links []geom.Link) (bool, float64) {
-	if len(links) <= 1 {
-		return true, math.Inf(1)
-	}
-	r := SpectralRadius(p.GainMatrix(links), 100)
-	if r == 0 {
-		return true, math.Inf(1)
-	}
-	return r < 1, 1 / r
 }

@@ -49,18 +49,9 @@ func LogStarFromLog2(log2x float64) int {
 	return 1 + LogStar(log2x)
 }
 
-// LogLog returns max(0, log₂ log₂ x); 0 for x <= 2.
-func LogLog(x float64) float64 {
-	if x <= 2 {
-		return 0
-	}
-	return math.Log2(math.Log2(x))
-}
-
-// LogLogFromLog2 returns log₂ log₂ of a value given as its base-2
-// logarithm: LogLogFromLog2(y) == LogLog(2^y). Like LogLog it clamps to 0
-// for x <= 2 (y <= 1), and it stays finite for quantities whose direct
-// float64 value would overflow.
+// LogLogFromLog2 returns max(0, log₂ log₂ x) for a value x given as its
+// base-2 logarithm y = log₂ x: 0 for x <= 2 (y <= 1), and finite for
+// quantities whose direct float64 value would overflow.
 func LogLogFromLog2(log2x float64) float64 {
 	if log2x <= 1 {
 		return 0
@@ -145,29 +136,6 @@ func Percentile(xs []float64, p float64) float64 {
 // Median returns the 50th percentile.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
-// LinearFit returns the least-squares slope and intercept of y against x.
-// It is used to report empirical growth exponents, e.g. fitting
-// log(schedule length) against log log Δ. Degenerate inputs (fewer than two
-// points, or zero variance in x) return slope 0 and intercept Mean(y).
-func LinearFit(x, y []float64) (slope, intercept float64) {
-	n := len(x)
-	if n != len(y) || n < 2 {
-		return 0, Mean(y)
-	}
-	mx, my := Mean(x), Mean(y)
-	var sxx, sxy float64
-	for i := 0; i < n; i++ {
-		dx := x[i] - mx
-		sxx += dx * dx
-		sxy += dx * (y[i] - my)
-	}
-	if sxx == 0 {
-		return 0, my
-	}
-	slope = sxy / sxx
-	return slope, my - slope*mx
-}
-
 // Histogram counts xs into nbins equal-width bins over [lo, hi]. Values
 // outside the range are clamped to the first/last bin. It returns nil when
 // nbins <= 0 or hi <= lo.
@@ -188,15 +156,4 @@ func Histogram(xs []float64, lo, hi float64, nbins int) []int {
 		counts[b]++
 	}
 	return counts
-}
-
-// CountAtMost returns how many values are <= bound.
-func CountAtMost(xs []float64, bound float64) int {
-	n := 0
-	for _, x := range xs {
-		if x <= bound {
-			n++
-		}
-	}
-	return n
 }
