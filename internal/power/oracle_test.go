@@ -9,8 +9,9 @@ import (
 )
 
 // refSolve is the textbook dense Solve the production path replaced: gains
-// and base powers through math.Pow, and a one-row-at-a-time mat-vec in both
-// the spectral screen and the Jacobi sweep. Solve must agree with it bit for
+// and base powers through math.Pow, a spectral screen that always runs all
+// 100 steps, and a one-row-at-a-time mat-vec in both the screen and the
+// Jacobi sweep. Solve must agree with it bit for
 // bit, error text included, on every set of positive-length links.
 // Non-finite gains are rejected with ErrNonFiniteGain before the screen.
 func refSolve(links []geom.Link, p sinr.Params, opts SolveOptions) ([]float64, error) {
@@ -83,8 +84,8 @@ func refGainMatrix(links []geom.Link, p sinr.Params) [][]float64 {
 	return b
 }
 
-// refSpectralRadius is sinr.SpectralRadius with the single-accumulator row
-// loop.
+// refSpectralRadius is the spectral screen without its early exit, with the
+// single-accumulator row loop.
 func refSpectralRadius(b [][]float64, iters int) float64 {
 	n := len(b)
 	if n == 0 {

@@ -14,12 +14,13 @@
 // feasible under some power assignment (spectral radius ρ(B) < 1).
 //
 // Solve is dense: it builds the k×k gain matrix of a k-link slot once, then
-// streams it through 100 power-iteration steps of the spectral screen and
-// one Jacobi sweep per iteration, every one of them sinr.MatVec, the
-// eight-row blocked mat-vec. Gains and base powers go through
-// sinr.Params.PowAlpha, which multiplies out α ∈ {2, 3, 4}. Both keep the
-// rounding of the textbook loops, so the returned powers are bit-identical
-// to the reference solver the tests keep (refSolve in oracle_test.go).
+// streams it through at most 100 power-iteration steps of the spectral
+// screen (fewer once ρ(B) < 1 is certain) and one Jacobi sweep per
+// iteration, every one of them sinr.MatVec, the eight-row blocked mat-vec.
+// Gains and base powers go through sinr.Params.PowAlpha, which multiplies
+// out α ∈ {2, 3, 4}. Both keep the rounding of the textbook loops, so the
+// returned powers are bit-identical to the reference solver the tests keep
+// (refSolve in oracle_test.go).
 package power
 
 import (
@@ -150,10 +151,11 @@ func Solve(links []geom.Link, p sinr.Params, opts SolveOptions) ([]float64, erro
 		}
 	}
 	b := p.GainMatrix(links)
-	if err := checkGains(b); err != nil {
+	gmin, err := checkGains(b)
+	if err != nil {
 		return nil, err
 	}
-	if rho := sinr.SpectralRadius(b, 100); rho >= 1 {
+	if rho, _ := screen(b, gmin); rho >= 1 {
 		return nil, fmt.Errorf("%w (spectral radius %.6g)", ErrInfeasible, rho)
 	}
 	cur := append([]float64(nil), v...)
@@ -177,14 +179,90 @@ func Solve(links []geom.Link, p sinr.Params, opts SolveOptions) ([]float64, erro
 
 // checkGains returns ErrNonFiniteGain for the first entry of b, in row-major
 // order, that is +Inf or NaN. Gains are non-negative, so one comparison per
-// entry in a single pass over the matrix decides both.
-func checkGains(b [][]float64) error {
+// entry in a single pass over the matrix decides both. It also returns the
+// smallest off-diagonal gain (+Inf for a 1×1 matrix), which screen needs.
+func checkGains(b [][]float64) (float64, error) {
+	gmin := math.Inf(1)
 	for i, row := range b {
 		for j, g := range row {
 			if !(g <= math.MaxFloat64) {
-				return fmt.Errorf("%w: link %d on link %d", ErrNonFiniteGain, j, i)
+				return 0, fmt.Errorf("%w: link %d on link %d", ErrNonFiniteGain, j, i)
+			}
+			if g < gmin && j != i {
+				gmin = g
 			}
 		}
 	}
-	return nil
+	return gmin, nil
+}
+
+// screenSteps caps the spectral screen's power iteration, and screenSlack
+// is the δ of its early exit.
+const screenSteps, screenSlack = 100, 1e-6
+
+// screen is Solve's spectral screen: power iteration on b from x = 1 with
+// max-norm normalisation and a 1e-300 floor on every entry, so a reducible
+// block keeps some mass. It returns the last estimate max_i (b·x)_i and the
+// number of mat-vecs run; gmin is b's smallest off-diagonal entry. It stops
+// at the first step whose Collatz–Wielandt bound certifies ρ(b) < 1, so the
+// estimate is ≥ 1 exactly when that of all screenSteps steps is.
+func screen(b [][]float64, gmin float64) (float64, int) {
+	n := len(b)
+	x := make([]float64, n)
+	y := make([]float64, n)
+	for i := range x {
+		x[i] = 1
+	}
+	radius, guard := 0.0, false
+	for step := 1; step <= screenSteps; step++ {
+		sinr.MatVec(y, b, x, nil)
+		maxv := 0.0
+		for _, s := range y {
+			if s > maxv {
+				maxv = s
+			}
+		}
+		if maxv == 0 {
+			return 0, step
+		}
+		// The exit: y_i ≤ fl(θ·x_i) for every i, y = fl(b·x), θ = 1 − δ (a
+		// NaN fails). Why the full iteration then ends below 1 too:
+		//  - Monotonicity. In exact arithmetic, b·x ≤ w·x and b ≥ 0 give
+		//    b·(b·x) ≤ w·(b·x), so x' = b·x/m again has b·x' ≤ w·x', and
+		//    every later estimate is max(b·x') ≤ w·max(x') ≤ w < 1.
+		//  - Rounding (u = 2⁻⁵³, γ_n = n·u/(1−n·u)). Each y_i sums n
+		//    non-negative products, so it is within a factor 1 ± γ_n of
+		//    (b·x)_i while no product underflows; normalising by fl(1/m)
+		//    adds two roundings and keeps max(x) ≤ 1. So the check gives
+		//    w = θ(1+u)/(1−γ_n), each later step widens w by at most
+		//    (1+γ_n)(1+u)²/((1−γ_n)(1−u)²), and after the ≤ 99 steps left
+		//    the estimate is < θ·exp(203γ_n + 401u) < 1 for n ≤ 2²⁴.
+		//  - The floor. The argument needs the floor to change no entry and
+		//    no product to underflow. Let c = gmin/R, R the step-1 maximum
+		//    of b·1 (the largest row sum). Off the argmax a of x,
+		//    (b·x)_i ≥ gmin·x_a while max(b·x) ≤ R·x_a, so every entry of x'
+		//    but one is ≥ c(1−5γ_n), and that one is ≥ c times the
+		//    second largest entry of x (for n = 2 the ratio of the two
+		//    entries alternates between b₁₂/b₂₁ and 1). So every entry stays
+		//    ≥ c²/2. The guard gmin ≥ 2⁻⁶⁰⁰, R ≤ 2⁶⁰⁰, c ≥ 2⁻²⁰⁰ keeps every
+		//    entry ≥ 2⁻⁴⁰², where 1e-300 < 2⁻⁹⁹⁶ is below half an ulp, every
+		//    off-diagonal product ≥ 2⁻¹⁰⁰² (normal) and every sum finite.
+		//    Without the guard the screen runs all screenSteps steps.
+		if step == 1 {
+			guard = n <= 1<<24 && gmin >= 0x1p-600 && maxv <= 0x1p600 && maxv <= 0x1p200*gmin
+		}
+		certified := guard
+		for i := 0; certified && i < n; i++ {
+			certified = y[i] <= (1-screenSlack)*x[i]
+		}
+		if certified {
+			return maxv, step
+		}
+		radius = maxv
+		inv := 1 / maxv
+		for i := range y {
+			x[i] = y[i]*inv + 1e-300
+		}
+	}
+	return radius, screenSteps
 }

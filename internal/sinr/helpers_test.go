@@ -32,3 +32,41 @@ func (p Params) FeasibleSomePower(links []geom.Link) (bool, float64) {
 	}
 	return r < 1, 1 / r
 }
+
+// SpectralRadius estimates the spectral radius of a non-negative square
+// matrix by power iteration with max-norm normalization. For the
+// irreducible-or-nearly-so gain matrices arising from link sets this
+// converges quickly; iters=100 gives ~1e-10 accuracy on the experiment
+// instances. A 0×0 or 1×1 all-zero matrix has radius 0.
+func SpectralRadius(b [][]float64, iters int) float64 {
+	n := len(b)
+	if n == 0 {
+		return 0
+	}
+	x := make([]float64, n)
+	y := make([]float64, n)
+	for i := range x {
+		x[i] = 1
+	}
+	radius := 0.0
+	for it := 0; it < iters; it++ {
+		MatVec(y, b, x, nil)
+		maxv := 0.0
+		for _, s := range y {
+			if s > maxv {
+				maxv = s
+			}
+		}
+		if maxv == 0 {
+			return 0
+		}
+		radius = maxv
+		inv := 1 / maxv
+		for i := range y {
+			// Keep a tiny floor so the iterate stays positive and can pick
+			// up mass from any reducible block.
+			x[i] = y[i]*inv + 1e-300
+		}
+	}
+	return radius
+}

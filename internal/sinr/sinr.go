@@ -15,9 +15,9 @@
 //   - the relative-interference (affectance) form I_P(j,i) of the constraint,
 //   - the paper's additive operator I(j,i) = min{1, l_j^α/d(i,j)^α} used by
 //     Lemma 1 and Theorem 2, and
-//   - exact feasibility under *arbitrary* power control via the spectral
-//     radius of the normalized gain matrix (used as ground truth for
-//     "feasible" in the sense of Sec. 2).
+//   - the normalized gain matrix, whose spectral radius decides feasibility
+//     under *arbitrary* power control (power.Solve screens it), and the
+//     blocked mat-vec both power-control iterations run on.
 package sinr
 
 import (
@@ -176,51 +176,13 @@ func (p Params) GainMatrix(links []geom.Link) [][]float64 {
 	return b
 }
 
-// SpectralRadius estimates the spectral radius of a non-negative square
-// matrix by power iteration with max-norm normalization. For the
-// irreducible-or-nearly-so gain matrices arising from link sets this
-// converges quickly; iters=100 gives ~1e-10 accuracy on the experiment
-// instances. A 0×0 or 1×1 all-zero matrix has radius 0.
-func SpectralRadius(b [][]float64, iters int) float64 {
-	n := len(b)
-	if n == 0 {
-		return 0
-	}
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = 1
-	}
-	radius := 0.0
-	for it := 0; it < iters; it++ {
-		MatVec(y, b, x, nil)
-		maxv := 0.0
-		for _, s := range y {
-			if s > maxv {
-				maxv = s
-			}
-		}
-		if maxv == 0 {
-			return 0
-		}
-		radius = maxv
-		inv := 1 / maxv
-		for i := range y {
-			// Keep a tiny floor so the iterate stays positive and can pick
-			// up mass from any reducible block.
-			x[i] = y[i]*inv + 1e-300
-		}
-	}
-	return radius
-}
-
 // MatVec sets y[i] = init[i] + Σ_j b[i][j]·x[j] for every row of the square
 // matrix b (init nil reads as zeros). Each row is summed from its init value
 // in ascending j — the same rounding as the textbook row loop — but eight
 // rows run at once against one load of x[j], with eight independent
 // accumulators, so the sum is bound by load and multiply throughput instead
-// of the latency of a single add chain. It is the mat-vec of SpectralRadius
-// and of power.Solve's Jacobi sweep.
+// of the latency of a single add chain. It is the mat-vec of power.Solve's
+// spectral screen and of its Jacobi sweep.
 func MatVec(y []float64, b [][]float64, x, init []float64) {
 	n := len(x)
 	i := 0
