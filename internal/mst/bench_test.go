@@ -23,18 +23,20 @@ func BenchmarkEMSTLarge(b *testing.B) {
 			b.Fatal("bad edge count")
 		}
 	}
-	// Supercell-skip visibility: a regression that stops whole-cell skipping
-	// shows up as skipped_points collapsing toward zero in bench artifacts.
+	// Per-point work of the last run: a regression in subtree pruning shows
+	// up as nodes/pt or pairs/pt growing, one in same-component pruning as
+	// same_pruned collapsing toward zero.
 	b.ReportMetric(float64(st.Rounds), "rounds")
-	b.ReportMetric(float64(st.Supercells), "supercells")
-	b.ReportMetric(float64(st.SkippedPoints), "skipped_points")
+	b.ReportMetric(float64(st.NodesVisited)/float64(n), "nodes/pt")
+	b.ReportMetric(float64(st.PairsTested)/float64(n), "pairs/pt")
+	b.ReportMetric(float64(st.SamePruned), "same_pruned")
 	b.ReportMetric(float64(st.CachedPoints), "cached_points")
 }
 
 // BenchmarkEMSTCachedEdges isolates the cross-round best-edge cache: a
 // clustered instance whose components stay separated for many rounds, so
-// frontier points re-offer their cached candidate instead of re-scanning
-// rings. cached_points collapsing toward zero flags a cache regression.
+// frontier points re-offer their cached candidate instead of re-running
+// their query. cached_points collapsing toward zero flags a cache regression.
 func BenchmarkEMSTCachedEdges(b *testing.B) {
 	r := rand.New(rand.NewSource(11))
 	n := 20000
@@ -56,6 +58,6 @@ func BenchmarkEMSTCachedEdges(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(st.Rounds), "rounds")
-	b.ReportMetric(float64(st.SkippedPoints), "skipped_points")
+	b.ReportMetric(float64(st.PairsTested)/float64(n), "pairs/pt")
 	b.ReportMetric(float64(st.CachedPoints), "cached_points")
 }

@@ -5,25 +5,27 @@
 // The paper's protocol (Sec. 3) uses the MST with edges directed arbitrarily;
 // for the convergecast semantics of the simulator, edges point from child to
 // parent along the unique sink-rooted orientation. Two constructions are
-// provided: EMST, a grid-accelerated Borůvka that is near-linear on the
-// experiment scenarios and the production path of NewMSTTree; and Prim in
-// O(n²) time and O(n) memory, the oracle EMST is cross-checked against (the
-// tests add Kruskal over all pairs as an independent third). EMST
-// resolves equal-weight candidates with Kruskal's edge order (weight, then
-// the sorted endpoint pair), which makes it exact even on tie-heavy inputs;
-// on pointsets with distinct pairwise distances (all jittered generators)
-// the MST is unique and all three constructions agree edge-for-edge. For
+// provided: EMST, a parallel Borůvka over a kd-tree whose work follows the
+// local point density, the production path of NewMSTTree; and Prim in O(n²)
+// time and O(n) memory, the small-input and zero-extent path and the oracle
+// EMST is cross-checked against (the tests add Kruskal over all pairs as an
+// independent third). EMST breaks ties by Kruskal's total order, so its edge
+// slice is a function of the pointset alone, whatever GOMAXPROCS; on
+// pointsets with distinct pairwise distances (all jittered generators) the
+// MST is unique and all three constructions agree edge-for-edge. For
 // collinear pointsets LineMST exploits the 1-D structure (connect neighbors
 // in sorted order).
 package mst
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
-	"math/bits"
+	"sync"
 
 	"aggrate/internal/geom"
+	"aggrate/internal/par"
 	"aggrate/internal/unionfind"
 )
 
@@ -33,9 +35,13 @@ type Edge struct {
 	Weight float64
 }
 
+// ErrNonFinite reports a NaN or ±Inf point coordinate.
+var ErrNonFinite = errors.New("mst: non-finite point coordinate")
+
 // Prim computes the Euclidean MST of pts with the O(n²) dense-graph variant
 // of Prim's algorithm (the right tool for a complete geometric graph).
-// It returns n-1 edges; a nil slice for n < 2.
+// It returns n-1 edges; a nil slice for n < 2. Coordinates must be finite;
+// squared distances that overflow to +Inf still connect.
 func Prim(pts []geom.Point) []Edge {
 	n := len(pts)
 	if n < 2 {
@@ -58,24 +64,19 @@ func Prim(pts []geom.Point) []Edge {
 			if inTree[v] {
 				continue
 			}
-			if d := pts[cur].Dist2(pts[v]); d < bestDist[v] {
+			if d := pts[cur].Dist2(pts[v]); d < bestDist[v] || bestFrom[v] == none {
 				bestDist[v] = d
 				bestFrom[v] = cur
 			}
 		}
-		// Pick the closest fringe vertex.
+		// Pick the closest fringe vertex, the lowest index among equals.
 		next := none
-		nd := math.Inf(1)
+		nd := 0.0
 		for v := 0; v < n; v++ {
-			if !inTree[v] && bestDist[v] < nd {
+			if !inTree[v] && (next == none || bestDist[v] < nd) {
 				nd = bestDist[v]
 				next = v
 			}
-		}
-		if next == none {
-			// Unreachable for finite coordinates, but fail loudly rather
-			// than loop forever if a NaN coordinate sneaks in.
-			panic("mst: disconnected geometric graph (NaN coordinates?)")
 		}
 		edges = append(edges, Edge{U: bestFrom[next], V: next, Weight: math.Sqrt(nd)})
 		inTree[next] = true
@@ -85,472 +86,162 @@ func Prim(pts []geom.Point) []Edge {
 }
 
 // emstCutoff is the pointset size below which the dense Prim is faster than
-// building the grid. Measured on uniform points (2 vCPU, go1.24, median of
-// three), Prim vs grid Borůvka: 7.5 vs 18 µs at n=64, 32 vs 76 µs at 128,
-// 218 vs 198 µs at 256, 767 vs 506 µs at 512 — the cutoff sits at the
+// building the kd-tree. Measured on uniform points (2 vCPU, go1.24, median
+// of three, mean of two runs), Prim vs kd-tree Borůvka: 15 vs 45 µs at
+// n=64, 62 vs 111 µs at 128, 158 vs 173 µs at 192, 335 vs 323 µs at 256,
+// 684 vs 559 µs at 384, 1174 vs 646 µs at 512 — the cutoff sits at the
 // crossover, so Prim stays as the size-selected small-input path.
 const emstCutoff = 256
 
-// EMST computes the Euclidean MST with Borůvka's algorithm over a uniform
-// hash grid: each round finds, for every component, its minimum outgoing
-// edge by ring-searching the grid outward from each point until the ring's
-// lower distance bound exceeds the component's best candidate so far, then
-// merges components along the selected edges. Components halve per round,
-// so there are O(log n) rounds, and the shared per-component bound prunes
-// almost every interior point's search after the first boundary point has
-// found a close foreign neighbor — near-linear work on the experiment
-// scenarios.
-//
-// Exactness: Borůvka is exact whenever each component selects a true
-// minimum outgoing edge under a total order on edges; candidates are
-// compared by (squared distance, sorted endpoint pair), Kruskal's order, so
-// ties cannot produce a non-minimum tree. Degenerate inputs (zero extent,
-// non-finite coordinates) fall back to Prim.
+// EMST computes the Euclidean MST with Borůvka's algorithm over a kd-tree
+// (March, Ram & Gray, KDD 2010). Each round labels every tree node with the
+// component all its points belong to, finds each component's minimum
+// outgoing edge by a pruned nearest-foreign-neighbor query from its points
+// (run in parallel on internal/par), and merges along the selected edges;
+// components at least halve per round. Candidates are compared by squared
+// distance, then the sorted endpoint pair — Kruskal's order, a total order,
+// under which Borůvka is exact even on ties. EMST returns nil for a
+// non-finite coordinate (EMSTCtx reports ErrNonFinite); pointsets below
+// emstCutoff or of zero extent go to Prim.
 func EMST(pts []geom.Point) []Edge {
 	edges, _ := EMSTCtx(context.Background(), pts) // Background never cancels
 	return edges
 }
 
-// emstStats counts the work-skipping behavior of one EMSTCtx run, for
-// benchmarks and regression visibility (BenchmarkEMSTLarge reports them as
-// custom metrics).
+// emstStats counts the work of one EMSTCtx run for tests and benchmarks.
+// The counters other than Rounds move slightly with how blocks fall to
+// workers; the edges never do.
 type emstStats struct {
-	// Rounds is the number of Borůvka rounds.
-	Rounds int
-	// Supercells counts coarse cells certified single-component-with-
-	// single-component-neighborhood, summed over rounds.
-	Supercells int
-	// SkippedPoints counts points whose entire ring search was skipped by
-	// the supercell test, summed over rounds.
-	SkippedPoints int
-	// CachedPoints counts points whose ring search was replaced by a cached
-	// best-edge candidate from an earlier round, summed over rounds.
-	CachedPoints int
+	Rounds       int
+	NodesVisited int // kd-tree nodes tested by label, box or cell
+	PairsTested  int // point pairs whose distance was computed
+	SamePruned   int // subtrees skipped as the query's own component
+	CachedPoints int // queries replaced by a cached exact pair
 }
 
-// EMSTCtx is EMST with cancellation, checked once per Borůvka round
-// (components halve per round, so the first round — the bulk of the work —
-// is the longest uncancellable window). On cancellation it returns
-// (nil, ctx.Err()); a partial edge set is never returned.
+// EMSTCtx is EMST with cancellation: a round's queries run in blocks of 16
+// leaves, and a cancel stops the round within one block per worker. On
+// cancellation it returns (nil, ctx.Err()); a partial edge set is never
+// returned. A NaN or ±Inf coordinate returns ErrNonFinite.
 func EMSTCtx(ctx context.Context, pts []geom.Point) ([]Edge, error) {
 	return emstCtx(ctx, pts, nil)
 }
 
 func emstCtx(ctx context.Context, pts []geom.Point, st *emstStats) ([]Edge, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	n := len(pts)
-	if n < emstCutoff {
+	lo, hi := geom.BoundingBox(pts) // math.Min/Max carry NaN and ±Inf through
+	for _, v := range [...]float64{lo.X, lo.Y, hi.X, hi.Y} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, ErrNonFinite
+		}
+	}
+	if n < emstCutoff || lo == hi {
 		return Prim(pts), nil
 	}
-	lo, hi := geom.BoundingBox(pts)
-	ext := math.Max(hi.X-lo.X, hi.Y-lo.Y)
-	if !(ext > 0) || math.IsInf(ext, 1) {
-		return Prim(pts), nil
+	b := &boruvka{kdTree: buildKD(pts, lo, hi), rootM: make([]int32, n), candK: make([]int32, n), candD2: make([]float64, n)}
+	b.label = make([]int32, len(b.nodes))
+	// Components are keyed by the slot of their root point, so the
+	// per-component bests of nearby points sit close in memory. Every
+	// point starts as its own component.
+	slotOf := make([]int32, n)
+	roots := make([]int32, n) // component roots, ascending
+	for s, i := range b.idx {
+		slotOf[i], b.rootM[s], b.candK[s], roots[s] = int32(s), int32(s), -1, int32(s)
 	}
-	// Base grid at ~1 point per cell.
-	d0 := 1
-	for d0*d0 < n && d0 < 4096 {
-		d0 <<= 1
-	}
-	cs := ext / float64(d0)
-	cellIdx := func(p geom.Point) (int, int) {
-		cx := int((p.X - lo.X) / cs)
-		cy := int((p.Y - lo.Y) / cs)
-		if cx < 0 {
-			cx = 0
-		} else if cx >= d0 {
-			cx = d0 - 1
-		}
-		if cy < 0 {
-			cy = 0
-		} else if cy >= d0 {
-			cy = d0 - 1
-		}
-		return cx, cy
-	}
-	// CSR layout: points grouped by cell.
-	starts := make([]int32, d0*d0+1)
-	cellOf := make([]int32, n)
-	for i, p := range pts {
-		cx, cy := cellIdx(p)
-		cellOf[i] = int32(cy*d0 + cx)
-		starts[cellOf[i]+1]++
-	}
-	for c := 0; c < d0*d0; c++ {
-		starts[c+1] += starts[c]
-	}
-	fill := append([]int32(nil), starts[:d0*d0]...)
-	members := make([]int32, n)
-	for i := 0; i < n; i++ {
-		members[fill[cellOf[i]]] = int32(i)
-		fill[cellOf[i]]++
-	}
-	// Cell-grouped copies of the coordinates and (per round) the component
-	// roots, indexed by CSR slot rather than point index. The ring search
-	// streams members[s:e] ranges, and reading through these keeps its
-	// hottest loads sequential instead of gather-loads through members.
-	xsM := make([]float64, n)
-	ysM := make([]float64, n)
-	for k, j := range members {
-		xsM[k] = pts[j].X
-		ysM[k] = pts[j].Y
-	}
-	rootM := make([]int32, n)
-
-	// Cross-round champion cache, indexed by CSR slot so the per-point scan
-	// loop streams it sequentially. candJ[k]/candD2[k] hold a pair (i, j) —
-	// i the point in slot k — that was the component's best candidate at the
-	// moment i's ring scan ended: such a pair precedes every pair i scanned
-	// (the shared best is a running minimum over them) and every pair i
-	// pruned (the ring bound discards only pairs strictly worse than the
-	// bound, which at that moment was this pair's own weight) — so it is i's
-	// exact Kruskal-order minimum outgoing pair. Merges only shrink the
-	// foreign set, so the pair stays i's minimum in every later round until
-	// j's component merges with i's; while it does, i offers the cached pair
-	// and skips its ring scan outright.
-	candJ := make([]int32, n)
-	candD2 := make([]float64, n)
-	for k := range candJ {
-		candJ[k] = -1
-	}
-
 	dsu := unionfind.New(n)
 	edges := make([]Edge, 0, n-1)
-	bestD2 := make([]float64, n) // indexed by component root
-	bestU := make([]int32, n)
-	bestV := make([]int32, n)
-	roots := make([]int32, 0, n)
-	// rootOf memoizes dsu.Find for the duration of one round (roots only
-	// change at the merge step), turning the O(candidates) Find calls of the
-	// ring search into array loads.
-	rootOf := make([]int32, n)
-	// cellRoot[c] is the common component root of every point in cell c, or
-	// -1 if the cell is empty or spans components. In later rounds most cells
-	// interior to a component are uniform, and the ring search skips them
-	// without touching their members — the bulk of the late-round work.
-	cellRoot := make([]int32, d0*d0)
-	// Supercell skipping, one pyramid level up from the cell tags: coarse
-	// cells of side S = 2·cs (d0 is a power of two ≥ 16, so dc = d0/2 tiles
-	// the grid exactly). coarseRoot[cc] is the common root of the coarse
-	// cell's points (-2 empty, -1 mixed); blockRoot[cc] is that root when
-	// additionally every in-grid coarse neighbor is empty or has the same
-	// root — then every foreign point is outside the 3×3 coarse block, hence
-	// at distance ≥ S from any point of cc, and a point whose component
-	// already holds a candidate strictly below (S·(1-1e-9))² can skip its
-	// entire ring scan. The 1e-9 pad absorbs the ulp by which cellIdx's
-	// clamped division can misplace a point relative to its cell rectangle;
-	// the strict inequality keeps equal-weight ties inside the scan, the
-	// same device as the ring lower bound.
-	dc := d0 / 2
-	coarseRoot := make([]int32, dc*dc)
-	blockRoot := make([]int32, dc*dc)
-	skipCut := 2 * cs * (1 - 1e-9)
-	skipCut *= skipCut
-	var stats emstStats
-	// better reports whether candidate (d2, u, v) precedes the root's
-	// current best under Kruskal's order (weight, sorted endpoint pair).
-	better := func(r int, d2 float64, u, v int32) bool {
-		if d2 != bestD2[r] {
-			return d2 < bestD2[r]
-		}
-		au, av := minmax32(u, v)
-		bu, bv := minmax32(bestU[r], bestV[r])
-		if au != bu {
-			return au < bu
-		}
-		return av < bv
-	}
+	var (
+		remap      []int32 // component key → merged key, from round 2 on
+		mu         sync.Mutex
+		free, used []*emstWorker
+		stats      emstStats
+	)
 	for len(edges) < n-1 {
-		if err := ctx.Err(); err != nil {
+		b.labelRound(remap)
+		stats.Rounds++
+		err := par.ForBlocksCtx(ctx, len(b.nodes)-b.leaf0, 16, func(next func() (int, int, bool)) {
+			var w *emstWorker
+			for lo, hi, ok := next(); ok; lo, hi, ok = next() {
+				if w == nil {
+					mu.Lock()
+					if len(free) > 0 {
+						w, free = free[len(free)-1], free[:len(free)-1]
+					} else {
+						w = &emstWorker{best: make([]pairBest, n)}
+						for k := range w.best {
+							w.best[k].v = -1
+						}
+					}
+					mu.Unlock()
+				}
+				for leaf := b.leaf0 + lo; leaf < b.leaf0+hi; leaf++ {
+					b.queryLeaf(w, leaf)
+				}
+			}
+			if w != nil {
+				mu.Lock()
+				used = append(used, w)
+				mu.Unlock()
+			}
+		})
+		if err != nil {
 			return nil, err
 		}
-		roots = roots[:0]
-		for i := 0; i < n; i++ {
-			r := dsu.Find(i)
-			rootOf[i] = int32(r)
-			if r == i {
-				bestD2[i] = math.Inf(1)
-				bestU[i], bestV[i] = -1, -1
-				roots = append(roots, int32(i))
-			}
-		}
-		for k, j := range members {
-			rootM[k] = rootOf[j]
-		}
-		for c := 0; c < d0*d0; c++ {
-			s, e := starts[c], starts[c+1]
-			if s == e {
-				cellRoot[c] = -1
-				continue
-			}
-			cr := rootM[s]
-			for _, rj := range rootM[s+1 : e] {
-				if rj != cr {
-					cr = -1
-					break
-				}
-			}
-			cellRoot[c] = cr
-		}
-		stats.Rounds++
-		// Coarse roots: fold each 2×2 block of fine cells (empty fine cells
-		// are wildcards; a mixed fine cell poisons the block).
-		for ccy := 0; ccy < dc; ccy++ {
-			for ccx := 0; ccx < dc; ccx++ {
-				cr := int32(-2)
-				for fy := 2 * ccy; fy < 2*ccy+2 && cr != -1; fy++ {
-					for fx := 2 * ccx; fx < 2*ccx+2; fx++ {
-						c := fy*d0 + fx
-						if starts[c] == starts[c+1] {
-							continue
+		// Each worker holds per component the minimum over the points it
+		// queried, so the minimum over workers is the component's minimum
+		// outgoing pair, however the blocks fell. Fold the workers into
+		// the first in slot order, then merge in root order; the reset
+		// clears every key the next round can use.
+		w0 := used[0]
+		if len(used) > 1 {
+			par.For(n, func(k int) {
+				for _, w := range used[1:] {
+					if wp := w.best[k]; wp.v >= 0 {
+						if w0.best[k].v < 0 || wp.less(w0.best[k]) {
+							w0.best[k] = wp
 						}
-						fr := cellRoot[c]
-						if fr < 0 || (cr != -2 && fr != cr) {
-							cr = -1
-							break
-						}
-						cr = fr
+						w.best[k].v = -1
 					}
 				}
-				coarseRoot[ccy*dc+ccx] = cr
-			}
+			})
 		}
-		// Block roots: a coarse cell keeps its root only if all ≤8 in-grid
-		// coarse neighbors are empty or same-component (out-of-grid space
-		// holds no points and is vacuously fine).
-		for ccy := 0; ccy < dc; ccy++ {
-			for ccx := 0; ccx < dc; ccx++ {
-				cc := ccy*dc + ccx
-				cr := coarseRoot[cc]
-				if cr >= 0 {
-					for ny := ccy - 1; ny <= ccy+1 && cr >= 0; ny++ {
-						if ny < 0 || ny >= dc {
-							continue
-						}
-						for nx := ccx - 1; nx <= ccx+1; nx++ {
-							if nx < 0 || nx >= dc {
-								continue
-							}
-							if nr := coarseRoot[ny*dc+nx]; nr != -2 && nr != cr {
-								cr = -1
-								break
-							}
-						}
-					}
-				}
-				if cr >= 0 {
-					stats.Supercells++
-				}
-				blockRoot[cc] = cr
-			}
-		}
-		// Minimum outgoing edge per component, via bounded ring search. The
-		// scan walks cells (not points in index order) so the per-point
-		// loads stream through the slot-indexed rootM/xsM/ysM and adjacent
-		// scans share their ring rows of cellRoot/starts — but grid rows are
-		// visited in bit-reversed order, not top-to-bottom. The shared
-		// per-component bound is what makes interior points cheap, and it
-		// only collapses once some near-boundary point of the component has
-		// scanned; a plain row-major sweep can keep a component's bound
-		// enormous until the sweep finally reaches its boundary (every point
-		// above it then pays a huge ring search), while bit-reversed rows
-		// reach within d0/2^k of every row after 2^k rows, so bounds decay
-		// geometrically as in the old random-index order.
-		//
-		// Scan order cannot change the selected edges — every pruning rule
-		// (ring lower bound, supercell skip) discards only pairs strictly
-		// worse than the component's best at skip time, which bestD2's
-		// monotone decrease makes strictly worse than the final best, so
-		// each root still ends at the total-order minimum of its outgoing
-		// pairs. Only the stats counters are order-sensitive.
-		lg := bits.TrailingZeros32(uint32(d0)) // d0 is a power of two
-		for ry := 0; ry < d0; ry++ {
-			cy := int(bits.Reverse32(uint32(ry)) >> (32 - lg))
-			for cx := 0; cx < d0; cx++ {
-				home := cy*d0 + cx
-				ms, me := starts[home], starts[home+1]
-				if ms == me {
-					continue
-				}
-				br := blockRoot[(cy>>1)*dc+(cx>>1)]
-				for k := ms; k < me; k++ {
-					r := int(rootM[k])
-					// Supercell skip: every foreign point is ≥ S away, and
-					// the component already holds a strictly better candidate
-					// (bestD2 only decreases within a round, so the test
-					// stays valid). The first point of a fresh component sees
-					// bestD2 = +Inf and always scans, so every component
-					// still finds its outgoing edge.
-					if br == int32(r) && bestD2[r] < skipCut {
-						stats.SkippedPoints++
-						continue
-					}
-					i := members[k]
-					// Cached champion pair: while candJ[k] is still foreign
-					// it remains i's exact minimum outgoing pair — offer it
-					// and skip the ring scan. The cache is left in place; it
-					// stays valid until candJ[k]'s component merges in.
-					if j := candJ[k]; j >= 0 && rootOf[j] != int32(r) {
-						if d2 := candD2[k]; d2 < bestD2[r] || (d2 == bestD2[r] && better(r, d2, i, j)) {
-							bestD2[r] = d2
-							bestU[r], bestV[r] = i, j
-						}
-						stats.CachedPoints++
-						continue
-					}
-					px, py := xsM[k], ysM[k]
-					// The scan is sequential, so only i itself can move the
-					// component's best while i scans: hold it in locals (bd,
-					// bu, bv) for the duration — the stores into the float64
-					// arrays below would otherwise force the compiler to
-					// reload bestD2[r] from memory on every candidate.
-					bd, bu, bv := bestD2[r], bestU[r], bestV[r]
-					for ring := 0; ; ring++ {
-						// Ring lower bound: any point in a cell at Chebyshev
-						// ring distance q from p's cell is at least (q-1)·cs
-						// away from p, so once that exceeds the component's
-						// best candidate the remaining rings cannot contain
-						// the minimum (nor an equal-weight tie, which the
-						// strict inequality excludes).
-						if ring >= 2 {
-							lb := float64(ring-1) * cs
-							if lb*lb > bd {
-								break
-							}
-						}
-						x0, x1 := cx-ring, cx+ring
-						y0, y1 := cy-ring, cy+ring
-						if x0 < 0 && x1 >= d0 && y0 < 0 && y1 >= d0 {
-							break // the shell lies entirely outside the grid
-						}
-						lx := x0
-						if lx < 0 {
-							lx = 0
-						}
-						hx := x1
-						if hx >= d0 {
-							hx = d0 - 1
-						}
-						// The shell's top and bottom rows are contiguous cell
-						// spans, so their members occupy one contiguous slot
-						// range each: scan it directly (the per-point rootM
-						// test subsumes the per-cell cellRoot skip).
-						// y0 ≤ cy < d0 and y1 ≥ cy ≥ 0 always hold.
-						for pass := 0; pass < 2; pass++ {
-							y := y0
-							if pass == 1 {
-								y = y1
-								if y1 == y0 {
-									break
-								}
-							} else if y < 0 {
-								continue
-							}
-							if y >= d0 {
-								continue
-							}
-							row := y * d0
-							for k2 := starts[row+lx]; k2 < starts[row+hx+1]; k2++ {
-								if int(rootM[k2]) == r {
-									continue
-								}
-								dx := px - xsM[k2]
-								dy := py - ysM[k2]
-								d2 := dx*dx + dy*dy
-								if d2 < bd {
-									bd = d2
-									bu, bv = i, members[k2]
-								} else if d2 == bd {
-									au, av := minmax32(i, members[k2])
-									cu, cv := minmax32(bu, bv)
-									if au < cu || (au == cu && av < cv) {
-										bu, bv = i, members[k2]
-									}
-								}
-							}
-						}
-						// Left and right shell columns, interior y only (the
-						// corner cells belong to the rows above).
-						ly := y0 + 1
-						if ly < 0 {
-							ly = 0
-						}
-						hy := y1 - 1
-						if hy >= d0 {
-							hy = d0 - 1
-						}
-						for pass := 0; pass < 2; pass++ {
-							x := x0
-							if pass == 1 {
-								x = x1
-								if x1 == x0 {
-									break
-								}
-								if x >= d0 {
-									continue
-								}
-							} else if x < 0 {
-								continue
-							}
-							for y := ly; y <= hy; y++ {
-								c := y*d0 + x
-								if int(cellRoot[c]) == r {
-									continue // every member is same-component
-								}
-								for k2 := starts[c]; k2 < starts[c+1]; k2++ {
-									if int(rootM[k2]) == r {
-										continue
-									}
-									dx := px - xsM[k2]
-									dy := py - ysM[k2]
-									d2 := dx*dx + dy*dy
-									if d2 < bd {
-										bd = d2
-										bu, bv = i, members[k2]
-									} else if d2 == bd {
-										au, av := minmax32(i, members[k2])
-										cu, cv := minmax32(bu, bv)
-										if au < cu || (au == cu && av < cv) {
-											bu, bv = i, members[k2]
-										}
-									}
-								}
-							}
-						}
-					}
-					bestD2[r], bestU[r], bestV[r] = bd, bu, bv
-					// Champion cache write: if i still supplies the shared
-					// best as its scan ends, that pair is i's exact minimum
-					// outgoing pair (see candJ above). Otherwise any previous
-					// cache entry has already failed its validity check, so
-					// clear it.
-					if bu == i {
-						candJ[k], candD2[k] = bv, bd
-					} else if candJ[k] >= 0 {
-						candJ[k] = -1
-					}
-				}
-			}
-		}
-		// Merge along the selected edges.
-		progressed := false
 		for _, r := range roots {
-			if bestV[r] < 0 {
-				continue
-			}
-			if dsu.Union(int(bestU[r]), int(bestV[r])) {
-				edges = append(edges, Edge{
-					U: int(bestU[r]), V: int(bestV[r]),
-					Weight: math.Sqrt(bestD2[r]),
-				})
-				progressed = true
+			p := w0.best[slotOf[r]]
+			w0.best[slotOf[r]].v = -1
+			if p.v >= 0 && dsu.Union(int(p.u), int(p.v)) {
+				edges = append(edges, Edge{U: int(p.u), V: int(p.v), Weight: math.Sqrt(p.d2)})
 			}
 		}
-		if !progressed {
-			// No component found an outgoing edge (NaN coordinates or a
-			// bound inversion): the dense oracle handles what the grid
-			// cannot.
-			return Prim(pts), nil
+		for _, w := range used {
+			stats.NodesVisited += w.st.NodesVisited
+			stats.PairsTested += w.st.PairsTested
+			stats.SamePruned += w.st.SamePruned
+			stats.CachedPoints += w.st.CachedPoints
+			w.st = emstStats{}
 		}
+		free, used = append(free, used...), used[:0]
+		// Each component's key becomes its merged root's; the merged roots
+		// are a subset of this round's, still ascending.
+		if remap == nil {
+			remap = make([]int32, n)
+		}
+		live := roots[:0]
+		for _, r := range roots {
+			nr := int32(dsu.Find(int(r)))
+			remap[slotOf[r]] = slotOf[nr]
+			if nr == r {
+				live = append(live, r)
+			}
+		}
+		if len(live) == len(roots) {
+			// Unreachable: with finite coordinates a query that has no
+			// candidate ascends to the root and tests every foreign point.
+			return nil, fmt.Errorf("mst: Borůvka round selected no edge")
+		}
+		roots = live
 	}
 	if st != nil {
 		*st = stats
@@ -558,11 +249,310 @@ func emstCtx(ctx context.Context, pts []geom.Point, st *emstStats) ([]Edge, erro
 	return edges, nil
 }
 
-func minmax32(a, b int32) (int32, int32) {
-	if a < b {
-		return a, b
+// pairBest is a candidate edge: the pair (u, v) of point indices, u in the
+// component that found it, at squared distance d2; v = -1 for none.
+type pairBest struct {
+	d2   float64
+	u, v int32
+}
+
+// less reports whether p precedes q under Kruskal's order: squared
+// distance, then the sorted endpoint pair.
+func (p pairBest) less(q pairBest) bool {
+	if p.d2 != q.d2 {
+		return p.d2 < q.d2
 	}
-	return b, a
+	pu, qu := min(p.u, p.v), min(q.u, q.v)
+	return pu < qu || (pu == qu && max(p.u, p.v) < max(q.u, q.v))
+}
+
+// kdLeafSize bounds the points per kd-tree leaf.
+const kdLeafSize = 16
+
+// kdTree is a complete binary tree in heap layout (node k has children 2k+1
+// and 2k+2), every leaf at the same depth with kdLeafSize/2 to kdLeafSize
+// points. Points are permuted into leaf order: slot s holds point idx[s]
+// at (xs[s], ys[s]).
+type kdTree struct {
+	nodes  []kdNode
+	leaf0  int // heap index of the first leaf
+	idx    []int32
+	xs, ys []float64
+}
+
+type kdNode struct {
+	lo, hi int32      // slot range
+	box    [4]float64 // tight bounding box of the points: x0, x1, y0, y1
+	// cell is the partition cell, bounded by the ancestors' split lines
+	// (±Inf at the root): every point outside the subtree lies on or
+	// beyond one of its sides.
+	cell [4]float64
+}
+
+// buildKD builds the kd-tree of pts, whose bounding box is [lo, hi]. Each
+// node splits at the median along the longer side of its cell clipped to
+// the bounding box: left points have coordinate ≤ the split value, right
+// points ≥. The nodes of a level split in parallel.
+func buildKD(pts []geom.Point, lo, hi geom.Point) *kdTree {
+	n := len(pts)
+	depth := 0
+	for (n+(1<<depth)-1)>>depth > kdLeafSize { // ceil(n / 2^depth)
+		depth++
+	}
+	t := &kdTree{nodes: make([]kdNode, 1<<(depth+1)-1), leaf0: 1<<depth - 1,
+		idx: make([]int32, n), xs: make([]float64, n), ys: make([]float64, n)}
+	for i, p := range pts {
+		t.idx[i], t.xs[i], t.ys[i] = int32(i), p.X, p.Y
+	}
+	inf := math.Inf(1)
+	t.nodes[0] = kdNode{hi: int32(n), cell: [4]float64{-inf, inf, -inf, inf}}
+	for d := 0; d < depth; d++ {
+		par.For(1<<d, func(j int) {
+			k := 1<<d - 1 + j
+			nd := &t.nodes[k]
+			c := nd.cell
+			axis, coord := 0, t.xs
+			if min(c[3], hi.Y)-max(c[2], lo.Y) > min(c[1], hi.X)-max(c[0], lo.X) {
+				axis, coord = 2, t.ys
+			}
+			m := int(nd.lo+nd.hi) / 2
+			t.selectNth(coord, int(nd.lo), int(nd.hi)-1, m)
+			l, r := &t.nodes[2*k+1], &t.nodes[2*k+2]
+			*l, *r = kdNode{lo: nd.lo, hi: int32(m), cell: c}, kdNode{lo: int32(m), hi: nd.hi, cell: c}
+			l.cell[axis+1], r.cell[axis] = coord[m], coord[m]
+		})
+	}
+	par.For(len(t.nodes)-t.leaf0, func(j int) {
+		nd := &t.nodes[t.leaf0+j]
+		nd.box = [4]float64{inf, -inf, inf, -inf}
+		for s := nd.lo; s < nd.hi; s++ {
+			nd.box = [4]float64{min(nd.box[0], t.xs[s]), max(nd.box[1], t.xs[s]), min(nd.box[2], t.ys[s]), max(nd.box[3], t.ys[s])}
+		}
+	})
+	for k := t.leaf0 - 1; k >= 0; k-- {
+		l, r := &t.nodes[2*k+1].box, &t.nodes[2*k+2].box
+		t.nodes[k].box = [4]float64{min(l[0], r[0]), max(l[1], r[1]), min(l[2], r[2]), max(l[3], r[3])}
+	}
+	return t
+}
+
+// selectNth permutes slots [lo, hi] so that coord[m] holds the value of
+// rank m-lo, with no greater value before it and no smaller one after it
+// (Hoare-partition quickselect, median-of-three pivot).
+func (t *kdTree) selectNth(coord []float64, lo, hi, m int) {
+	for lo < hi {
+		a, b, c := coord[lo], coord[lo+(hi-lo)/2], coord[hi]
+		pv := max(min(a, b), min(max(a, b), c))
+		i, j := lo, hi
+		for i <= j {
+			for coord[i] < pv {
+				i++
+			}
+			for coord[j] > pv {
+				j--
+			}
+			if i <= j {
+				t.xs[i], t.xs[j] = t.xs[j], t.xs[i]
+				t.ys[i], t.ys[j] = t.ys[j], t.ys[i]
+				t.idx[i], t.idx[j] = t.idx[j], t.idx[i]
+				i, j = i+1, j-1
+			}
+		}
+		// Now [lo, j] ≤ pv, [i, hi] ≥ pv, and slots strictly between hold pv.
+		if m <= j {
+			hi = j
+		} else if m >= i {
+			lo = i
+		} else {
+			return
+		}
+	}
+}
+
+// boruvka is the state of one EMST run shared by its queries.
+type boruvka struct {
+	*kdTree
+	rootM []int32 // component key (its root's slot) of the point in slot s
+	label []int32 // component of every point under node k, -1 if mixed
+	// Cross-round cache, by slot. Merges only shrink a point's foreign set,
+	// so its minimum outgoing distance never falls from round to round:
+	// candD2[s] is a lower bound on it, and a point whose bound exceeds its
+	// component's best skips its query. candK[s] (-1 for none) is the slot
+	// of a point j such that (idx[s], idx[j]) was the point's exact minimum
+	// outgoing pair, at squared distance candD2[s]; the pair stays its
+	// minimum until j's component merges with its own, and meanwhile the
+	// point offers it instead of querying.
+	candK  []int32
+	candD2 []float64
+}
+
+// labelRound maps rootM through remap (unless nil) and labels the nodes.
+func (b *boruvka) labelRound(remap []int32) {
+	par.For(len(b.nodes)-b.leaf0, func(j int) {
+		nd := &b.nodes[b.leaf0+j]
+		roots := b.rootM[nd.lo:nd.hi]
+		if remap != nil {
+			for s, r := range roots {
+				roots[s] = remap[r]
+			}
+		}
+		b.label[b.leaf0+j] = roots[0]
+		for _, r := range roots[1:] {
+			if r != roots[0] {
+				b.label[b.leaf0+j] = -1
+				break
+			}
+		}
+	})
+	for k := b.leaf0 - 1; k >= 0; k-- {
+		if b.label[k] = b.label[2*k+1]; b.label[k] != b.label[2*k+2] {
+			b.label[k] = -1
+		}
+	}
+}
+
+// emstWorker is one worker's best pair per component key over the points
+// it queried this round, and its counters.
+type emstWorker struct {
+	best []pairBest
+	st   emstStats
+}
+
+// kdQuery is one point's query: point i of component r at (px, py), and
+// its running best, where k is v's slot when the query found the pair
+// itself and -1 when it came from the worker's component best.
+type kdQuery struct {
+	w      *emstWorker
+	r, i   int32
+	px, py float64
+	best   pairBest
+	k      int32
+}
+
+// The pruning tests compare lower bounds with the running best using the
+// same float operations as the pair distance, so they hold exactly in
+// float64 without a pad. For q in a box with x-range [x0, x1] and px < x0,
+// qx ≥ x0 gives fl(x0 − px) ≤ fl(qx − px) = |fl(px − qx)|, since rounding
+// is monotone and fl(−a) = −fl(a); likewise above x1, and the gap is 0
+// inside. Squaring non-negatives and adding them are monotone too, so
+// boxD2 ≤ the computed d2 of every pair it covers. The same argument holds
+// for a cell side between p and every point on or beyond it, with dy² ≥ 0
+// added. Both prune only when the bound is strictly greater than the
+// running best, so pairs tying with it are still tested.
+
+// boxD2 is the squared distance from (px, py) to box b (0 inside).
+func boxD2(px, py float64, b *[4]float64) float64 {
+	dx, dy := 0.0, 0.0
+	if px < b[0] {
+		dx = b[0] - px
+	} else if px > b[1] {
+		dx = px - b[1]
+	}
+	if py < b[2] {
+		dy = b[2] - py
+	} else if py > b[3] {
+		dy = py - b[3]
+	}
+	return dx*dx + dy*dy
+}
+
+// queryLeaf offers each point's minimum outgoing pair of the leaf to the
+// worker's best of its component: the cached pair while still valid,
+// nothing when its lower bound is strictly worse, and otherwise the result
+// of a query that starts at the leaf's highest same-component ancestor and
+// searches sibling subtrees while ascending.
+func (b *boruvka) queryLeaf(w *emstWorker, leaf int) {
+	nd := &b.nodes[leaf]
+	start := leaf
+	for r := b.label[leaf]; r >= 0 && start > 0 && b.label[(start-1)/2] == r; {
+		start = (start - 1) / 2
+	}
+	for s := nd.lo; s < nd.hi; s++ {
+		r := b.rootM[s]
+		if j := b.candK[s]; j >= 0 && b.rootM[j] != r {
+			if p := (pairBest{b.candD2[s], b.idx[s], b.idx[j]}); w.best[r].v < 0 || p.less(w.best[r]) {
+				w.best[r] = p
+			}
+			w.st.CachedPoints++
+			continue
+		}
+		if wb := w.best[r]; wb.v >= 0 && b.candD2[s] > wb.d2 {
+			continue
+		}
+		q := kdQuery{w: w, r: r, i: b.idx[s], px: b.xs[s], py: b.ys[s], best: w.best[r], k: -1}
+		if q.best.v < 0 {
+			q.best.d2 = math.Inf(1)
+		}
+		if b.label[leaf] < 0 {
+			b.scanLeaf(&q, leaf)
+		}
+		for k := start; k > 0; k = (k - 1) / 2 {
+			c := &b.nodes[k].cell // every point outside subtree k is beyond a side
+			g := min(q.px-c[0], c[1]-q.px, q.py-c[2], c[3]-q.py)
+			w.st.NodesVisited++
+			if g*g > q.best.d2 {
+				break
+			}
+			sib := k - 1 + 2*(k&1)
+			b.search(&q, sib, boxD2(q.px, q.py, &b.nodes[sib].box))
+		}
+		// Every foreign pair of the point was tested, hence is no better
+		// than the final best, or pruned as strictly worse than a running
+		// best no better than it: the final d2 is a lower bound, and the
+		// query's own find is its exact minimum outgoing pair.
+		w.best[r] = q.best
+		b.candK[s], b.candD2[s] = q.k, q.best.d2
+	}
+}
+
+// search scans subtree k, whose box is at squared distance d2, for foreign
+// points, nearer child first, skipping subtrees of the query's own
+// component and boxes strictly farther than the running best.
+func (b *boruvka) search(q *kdQuery, k int, d2 float64) {
+	q.w.st.NodesVisited++
+	if b.label[k] == q.r {
+		q.w.st.SamePruned++
+		return
+	}
+	if d2 > q.best.d2 {
+		return
+	}
+	if k >= b.leaf0 {
+		b.scanLeaf(q, k)
+		return
+	}
+	l, r := 2*k+1, 2*k+2
+	dl, dr := boxD2(q.px, q.py, &b.nodes[l].box), boxD2(q.px, q.py, &b.nodes[r].box)
+	if dr < dl {
+		l, r, dl, dr = r, l, dr, dl
+	}
+	b.search(q, l, dl)
+	b.search(q, r, dr)
+}
+
+// scanLeaf tests the query point against every foreign point of the leaf.
+func (b *boruvka) scanLeaf(q *kdQuery, leaf int) {
+	nd := &b.nodes[leaf]
+	roots := b.rootM[nd.lo:nd.hi] // local reslices: no reloads or bounds checks
+	xs, ys := b.xs[nd.lo:nd.hi], b.ys[nd.lo:nd.hi]
+	xs, ys = xs[:len(roots)], ys[:len(roots)]
+	px, py, r, i := q.px, q.py, q.r, q.i
+	best, k := q.best, q.k
+	tested := 0
+	for j, rj := range roots {
+		if rj == r {
+			continue
+		}
+		tested++
+		dx := px - xs[j]
+		dy := py - ys[j]
+		d2 := dx*dx + dy*dy
+		if d2 < best.d2 || (d2 == best.d2 && (best.v < 0 || (pairBest{d2, i, b.idx[int(nd.lo)+j]}).less(best))) {
+			best, k = pairBest{d2, i, b.idx[int(nd.lo)+j]}, nd.lo+int32(j)
+		}
+	}
+	q.w.st.PairsTested += tested
+	q.best, q.k = best, k
 }
 
 // Tree is a convergecast tree: an MST rooted at a sink, with every non-sink
@@ -688,11 +678,11 @@ func Build(pts []geom.Point, edges []Edge, sink int) (*Tree, error) {
 }
 
 // NewMSTTree is the one-call constructor used by the public planner: it
-// computes the Euclidean MST of pts (grid-accelerated Borůvka, with the
-// dense Prim as small-input and degenerate-input fallback) and orients it
-// toward sink.
+// computes the Euclidean MST of pts (kd-tree Borůvka, with the dense Prim as
+// small-input and zero-extent path) and orients it toward sink. A NaN or
+// ±Inf coordinate returns ErrNonFinite.
 func NewMSTTree(pts []geom.Point, sink int) (*Tree, error) {
-	return Build(pts, EMST(pts), sink)
+	return NewMSTTreeCtx(context.Background(), pts, sink)
 }
 
 // NewMSTTreeCtx is NewMSTTree with cancellation of the Borůvka rounds; see

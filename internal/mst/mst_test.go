@@ -1,9 +1,10 @@
 package mst
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 	"testing"
 
 	"aggrate/internal/geom"
@@ -27,7 +28,7 @@ func TestPrimKruskalAgree(t *testing.T) {
 		for _, n := range []int{2, 3, 10, 60, 200} {
 			pts := randomPoints(n, seed*100+uint64(n), 1000)
 			wp := TotalWeight(Prim(pts))
-			wk := TotalWeight(Kruskal(pts))
+			wk := TotalWeight(kruskalTotalOrder(pts, math.Inf(1)))
 			if math.Abs(wp-wk) > 1e-9*math.Max(1, wp) {
 				t.Fatalf("n=%d seed=%d: Prim weight %.12g != Kruskal weight %.12g", n, seed, wp, wk)
 			}
@@ -125,9 +126,8 @@ func sameEdges(a, b []Edge) bool {
 	return true
 }
 
-// clusteredPoints bunches points into tight far-apart clusters, the
-// adversarial layout for the grid ring search (late Borůvka rounds must
-// reach across wide empty space).
+// clusteredPoints bunches points into tight far-apart clusters: late
+// Borůvka rounds must reach across wide empty space.
 func clusteredPoints(n int, seed uint64) []geom.Point {
 	r := rng.New(seed)
 	centers := []geom.Point{{X: 0, Y: 0}, {X: 5000, Y: 100}, {X: 2000, Y: 4000}, {X: 4800, Y: 4900}}
@@ -139,9 +139,9 @@ func clusteredPoints(n int, seed uint64) []geom.Point {
 	return pts
 }
 
-// TestEMSTMatchesPrim: the grid Borůvka must reproduce the dense oracle's
-// edge set exactly on jittered pointsets (where the MST is unique), uniform
-// and clustered, above and below the grid cutoff.
+// TestEMSTMatchesPrim: the kd-tree Borůvka must reproduce the dense
+// oracle's edge set exactly on jittered pointsets (where the MST is unique),
+// uniform and clustered, above and below the Prim cutoff.
 func TestEMSTMatchesPrim(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		for _, n := range []int{2, 50, 300, 1500} {
@@ -157,70 +157,68 @@ func TestEMSTMatchesPrim(t *testing.T) {
 	}
 }
 
-// TestEMSTAnnulus exercises strongly non-uniform density (the annulus
-// scenario shape: radii spread over decades).
-func TestEMSTAnnulus(t *testing.T) {
-	r := rng.New(9)
-	n := 800
+// annulusPoints spreads radii over four decades (the annulus scenario
+// shape: strongly non-uniform density).
+func annulusPoints(n int, seed uint64) []geom.Point {
+	r := rng.New(seed)
 	pts := make([]geom.Point, n)
 	for i := range pts {
 		rad := math.Pow(10, r.Float64()*4) // 1..1e4
 		th := r.Float64() * 2 * math.Pi
 		pts[i] = geom.Point{X: rad * math.Cos(th), Y: rad * math.Sin(th)}
 	}
+	return pts
+}
+
+// TestEMSTAnnulus exercises strongly non-uniform density.
+func TestEMSTAnnulus(t *testing.T) {
+	pts := annulusPoints(800, 9)
 	if !sameEdges(EMST(pts), Prim(pts)) {
 		t.Fatal("annulus: EMST edge set differs from Prim")
 	}
 }
 
-// TestEMSTTieHeavy: on an exact integer grid every nearest-neighbor
-// distance ties, so this pins the Kruskal-order tie-breaking — the result
-// must still be a spanning tree of minimum total weight.
-func TestEMSTTieHeavy(t *testing.T) {
+// latticePoints is the w×h integer lattice, where every nearest-neighbor
+// distance ties.
+func latticePoints(w, h int) []geom.Point {
 	var pts []geom.Point
-	for y := 0; y < 30; y++ {
-		for x := 0; x < 30; x++ {
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
 			pts = append(pts, geom.Point{X: float64(x), Y: float64(y)})
 		}
 	}
+	return pts
+}
+
+// TestEMSTTieHeavy: on an exact integer grid every nearest-neighbor
+// distance ties, so this pins the Kruskal-order tie-breaking — the result
+// must be exactly the total-order Kruskal tree.
+func TestEMSTTieHeavy(t *testing.T) {
+	pts := latticePoints(30, 30)
 	got := EMST(pts)
-	if len(got) != len(pts)-1 {
-		t.Fatalf("EMST returned %d edges for %d points", len(got), len(pts))
-	}
-	wantW := TotalWeight(Prim(pts))
-	if gotW := TotalWeight(got); math.Abs(gotW-wantW) > 1e-9*wantW {
-		t.Fatalf("tie-heavy: EMST weight %.12g != optimum %.12g", gotW, wantW)
+	if !sameEdges(got, kruskalTotalOrder(pts, math.Inf(1))) {
+		t.Fatal("tie-heavy: EMST edge set differs from the total-order Kruskal tree")
 	}
 	if _, err := Build(pts, got, 0); err != nil {
 		t.Fatalf("EMST edges do not form a spanning tree: %v", err)
 	}
 }
 
-// TestEMSTSupercellSkip pins the supercell-skipping round structure at sizes
-// where whole coarse cells merge early: the edge set must stay identical to
-// the dense Prim oracle on uniform, clustered, and annulus geometry, and on
-// the uniform instance — where components' best outgoing candidates sit well
-// inside the 2-cell skip radius — the skip must actually engage, so the
-// optimization cannot silently regress into dead code.
-func TestEMSTSupercellSkip(t *testing.T) {
-	annulus := func(n int, seed uint64) []geom.Point {
-		r := rng.New(seed)
-		pts := make([]geom.Point, n)
-		for i := range pts {
-			rad := math.Pow(10, r.Float64()*4)
-			th := r.Float64() * 2 * math.Pi
-			pts[i] = geom.Point{X: rad * math.Cos(th), Y: rad * math.Sin(th)}
-		}
-		return pts
-	}
+// TestEMSTSubtreePruning pins the kd-tree round structure at sizes where
+// whole subtrees merge early: the edge set must stay identical to the dense
+// Prim oracle on uniform, clustered, and annulus geometry, and on the
+// uniform instance — where most subtrees turn single-component after the
+// first rounds — same-component subtree pruning must actually engage, so
+// the optimization cannot silently regress into dead code.
+func TestEMSTSubtreePruning(t *testing.T) {
 	cases := []struct {
-		name      string
-		pts       []geom.Point
-		wantSkips bool
+		name       string
+		pts        []geom.Point
+		wantPruned bool
 	}{
 		{"uniform-4000", randomPoints(4000, 51, 1000), true},
 		{"cluster-4000", clusteredPoints(4000, 52), false},
-		{"annulus-3000", annulus(3000, 53), false},
+		{"annulus-3000", annulusPoints(3000, 53), false},
 	}
 	for _, tc := range cases {
 		var st emstStats
@@ -229,48 +227,38 @@ func TestEMSTSupercellSkip(t *testing.T) {
 			t.Fatalf("%s: emstCtx: %v", tc.name, err)
 		}
 		if !sameEdges(edges, Prim(tc.pts)) {
-			t.Fatalf("%s: supercell-skipping EMST edge set differs from Prim", tc.name)
+			t.Fatalf("%s: kd-tree EMST edge set differs from Prim", tc.name)
 		}
 		if st.Rounds == 0 {
 			t.Fatalf("%s: stats not collected", tc.name)
 		}
-		if tc.wantSkips && st.SkippedPoints == 0 {
-			t.Fatalf("%s: supercell skip never engaged (supercells=%d)", tc.name, st.Supercells)
+		if tc.wantPruned && st.SamePruned == 0 {
+			t.Fatalf("%s: same-component subtree pruning never engaged", tc.name)
 		}
-		t.Logf("%s: rounds=%d supercells=%d skipped_points=%d",
-			tc.name, st.Rounds, st.Supercells, st.SkippedPoints)
+		t.Logf("%s: rounds=%d same_pruned=%d nodes=%d pairs=%d cached=%d",
+			tc.name, st.Rounds, st.SamePruned, st.NodesVisited, st.PairsTested, st.CachedPoints)
 	}
 }
 
-// TestEMSTSupercellTieHeavy re-pins the tie-breaking guarantee on the exact
-// integer grid at a size where supercells form: equal-weight candidates must
-// not be skipped into a suboptimal (or non-spanning) choice. Edge sets may
-// legitimately differ from Prim's under ties, so the assertion is spanning +
-// optimal total weight, like TestEMSTTieHeavy.
-func TestEMSTSupercellTieHeavy(t *testing.T) {
-	var pts []geom.Point
-	for y := 0; y < 64; y++ {
-		for x := 0; x < 64; x++ {
-			pts = append(pts, geom.Point{X: float64(x), Y: float64(y)})
-		}
-	}
+// TestEMSTPruningTieHeavy re-pins the tie-breaking guarantee on the exact
+// integer grid at a size where whole subtrees turn single-component:
+// equal-weight candidates must not be pruned into a different choice, so
+// the edge set must equal the total-order Kruskal tree exactly.
+func TestEMSTPruningTieHeavy(t *testing.T) {
+	pts := latticePoints(64, 64)
 	var st emstStats
 	got, err := emstCtx(context.Background(), pts, &st)
 	if err != nil {
 		t.Fatalf("emstCtx: %v", err)
 	}
-	if len(got) != len(pts)-1 {
-		t.Fatalf("EMST returned %d edges for %d points", len(got), len(pts))
-	}
-	wantW := TotalWeight(Prim(pts))
-	if gotW := TotalWeight(got); math.Abs(gotW-wantW) > 1e-9*wantW {
-		t.Fatalf("tie-heavy: EMST weight %.12g != optimum %.12g", gotW, wantW)
+	if !sameEdges(got, kruskalTotalOrder(pts, 1)) {
+		t.Fatal("tie-heavy 64x64: EMST edge set differs from the total-order Kruskal tree")
 	}
 	if _, err := Build(pts, got, 0); err != nil {
 		t.Fatalf("EMST edges do not form a spanning tree: %v", err)
 	}
-	t.Logf("tie-heavy 64x64: rounds=%d supercells=%d skipped_points=%d",
-		st.Rounds, st.Supercells, st.SkippedPoints)
+	t.Logf("tie-heavy 64x64: rounds=%d same_pruned=%d nodes=%d pairs=%d",
+		st.Rounds, st.SamePruned, st.NodesVisited, st.PairsTested)
 }
 
 // TestEMSTDegenerate: coincident points (zero extent) must fall back to the
@@ -289,7 +277,7 @@ func TestEMSTDegenerate(t *testing.T) {
 	}
 }
 
-// BenchmarkMST compares the dense Prim with the grid Borůvka at a
+// BenchmarkMST compares the dense Prim with the kd-tree Borůvka at a
 // pipeline-realistic size.
 func BenchmarkMST(b *testing.B) {
 	pts := randomPoints(10000, 42, 1000)
@@ -305,35 +293,39 @@ func BenchmarkMST(b *testing.B) {
 	})
 }
 
-// Kruskal computes the Euclidean MST by sorting all O(n²) pairs and adding
-// them greedily with a union-find. It is the
-// tests' independent cross-check of Prim and EMST.
-func Kruskal(pts []geom.Point) []Edge {
-	n := len(pts)
-	if n < 2 {
-		return nil
+// kruskalTotalOrder is Kruskal over the pairs with squared distance at most
+// maxD2, in EMST's documented total order: Dist2, then the sorted endpoint
+// pair. Any maxD2 no smaller than the MST's largest squared edge gives the
+// exact tree (Kruskal never reaches a heavier pair); a smaller one leaves
+// the result short of n-1 edges. Edges are reported as (lower, higher).
+func kruskalTotalOrder(pts []geom.Point, maxD2 float64) []Edge {
+	type pair struct {
+		d2   float64
+		u, v int32
 	}
-	all := make([]Edge, 0, n*(n-1)/2)
+	n := len(pts)
+	var all []pair
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			all = append(all, Edge{U: i, V: j, Weight: pts[i].Dist(pts[j])})
+			if d2 := pts[i].Dist2(pts[j]); d2 <= maxD2 {
+				all = append(all, pair{d2, int32(i), int32(j)})
+			}
 		}
 	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].Weight != all[b].Weight {
-			return all[a].Weight < all[b].Weight
+	slices.SortFunc(all, func(a, b pair) int {
+		if c := cmp.Compare(a.d2, b.d2); c != 0 {
+			return c
 		}
-		// Deterministic tie-break so Prim/Kruskal agree on grids.
-		if all[a].U != all[b].U {
-			return all[a].U < all[b].U
+		if c := cmp.Compare(a.u, b.u); c != 0 {
+			return c
 		}
-		return all[a].V < all[b].V
+		return cmp.Compare(a.v, b.v)
 	})
 	dsu := unionfind.New(n)
-	edges := make([]Edge, 0, n-1)
-	for _, e := range all {
-		if dsu.Union(e.U, e.V) {
-			edges = append(edges, e)
+	var edges []Edge
+	for _, p := range all {
+		if dsu.Union(int(p.u), int(p.v)) {
+			edges = append(edges, Edge{U: int(p.u), V: int(p.v), Weight: math.Sqrt(p.d2)})
 			if len(edges) == n-1 {
 				break
 			}
