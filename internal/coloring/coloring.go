@@ -40,9 +40,9 @@ type Workspace struct {
 	orderTmp  []int
 
 	// DSATUR state.
-	sat     []int32
-	heap    []satEntry
-	satBits []uint64 // per-vertex neighbor-color bitsets, flat with a per-graph stride
+	heap    []satEntry // indexed max-heap of the uncolored vertices
+	pos     []int32    // pos[v] = heap index of uncolored vertex v
+	satBits []uint64   // per-vertex neighbor-color bitsets, flat with a per-graph stride
 
 	// Jones–Plassmann state.
 	prio   []uint64
@@ -225,7 +225,7 @@ func (ws *Workspace) radixSortByLength(n int) {
 	}
 }
 
-// satEntry is a (possibly stale) priority-queue entry of the DSATUR loop.
+// satEntry is the DSATUR heap entry of one uncolored vertex.
 type satEntry struct {
 	v        int32
 	sat, deg int32
@@ -242,56 +242,61 @@ func satLess(a, b satEntry) bool {
 	return a.v < b.v
 }
 
-// satPush and satPop implement a plain binary heap over the Workspace's
-// entry slice — container/heap would box every satEntry through an
-// interface, allocating on each push.
-func satPush(h *[]satEntry, e satEntry) {
-	*h = append(*h, e)
-	i := len(*h) - 1
+// satUp and satDown restore the heap order around entry i of the
+// Workspace's indexed heap, keeping pos[v] equal to v's heap index for every
+// entry they move. A plain binary heap over a slice: container/heap would
+// box every satEntry through an interface.
+func (ws *Workspace) satUp(i int) {
+	h, pos := ws.heap, ws.pos
+	e := h[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !satLess((*h)[i], (*h)[p]) {
+		if !satLess(e, h[p]) {
 			break
 		}
-		(*h)[i], (*h)[p] = (*h)[p], (*h)[i]
+		h[i] = h[p]
+		pos[h[i].v] = int32(i)
 		i = p
 	}
+	h[i] = e
+	pos[e.v] = int32(i)
 }
 
-func satPop(h *[]satEntry) satEntry {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s = s[:last]
-	*h = s
-	i := 0
+func (ws *Workspace) satDown(i int) {
+	h, pos := ws.heap, ws.pos
+	e := h[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(s) && satLess(s[l], s[m]) {
-			m = l
-		}
-		if r < len(s) && satLess(s[r], s[m]) {
-			m = r
-		}
-		if m == i {
+		m := 2*i + 1
+		if m >= len(h) {
 			break
 		}
-		s[i], s[m] = s[m], s[i]
+		if r := m + 1; r < len(h) && satLess(h[r], h[m]) {
+			m = r
+		}
+		if !satLess(h[m], e) {
+			break
+		}
+		h[i] = h[m]
+		pos[h[i].v] = int32(i)
 		i = m
 	}
-	return top
+	h[i] = e
+	pos[e.v] = int32(i)
 }
 
 // DSatur colors the conflict graph with the DSATUR heuristic (Brélaz 1979):
 // repeatedly color the uncolored vertex with the highest saturation degree
 // (number of distinct neighbor colors), breaking ties by degree then index,
 // assigning the smallest color absent from its neighborhood. A stronger
-// graph-coloring baseline than the length-order greedy, at O((V+E) log V)
-// via a lazy priority queue. colors must have length g.N(); returns the
-// color count. Neighbor-color sets are flat per-vertex bitsets (stride
-// ⌈(Δ+1)/64⌉ words) carved from one Workspace arena — no per-vertex maps.
+// graph-coloring baseline than the length-order greedy. colors must have
+// length g.N(); returns the color count.
+//
+// The uncolored vertices sit in an indexed binary heap, one entry each, with
+// pos[v] locating v's entry: a saturation increase sifts that entry up in
+// place, and the loop pops exactly n times, so the cost is O((V+E) log V)
+// with no stale entries however dense the graph. Neighbor-color sets are
+// flat per-vertex bitsets (stride ⌈(Δ+1)/64⌉ words) carved from one
+// Workspace arena — no per-vertex maps.
 func (ws *Workspace) DSatur(g *conflict.Graph, colors []int) int {
 	n := g.N()
 	for i := range colors {
@@ -304,48 +309,53 @@ func (ws *Workspace) DSatur(g *conflict.Graph, colors []int) int {
 	}
 	ws.satBits = grow(ws.satBits, n*stride)
 	clear(ws.satBits)
-	ws.sat = grow(ws.sat, n)
-	clear(ws.sat)
 	ws.usedBy = grow(ws.usedBy, n+1)
 	for i := range ws.usedBy {
 		ws.usedBy[i] = -1
 	}
-	ws.heap = ws.heap[:0]
+	ws.heap = grow(ws.heap, n)
+	ws.pos = grow(ws.pos, n)
 	rowPtr, nbr := g.RowPtr, g.Neighbors
-	for v := n - 1; v >= 0; v-- {
-		satPush(&ws.heap, satEntry{v: int32(v), sat: 0, deg: int32(g.Degree(v))})
+	for v := 0; v < n; v++ {
+		ws.heap[v] = satEntry{v: int32(v), deg: rowPtr[v+1] - rowPtr[v]}
+		ws.pos[v] = int32(v)
+	}
+	for i := n/2 - 1; i >= 0; i-- {
+		ws.satDown(i)
 	}
 	numColors := 0
-	for colored := 0; colored < n; {
-		e := satPop(&ws.heap)
-		v := int(e.v)
-		if colors[v] >= 0 || e.sat != ws.sat[v] {
-			continue // stale entry: already colored or saturation moved on
+	for len(ws.heap) > 0 {
+		v32 := ws.heap[0].v
+		v := int(v32)
+		last := len(ws.heap) - 1
+		ws.heap[0] = ws.heap[last]
+		ws.heap = ws.heap[:last]
+		if last > 0 {
+			ws.satDown(0)
 		}
 		for _, w := range nbr[rowPtr[v]:rowPtr[v+1]] {
 			if c := colors[w]; c >= 0 {
-				ws.usedBy[c] = e.v
+				ws.usedBy[c] = v32
 			}
 		}
 		c := 0
-		for ws.usedBy[c] == e.v {
+		for ws.usedBy[c] == v32 {
 			c++
 		}
 		colors[v] = c
-		colored++
 		if c+1 > numColors {
 			numColors = c + 1
 		}
 		for _, w := range nbr[rowPtr[v]:rowPtr[v+1]] {
-			wi := int(w)
-			if colors[wi] >= 0 {
+			if colors[w] >= 0 {
 				continue
 			}
-			word := &ws.satBits[wi*stride+c/64]
+			word := &ws.satBits[int(w)*stride+c/64]
 			if bit := uint64(1) << (c % 64); *word&bit == 0 {
 				*word |= bit
-				ws.sat[wi]++
-				satPush(&ws.heap, satEntry{v: w, sat: ws.sat[wi], deg: int32(g.Degree(wi))})
+				i := int(ws.pos[w])
+				ws.heap[i].sat++
+				ws.satUp(i)
 			}
 		}
 	}

@@ -10,7 +10,7 @@ import (
 	"aggrate/internal/sinr"
 )
 
-func testLinks(t *testing.T, n int, seed uint64) []geom.Link {
+func testLinks(t testing.TB, n int, seed uint64) []geom.Link {
 	t.Helper()
 	r := rng.New(seed)
 	pts := make([]geom.Point, n)

@@ -2,6 +2,7 @@ package coloring
 
 import (
 	"container/heap"
+	"math"
 	"runtime"
 	"sort"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"aggrate/internal/conflict"
 	"aggrate/internal/geom"
 	"aggrate/internal/mst"
+	"aggrate/internal/rng"
 	"aggrate/internal/scenario"
 )
 
@@ -158,8 +160,28 @@ func dsaturOracle(adj [][]int32) ([]int, int) {
 	return colors, numColors
 }
 
-// parityInstances materializes the MST link sets of the property suite:
-// uniform, cluster and annulus scenarios across several sizes and seeds.
+// denseLinks returns n links with uniform random senders in a side×side
+// square, lengths uniform in [20, 120) and uniform directions. Unlike MST
+// links they overlap freely, so every conflict-graph flavor of the suite is
+// dense on them: at n=700, side=200 even G_γ(1) has mean degree above 200
+// and rows far past the conflict builder's long-row sort cutoff (see
+// TestDenseInstanceIsDense).
+func denseLinks(n int, seed uint64, side float64) []geom.Link {
+	r := rng.New(seed)
+	links := make([]geom.Link, n)
+	for i := range links {
+		a := geom.Point{X: r.Float64() * side, Y: r.Float64() * side}
+		l := 20 + 100*r.Float64()
+		th := 2 * math.Pi * r.Float64()
+		links[i] = geom.NewLink(2*i, 2*i+1, a, geom.Point{X: a.X + l*math.Cos(th), Y: a.Y + l*math.Sin(th)})
+	}
+	return links
+}
+
+// parityInstances materializes the link sets of the property suite: the
+// MST links of uniform, cluster and annulus scenarios across several sizes
+// and seeds, plus one dense overlapping instance where DSATUR's heap and
+// the long-row CSR sort do real work.
 func parityInstances(t *testing.T) map[string][]geom.Link {
 	t.Helper()
 	out := make(map[string][]geom.Link)
@@ -178,7 +200,59 @@ func parityInstances(t *testing.T) map[string][]geom.Link {
 			}
 		}
 	}
+	out["dense/7x1"] = denseLinks(700, 1, 200)
 	return out
+}
+
+// TestDenseInstanceIsDense keeps the dense parity instance honest: under
+// every flavor of the suite its mean degree is at least 200 and its longest
+// row is well past the 32-entry long-row cutoff of the conflict builder's
+// row sort.
+func TestDenseInstanceIsDense(t *testing.T) {
+	links := parityInstances(t)["dense/7x1"]
+	for _, f := range testFlavors() {
+		g := buildGraph(t, links, f.fam, f.gamma)
+		if d := g.AverageDegree(); d < 200 || g.MaxDegree() < 64 {
+			t.Fatalf("%s: mean degree %.1f, max %d; want >= 200 and >= 64", f.Name, d, g.MaxDegree())
+		}
+	}
+}
+
+// FuzzDSaturMatchesOracle checks the indexed-heap DSatur against the
+// lazy-heap slice oracle on random graphs: n ≤ 300 vertices, each pair an
+// edge with probability density ∈ [0, 0.6], so the graphs range from
+// edgeless to rows far longer than the bitset word and the sort cutoff.
+// FirstFit in index order is checked alongside it.
+func FuzzDSaturMatchesOracle(f *testing.F) {
+	f.Add(uint16(0), uint8(0), uint64(1))
+	f.Add(uint16(1), uint8(60), uint64(2))
+	f.Add(uint16(40), uint8(10), uint64(3))
+	f.Add(uint16(300), uint8(60), uint64(4))
+	f.Add(uint16(200), uint8(25), uint64(5))
+	f.Fuzz(func(t *testing.T, nRaw uint16, densityRaw uint8, seed uint64) {
+		n := int(nRaw) % 301
+		p := float64(densityRaw%61) / 100
+		r := rng.New(seed)
+		adj := make([][]int32, n)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if r.Float64() < p {
+					adj[i] = append(adj[i], int32(j))
+					adj[j] = append(adj[j], int32(i))
+				}
+			}
+		}
+		g := conflict.FromAdj(make([]geom.Link, n), conflict.Gamma(1), adj)
+		ws := NewWorkspace()
+		colors := make([]int, n)
+		k := ws.DSatur(g, colors)
+		wc, wk := dsaturOracle(adjacency(g))
+		sameColoring(t, "dsatur", colors, k, wc, wk)
+		order := IndexOrder(n)
+		k = ws.FirstFit(g, order, colors)
+		wc, wk = firstFitOracle(adjacency(g), order)
+		sameColoring(t, "firstfit", colors, k, wc, wk)
+	})
 }
 
 func sameColoring(t *testing.T, label string, got []int, kGot int, want []int, kWant int) {
@@ -329,4 +403,23 @@ func TestJPProperAndDeterministic(t *testing.T) {
 			t.Fatalf("%s: JP(seed=8) improper: %v", f.Name, err)
 		}
 	}
+}
+
+// BenchmarkDSaturDense times a warm-Workspace DSatur in the γ-escalation
+// regime: the G_γ(16) graph of n=2000 uniform MST links, mean degree above
+// 200, where every coloring raises hundreds of neighbor saturations.
+func BenchmarkDSaturDense(b *testing.B) {
+	links := testLinks(b, 2000, 55)
+	g := buildGraph(b, links, conflict.GammaFamily(), 16)
+	if d := g.AverageDegree(); d < 200 {
+		b.Fatalf("mean degree %.1f, want >= 200", d)
+	}
+	ws := NewWorkspace()
+	colors := make([]int, g.N())
+	ws.DSatur(g, colors)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ws.DSatur(g, colors)
+	}
+	b.ReportMetric(float64(g.Edges()), "edges")
 }

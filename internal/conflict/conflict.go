@@ -25,11 +25,13 @@
 //
 // BuildLookaheadCtx is the one constructor: it buckets links into dyadic
 // length classes, indexes endpoints in one uniform hash grid per class,
-// detects edges with a goroutine pool, and annotates every edge with its
-// conflict strength, so 10⁵-link instances build in seconds and one build
+// detects edges with a goroutine pool, annotates every edge with its
+// conflict strength, and scatters the workers' edge buffers straight into
+// the CSR arrays, so 10⁵-link instances build in seconds and one build
 // serves a whole γ-escalation ladder (see Lookahead). Inputs the grid cannot
-// index are refused with ErrDegenerate. The exact O(n²) pairwise scan lives
-// in the package tests as the oracle.
+// index are refused with ErrDegenerate, and graphs too large for the int32
+// CSR index with ErrTooManyEdges. The exact O(n²) pairwise scan lives in the
+// package tests as the oracle.
 package conflict
 
 import (
@@ -42,6 +44,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"aggrate/internal/geom"
 	"aggrate/internal/par"
@@ -178,68 +181,156 @@ func (s *BuildStats) Add(o BuildStats) {
 // edge is one undirected edge, owned by the discovering endpoint.
 type edge struct{ i, j int32 }
 
-// fromEdges assembles the CSR adjacency from an undirected edge list in one
-// counting pass: count both endpoint degrees, prefix-sum into RowPtr, then
-// scatter each edge in both directions. Rows come out in edge-list order, so
-// a lexicographically ordered edge list yields ascending rows directly; the
-// bucketed build, which discovers edges out of order, sorts afterwards
-// (sortRowsWithStrengths). qs, when non-nil, parallels edges with per-edge
-// conflict strengths, scattered into Graph.Strengths alongside the neighbor
-// entries.
-func fromEdges(links []geom.Link, f Func, edges []edge, qs []float64) *Graph {
-	n := len(links)
-	g := &Graph{
-		Links:  append([]geom.Link(nil), links...),
-		F:      f,
-		RowPtr: make([]int32, n+1),
+// ErrTooManyEdges reports a conflict graph whose directed adjacency entries
+// (2·edges) overflow the int32 CSR index. The edge count is driven by the
+// input: a large enough γ makes G_γ complete, so a few tens of thousands of
+// links can reach it. Builders wrap it with the count; test with errors.Is.
+var ErrTooManyEdges = errors.New("conflict: edge count overflows the int32 CSR index")
+
+// checkEdgeCount refuses an edge total whose 2·edges CSR entries do not fit
+// the int32 RowPtr/Neighbors index.
+func checkEdgeCount(edges int) error {
+	if edges > math.MaxInt32/2 {
+		return fmt.Errorf("%w: %d edges", ErrTooManyEdges, edges)
 	}
-	if 2*len(edges) > math.MaxInt32 {
-		// RowPtr/Neighbors are int32-indexed; 2³¹ directed edges is far
-		// beyond every supported workload (MST-derived graphs have constant
-		// average degree), so treat overflow as a programming error.
-		panic(fmt.Sprintf("conflict: %d edges overflow the int32 CSR index", len(edges)))
-	}
-	for _, e := range edges {
-		g.RowPtr[e.i+1]++
-		g.RowPtr[e.j+1]++
-	}
-	for i := 0; i < n; i++ {
-		g.RowPtr[i+1] += g.RowPtr[i]
-	}
-	g.Neighbors = make([]int32, 2*len(edges))
-	if qs != nil {
-		g.Strengths = make([]float64, 2*len(edges))
-	}
-	fill := make([]int32, n)
-	copy(fill, g.RowPtr[:n])
-	for k, e := range edges {
-		g.Neighbors[fill[e.i]] = e.j
-		g.Neighbors[fill[e.j]] = e.i
-		if qs != nil {
-			g.Strengths[fill[e.i]] = qs[k]
-			g.Strengths[fill[e.j]] = qs[k]
-		}
-		fill[e.i]++
-		fill[e.j]++
-	}
-	return g
+	return nil
 }
 
-// sortRowsWithStrengths sorts every adjacency row ascending, permuting the
-// parallel Strengths entries in lockstep.
-func sortRowsWithStrengths(g *Graph) {
-	n := g.N()
-	par.ForBlocks(n, 256, func(next func() (int, int, bool)) {
+// scatterGroups returns how many groups the assembler splits nbufs edge
+// buffers into. Every group past the first scatters through its own cursor
+// array of 4·n bytes; the count is capped so that those arrays never take
+// more memory than a merged copy of the total edges (entryBytes per edge)
+// would, whatever the number of buffers (one per worker, so per
+// GOMAXPROCS).
+func scatterGroups(nbufs, n, total, entryBytes int) int {
+	k := nbufs
+	if n > 0 {
+		k = min(k, 1+entryBytes*total/(4*n))
+	}
+	return max(k, 1)
+}
+
+// assemble builds the CSR adjacency straight from edge buffers, with no
+// merged copy: bufs[b] holds undirected edges and qs[b], when qs is non-nil,
+// their conflict strengths entry for entry, which land in Graph.Strengths
+// alongside the neighbor entries. The buffers are dealt round-robin into
+// scatterGroups groups that run in parallel, each owning one segment of
+// every row, so no two groups write the same slot and no atomics are
+// needed. Each group counts its entries per row and then fills its
+// segments downward from their ends; group 0 counts and moves through
+// RowPtr itself, which therefore ends at the row starts, and every other
+// group through its own cursor array. Rows are then sorted
+// (sortRows), so the result does not depend on how edges are spread over
+// buffers or on their order. An edge total past the int32 index is refused
+// with a wrapped ErrTooManyEdges before anything is allocated.
+func assemble(links []geom.Link, f Func, bufs [][]edge, qs [][]float64) (*Graph, error) {
+	n := len(links)
+	total := 0
+	for _, b := range bufs {
+		total += len(b)
+	}
+	if err := checkEdgeCount(total); err != nil {
+		return nil, err
+	}
+	g := &Graph{
+		Links:     append([]geom.Link(nil), links...),
+		F:         f,
+		RowPtr:    make([]int32, n+1),
+		Neighbors: make([]int32, 2*total),
+	}
+	entryBytes := 8
+	if qs != nil {
+		g.Strengths = make([]float64, 2*total)
+		entryBytes += 8
+	}
+	k := scatterGroups(len(bufs), n, total, entryBytes)
+	cur := make([][]int32, k)
+	for c := 1; c < k; c++ {
+		cur[c] = make([]int32, n)
+	}
+	cur[0] = g.RowPtr[1:]
+	par.For(k, func(c int) {
+		cnt := cur[c]
+		for b := c; b < len(bufs); b += k {
+			for _, e := range bufs[b] {
+				cnt[e.i]++
+				cnt[e.j]++
+			}
+		}
+	})
+	// Lay out each row as group 0's segment followed by groups 1…k-1 and
+	// point every cursor at the end of its segment; the scatter fills
+	// segments downward. Step v reads group 0's count from RowPtr[v+1] and
+	// overwrites RowPtr[v], whose count step v-1 has already consumed.
+	off := int32(0)
+	for v := 0; v < n; v++ {
+		off += g.RowPtr[v+1]
+		g.RowPtr[v] = off
+		for c := 1; c < k; c++ {
+			off += cur[c][v]
+			cur[c][v] = off
+		}
+	}
+	g.RowPtr[n] = off
+	cur[0] = g.RowPtr[:n]
+	par.For(k, func(c int) {
+		at := cur[c]
+		for b := c; b < len(bufs); b += k {
+			for t, e := range bufs[b] {
+				pi, pj := at[e.i]-1, at[e.j]-1
+				at[e.i], at[e.j] = pi, pj
+				g.Neighbors[pi], g.Neighbors[pj] = e.j, e.i
+				if qs != nil {
+					q := qs[b][t]
+					g.Strengths[pi], g.Strengths[pj] = q, q
+				}
+			}
+		}
+	})
+	sortRows(g)
+	return g, nil
+}
+
+// longRow is the row length from which sortRows leaves the insertion sort
+// for an O(d log d) sort. Most rows are short (mean degree ≈ 2f(1)² in the
+// paper's regimes), where the in-place insertion sort wins on constant
+// factors, but γ escalation under uniform and linear power makes rows of
+// hundreds of entries, where its quadratic cost dominates the build.
+const longRow = 32
+
+// sortRows sorts every adjacency row ascending, permuting the parallel
+// Strengths entries, when present, in lockstep. A long row packs each
+// (neighbor, slot) pair into one uint64 key — neighbors are distinct and
+// non-negative, so key order is neighbor order — sorts the keys and gathers
+// the strengths back through the slots from a per-worker copy.
+func sortRows(g *Graph) {
+	par.ForBlocks(g.N(), 256, func(next func() (int, int, bool)) {
+		var keys []uint64
+		var qtmp []float64
 		for lo, hi, ok := next(); ok; lo, hi, ok = next() {
 			for i := lo; i < hi; i++ {
 				row := g.Row(i)
 				if len(row) < 2 {
 					continue
 				}
+				if g.Strengths == nil {
+					slices.Sort(row)
+					continue
+				}
 				qrow := g.Strengths[g.RowPtr[i]:g.RowPtr[i+1]]
-				// Rows are short (mean degree ≈ 2f(1)²+o(1) in the paper's
-				// regimes): an in-place lockstep insertion sort beats the
-				// generic sort's closure dispatch and scratch copies.
+				if len(row) >= longRow {
+					keys = keys[:0]
+					for k, j := range row {
+						keys = append(keys, uint64(j)<<32|uint64(k))
+					}
+					slices.Sort(keys)
+					qtmp = append(qtmp[:0], qrow...)
+					for t, key := range keys {
+						row[t] = int32(key >> 32)
+						qrow[t] = qtmp[uint32(key)]
+					}
+					continue
+				}
 				for k := 1; k < len(row); k++ {
 					j, q := row[k], qrow[k]
 					t := k - 1
@@ -257,7 +348,9 @@ func sortRowsWithStrengths(g *Graph) {
 // FromAdj assembles a Graph from explicit adjacency lists — the test-side
 // constructor for synthetic graphs and slice-form oracles. adj must be
 // symmetric (j in adj[i] ⟺ i in adj[j]); rows are copied, deduplicated,
-// and sorted into CSR form. The result carries no Strengths.
+// and sorted into CSR form. The result carries no Strengths. It panics on
+// an edge count past the int32 CSR index, which only a caller-built
+// adjacency of 2³⁰ entries can reach.
 func FromAdj(links []geom.Link, f Func, adj [][]int32) *Graph {
 	var edges []edge
 	for i, row := range adj {
@@ -273,8 +366,11 @@ func FromAdj(links []geom.Link, f Func, adj [][]int32) *Graph {
 		}
 		return cmp.Compare(a.j, b.j)
 	})
-	edges = slices.Compact(edges)
-	return fromEdges(links, f, edges, nil)
+	g, err := assemble(links, f, [][]edge{slices.Compact(edges)}, nil)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 // classGrid indexes the link endpoints of one dyadic length class, in a
@@ -296,9 +392,14 @@ type classGrid struct {
 	mask       uint64
 	keyX, keyY []int64
 	full       []bool
-	slots      int // occupied slots
-	// CSR member storage: the links with an endpoint in the cell at slot s
-	// are members[start[s]:start[s+1]], in increasing link order.
+	slots      int // occupied slots, i.e. cells
+	// cellIdx maps an occupied slot to its compact cell index in [0, slots),
+	// handed out in first-touch order. The insert pass walks links in
+	// Morton order, so compact order follows space and so do the member
+	// lists below.
+	cellIdx []int32
+	// CSR member storage in compact cell order: the links with an endpoint
+	// in cell c are members[start[c]:start[c+1]], in increasing link order.
 	start   []int32
 	members []int32
 	// Cell-local SoA mirror, aligned with members: the endpoints and length
@@ -306,9 +407,7 @@ type classGrid struct {
 	// streams one contiguous block per cell instead of gather-loading five
 	// arrays through members.
 	msx, msy, mrx, mry, mlen []float64
-	// cellIdx maps an occupied slot to its compact cell index in [0, slots).
-	cellIdx []int32
-	// Per-cell pruning metadata, compact-indexed by cellIdx: the bounding
+	// Per-cell pruning metadata, compact-indexed: the bounding
 	// box of the endpoints stored in the cell (tighter than the cell
 	// rectangle) and the min/max member length (tightens the search radius
 	// below the class-wide bound).
@@ -335,10 +434,11 @@ func (cg *classGrid) cellCoordXY(x, y float64) (int64, int64) {
 	return int64(math.Floor(x / cg.size)), int64(math.Floor(y / cg.size))
 }
 
-// insertSlot returns the table slot of cell (x, y), claiming an empty slot
-// on first use. The capacity chosen in BuildLookaheadCtx bounds the load
-// factor by ½, so probe chains stay short and the loop always terminates.
-func (cg *classGrid) insertSlot(x, y int64) int {
+// insertCell returns the compact index of cell (x, y), claiming an empty
+// table slot and the next compact index on first use. The capacity chosen
+// in BuildLookaheadCtx bounds the load factor by ½, so probe chains stay
+// short and the loop always terminates.
+func (cg *classGrid) insertCell(x, y int64) int32 {
 	h := cellHash(x, y) & cg.mask
 	for {
 		if !cg.full[h] {
@@ -346,21 +446,22 @@ func (cg *classGrid) insertSlot(x, y int64) int {
 			cg.keyX[h], cg.keyY[h] = x, y
 			cg.cellIdx[h] = int32(cg.slots)
 			cg.slots++
-			return int(h)
+			return cg.cellIdx[h]
 		}
 		if cg.keyX[h] == x && cg.keyY[h] == y {
-			return int(h)
+			return cg.cellIdx[h]
 		}
 		h = (h + 1) & cg.mask
 	}
 }
 
-// slotAt returns the table slot of cell (x, y), -1 when the cell is empty.
-func (cg *classGrid) slotAt(x, y int64) int {
+// cellAt returns the compact index of cell (x, y), -1 when the cell is
+// empty.
+func (cg *classGrid) cellAt(x, y int64) int32 {
 	h := cellHash(x, y) & cg.mask
 	for cg.full[h] {
 		if cg.keyX[h] == x && cg.keyY[h] == y {
-			return int(h)
+			return cg.cellIdx[h]
 		}
 		h = (h + 1) & cg.mask
 	}
@@ -388,13 +489,18 @@ func clampCell(v float64, lo, hi int64) int64 {
 	return int64(v)
 }
 
-// edgeBufPool recycles the per-worker flat edge buffers (and the merged
-// buffer) across builds, so a batch of same-scale instances stops paying
-// the edge-list allocation per conflict graph. Buffers are returned after
-// fromEdges has consumed them.
+// edgeBufPool recycles the per-worker flat edge buffers across builds, so a
+// batch of same-scale instances stops paying the edge-list allocation per
+// conflict graph. Buffers are returned once assemble has scattered them,
+// or when the build fails or is cancelled.
 var edgeBufPool sync.Pool
 
+// pooledOut counts the pooled edge and strength buffers taken and not yet
+// handed back: zero whenever no build is running.
+var pooledOut atomic.Int64
+
 func getEdgeBuf() *[]edge {
+	pooledOut.Add(1)
 	if p, ok := edgeBufPool.Get().(*[]edge); ok {
 		*p = (*p)[:0]
 		return p
@@ -407,6 +513,7 @@ func getEdgeBuf() *[]edge {
 var strengthBufPool sync.Pool
 
 func getStrengthBuf() *[]float64 {
+	pooledOut.Add(1)
 	if p, ok := strengthBufPool.Get().(*[]float64); ok {
 		*p = (*p)[:0]
 		return p
@@ -493,7 +600,9 @@ var ErrDegenerate = errors.New("conflict: degenerate input")
 // conflict strength per directed entry, so FilterCtx can materialize the
 // graph at any smaller γ without another build. It is the package's only
 // builder: a grid-bucketed parallel search for every input size. A
-// degenerate input gets a wrapped ErrDegenerate. The candidate search
+// degenerate input gets a wrapped ErrDegenerate, and an edge count whose
+// directed entries overflow the int32 CSR index a wrapped ErrTooManyEdges
+// (a large γ makes G_γ complete). The candidate search
 // checks ctx at block boundaries, so a cancel or deadline stops a large
 // build mid-flight with (nil, ctx.Err()) — a partial edge set is never
 // assembled into a Graph.
@@ -513,8 +622,9 @@ var ErrDegenerate = errors.New("conflict: degenerate input")
 // around both endpoints of i therefore yields a candidate superset; the
 // exact pair test then reproduces the pairwise edge set. Each edge is
 // discovered exactly once, owned by the lower-class (ties: lower-index)
-// endpoint, collected into per-worker flat edge buffers, and scattered into
-// the CSR arrays in one counting pass — no per-vertex slices anywhere.
+// endpoint, and collected into per-worker flat edge buffers, which assemble
+// scatters into the CSR arrays without merging them first — no per-vertex
+// slices and no merged copy anywhere.
 func BuildLookaheadCtx(ctx context.Context, links []geom.Link, fam Family, gm float64) (*Graph, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -611,38 +721,39 @@ func BuildLookaheadCtx(ctx context.Context, links []geom.Link, fam Family, gm fl
 		cg.keyX = make([]int64, capSlots)
 		cg.keyY = make([]int64, capSlots)
 		cg.full = make([]bool, capSlots)
-		cg.start = make([]int32, capSlots+1)
 		cg.cellIdx = make([]int32, capSlots)
+		cg.start = make([]int32, 2*cnt[c]+1) // trimmed to slots+1 below
 	}
-	// Insert pass: claim slots and count per-cell members (into start[s+1],
+	// Insert pass: claim cells and count per-cell members (into start[c+1],
 	// ready for the prefix sum), then scatter link indices. A link whose two
 	// endpoints share a cell is stored once.
-	slotS := make([]int32, n)
-	slotR := make([]int32, n)
+	cellS := make([]int32, n)
+	cellR := make([]int32, n)
 	for i := 0; i < n; i++ {
 		cg := grids[class[i]]
 		sx, sy := cg.cellCoordXY(sxs[i], sys[i])
 		rx, ry := cg.cellCoordXY(rxs[i], rys[i])
-		s := cg.insertSlot(sx, sy)
-		cg.start[s+1]++
+		c := cg.insertCell(sx, sy)
+		cg.start[c+1]++
 		cg.extend(sx, sy)
-		slotS[i] = int32(s)
-		slotR[i] = -1
+		cellS[i] = c
+		cellR[i] = -1
 		if rx != sx || ry != sy {
-			s = cg.insertSlot(rx, ry)
-			cg.start[s+1]++
+			c = cg.insertCell(rx, ry)
+			cg.start[c+1]++
 			cg.extend(rx, ry)
-			slotR[i] = int32(s)
+			cellR[i] = c
 		}
 	}
 	for _, cg := range grids {
 		if cg == nil {
 			continue
 		}
-		for s := 0; s < len(cg.full); s++ {
-			cg.start[s+1] += cg.start[s]
+		cg.start = cg.start[:cg.slots+1]
+		for c := 0; c < cg.slots; c++ {
+			cg.start[c+1] += cg.start[c]
 		}
-		nm := int(cg.start[len(cg.full)])
+		nm := int(cg.start[cg.slots])
 		cg.members = make([]int32, nm)
 		cg.msx = make([]float64, nm)
 		cg.msy = make([]float64, nm)
@@ -671,7 +782,7 @@ func BuildLookaheadCtx(ctx context.Context, links []geom.Link, fam Family, gm fl
 		if cg == nil {
 			continue
 		}
-		cg.fillTmp = append([]int32(nil), cg.start[:len(cg.full)]...)
+		cg.fillTmp = append([]int32(nil), cg.start[:cg.slots]...)
 	}
 	extendCell := func(cg *classGrid, ci int32, x, y, le float64) {
 		cg.bbMinX[ci] = math.Min(cg.bbMinX[ci], x)
@@ -683,23 +794,22 @@ func BuildLookaheadCtx(ctx context.Context, links []geom.Link, fam Family, gm fl
 	}
 	for i := 0; i < n; i++ {
 		cg := grids[class[i]]
-		s := slotS[i]
-		p := cg.fillTmp[s]
-		cg.fillTmp[s]++
+		ci := cellS[i]
+		p := cg.fillTmp[ci]
+		cg.fillTmp[ci]++
 		cg.members[p] = int32(i)
 		cg.msx[p], cg.msy[p] = sxs[i], sys[i]
 		cg.mrx[p], cg.mry[p] = rxs[i], rys[i]
 		cg.mlen[p] = lens[i]
-		ci := cg.cellIdx[s]
 		extendCell(cg, ci, sxs[i], sys[i], lens[i])
-		if r := slotR[i]; r >= 0 {
+		if r := cellR[i]; r >= 0 {
 			p = cg.fillTmp[r]
 			cg.fillTmp[r]++
 			cg.members[p] = int32(i)
 			cg.msx[p], cg.msy[p] = sxs[i], sys[i]
 			cg.mrx[p], cg.mry[p] = rxs[i], rys[i]
 			cg.mlen[p] = lens[i]
-			extendCell(cg, cg.cellIdx[r], rxs[i], rys[i], lens[i])
+			extendCell(cg, r, rxs[i], rys[i], lens[i])
 		} else {
 			// Both endpoints share the cell: the edge to any candidate can
 			// only be discovered here, so the bbox must cover both.
@@ -722,7 +832,7 @@ func BuildLookaheadCtx(ctx context.Context, links []geom.Link, fam Family, gm fl
 	// own — same-class neighbors j > i and all conflicting neighbors in
 	// strictly higher classes — to one flat per-worker edge buffer and an
 	// index-aligned strength buffer, both drawn from the shared pools
-	// (returned once the CSR scatter has consumed them).
+	// (returned once assemble has scattered them, or on any error).
 	var mu sync.Mutex
 	var bufs []*[]edge
 	var qbufs []*[]float64 // index-aligned with bufs
@@ -734,6 +844,7 @@ func BuildLookaheadCtx(ctx context.Context, links []geom.Link, fam Family, gm fl
 		for _, b := range qbufs {
 			strengthBufPool.Put(b)
 		}
+		pooledOut.Add(-int64(len(bufs) + len(qbufs)))
 	}()
 	err := par.ForBlocksCtx(ctx, n, 64, func(next func() (int, int, bool)) {
 		stamp := make([]int32, n)
@@ -776,41 +887,21 @@ func BuildLookaheadCtx(ctx context.Context, links []geom.Link, fam Family, gm fl
 	if err != nil {
 		return nil, err
 	}
-	var edges []edge
-	var qs []float64
-	if len(bufs) == 1 {
-		edges, qs = *bufs[0], *qbufs[0]
-	} else {
-		// Strength buffers merge in the same worker order as the edge
-		// buffers, keeping qs aligned with edges entry for entry.
-		total := 0
-		for _, b := range bufs {
-			total += len(*b)
+	// Workers that drew no block left empty buffers; dropping them keeps
+	// the round-robin deal in assemble from idling a scatter group. qs stays
+	// non-nil even with no edges: the graph must be marked filterable.
+	edges := make([][]edge, 0, len(bufs))
+	qs := make([][]float64, 0, len(bufs))
+	for k, b := range bufs {
+		if len(*b) > 0 {
+			edges = append(edges, *b)
+			qs = append(qs, *qbufs[k])
 		}
-		mergep, qmergep := getEdgeBuf(), getStrengthBuf()
-		merge, qmerge := *mergep, *qmergep
-		if cap(merge) < total {
-			merge = make([]edge, 0, total)
-		}
-		if cap(qmerge) < total {
-			qmerge = make([]float64, 0, total)
-		}
-		for k, b := range bufs {
-			merge = append(merge, *b...)
-			qmerge = append(qmerge, *qbufs[k]...)
-		}
-		*mergep, *qmergep = merge, qmerge
-		bufs = append(bufs, mergep)
-		qbufs = append(qbufs, qmergep)
-		edges, qs = merge, qmerge
 	}
-	if qs == nil {
-		// Zero accepted edges: pooled buffers stay nil, but the graph must
-		// still be marked filterable (non-nil Strengths).
-		qs = []float64{}
+	g, err := assemble(links, f, edges, qs)
+	if err != nil {
+		return nil, err
 	}
-	g := fromEdges(links, f, edges, qs)
-	sortRowsWithStrengths(g)
 	g.Stats = stats
 	return g, nil
 }
@@ -920,7 +1011,7 @@ func (b *bucketedSearch) searchLink(i int32, stamp []int32, out *[]edge, qout *[
 				if !cellNear(kx, ky, s, rp2, isx, isy, irx, iry) {
 					continue
 				}
-				b.scanSlot(i, ci == c, li, cg, sl, stamp, out, qout, st)
+				b.scanCandCell(i, ci == c, li, cg, cg.cellIdx[sl], stamp, out, qout, st)
 			}
 			continue
 		}
@@ -929,17 +1020,17 @@ func (b *bucketedSearch) searchLink(i int32, stamp []int32, out *[]edge, qout *[
 				if !cellNear(cx, cy, s, rp2, isx, isy, irx, iry) {
 					continue
 				}
-				sl := cg.slotAt(cx, cy)
-				if sl < 0 {
+				cc := cg.cellAt(cx, cy)
+				if cc < 0 {
 					continue
 				}
-				b.scanSlot(i, ci == c, li, cg, sl, stamp, out, qout, st)
+				b.scanCandCell(i, ci == c, li, cg, cc, stamp, out, qout, st)
 			}
 		}
 	}
 }
 
-// scanSlot applies the per-cell prunes to the candidate cell at slot sl and
+// scanCandCell applies the per-cell prunes to the candidate cell ic and
 // streams its members through scanCell when it survives. Two rejections run
 // before any member is loaded:
 //
@@ -957,9 +1048,8 @@ func (b *bucketedSearch) searchLink(i int32, stamp []int32, out *[]edge, qout *[
 //
 // The surviving cell's members are then distance-tested against rc² instead
 // of the class radius, tightening the per-candidate reject as well.
-func (b *bucketedSearch) scanSlot(i int32, sameClass bool, li float64, cg *classGrid, sl int,
+func (b *bucketedSearch) scanCandCell(i int32, sameClass bool, li float64, cg *classGrid, ic int32,
 	stamp []int32, out *[]edge, qout *[]float64, st *BuildStats) {
-	ic := cg.cellIdx[sl]
 	cmax := cg.cMaxL[ic]
 	var rc float64
 	if b.fConst > 0 {
@@ -993,7 +1083,7 @@ func (b *bucketedSearch) scanSlot(i int32, sameClass bool, li float64, cg *class
 		}
 	}
 	st.CellsScanned++
-	b.scanCell(i, sameClass, rc*rc, cg, cg.start[sl], cg.start[sl+1], stamp, out, qout, st)
+	b.scanCell(i, sameClass, rc*rc, cg, cg.start[ic], cg.start[ic+1], stamp, out, qout, st)
 }
 
 // scanCell runs the exact conflict test against every candidate in one grid
@@ -1009,7 +1099,7 @@ func (b *bucketedSearch) scanSlot(i int32, sameClass bool, li float64, cg *class
 //
 // The loop is ordered cheapest-reject-first: the squared distance (pure SoA
 // loads and arithmetic) is compared against rr — the squared padded
-// per-cell radius from scanSlot, which upper-bounds every pair threshold
+// per-cell radius from scanCandCell, which upper-bounds every pair threshold
 // this scan can produce — before the threshold function is evaluated, and
 // the stamp array is only consulted (and written) for accepted pairs, so
 // rejected candidates never touch it. A candidate reachable through two

@@ -304,7 +304,7 @@ func BenchmarkBuildNaive10k(b *testing.B) {
 }
 
 // BenchmarkScanCell isolates the candidate-scan half of the bucketed build
-// (searchLink → scanSlot over the cell-local SoA mirrors): a mid-size
+// (searchLink → scanCandCell over the cell-local SoA mirrors): a mid-size
 // uniform instance where grid setup and CSR assembly are small against the
 // per-cell scans, with the pruning counters reported alongside the time so
 // the cells-pruned and candidates-per-edge trajectories are visible in the

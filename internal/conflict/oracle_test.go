@@ -10,8 +10,8 @@ import (
 // BuildNaive constructs G_f(links) by exact pairwise testing (O(n²)) with
 // the unfactored predicate Conflicting. It is the test oracle for the
 // bucketed build. The double loop discovers edges in lexicographic (i, j)
-// order, so the CSR scatter emits both directions of every row already
-// ascending with no sorting pass.
+// order, so the serial CSR scatter (oracleCSR) emits both directions of
+// every row already ascending with no sorting pass.
 func BuildNaive(links []geom.Link, f Func) *Graph {
 	n := len(links)
 	var edges []edge
@@ -22,7 +22,42 @@ func BuildNaive(links []geom.Link, f Func) *Graph {
 			}
 		}
 	}
-	return fromEdges(links, f, edges, nil)
+	return oracleCSR(links, f, edges, nil)
+}
+
+// oracleCSR is the oracles' CSR assembly, kept apart from the production
+// assembler it checks: one serial counting pass over the edge list, then a
+// scatter of each edge in both directions in list order, so a
+// lexicographically ordered list yields ascending rows. qs, when non-nil,
+// parallels edges with per-edge strengths.
+func oracleCSR(links []geom.Link, f Func, edges []edge, qs []float64) *Graph {
+	n := len(links)
+	g := &Graph{
+		Links:     append([]geom.Link(nil), links...),
+		F:         f,
+		RowPtr:    make([]int32, n+1),
+		Neighbors: make([]int32, 2*len(edges)),
+	}
+	if qs != nil {
+		g.Strengths = make([]float64, 2*len(edges))
+	}
+	for _, e := range edges {
+		g.RowPtr[e.i+1]++
+		g.RowPtr[e.j+1]++
+	}
+	for i := 0; i < n; i++ {
+		g.RowPtr[i+1] += g.RowPtr[i]
+	}
+	fill := append([]int32(nil), g.RowPtr[:n]...)
+	for k, e := range edges {
+		g.Neighbors[fill[e.i]], g.Neighbors[fill[e.j]] = e.j, e.i
+		if qs != nil {
+			g.Strengths[fill[e.i]], g.Strengths[fill[e.j]] = qs[k], qs[k]
+		}
+		fill[e.i]++
+		fill[e.j]++
+	}
+	return g
 }
 
 // buildNaiveLookahead is the strength-annotated analogue of BuildNaive: the
@@ -52,7 +87,7 @@ func buildNaiveLookahead(links []geom.Link, fam Family, gamma float64) *Graph {
 			}
 		}
 	}
-	return fromEdges(links, f, edges, qs)
+	return oracleCSR(links, f, edges, qs)
 }
 
 // degenerate reports whether the bucketed build must refuse links under f,
