@@ -76,7 +76,9 @@ func TestVerifyCacheGridTier(t *testing.T) {
 // budget and evicts LRU entries down to the budget on a tight one, without
 // ever affecting verification results.
 func TestVerifyCacheByteBudget(t *testing.T) {
-	s, powers := randInstance(2000, 8, 200000, 2000, 22)
+	// k=8 slots of 500 links each, above the exact-path cutoff, so every
+	// slot retains a grid for the budget to evict.
+	s, powers := randInstance(4000, 8, 200000, 2000, 22)
 	p := sinr.DefaultParams()
 	pf := FixedPower(powers)
 

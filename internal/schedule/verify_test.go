@@ -64,8 +64,9 @@ func TestVerifyFastMatchesNaive(t *testing.T) {
 	// Sparse: wide area, many slots → feasible.
 	s, powers := randInstance(400, 25, 50000, 30, 1)
 	checkVerifyParity(t, s, p, FixedPower(powers))
-	// Dense: everything in few slots → some slot infeasible.
-	s, powers = randInstance(300, 2, 200, 30, 2)
+	// Dense: everything in few slots → some slot infeasible. The slots
+	// (300 links each) are above the engine's exact-path cutoff.
+	s, powers = randInstance(600, 2, 280, 30, 2)
 	checkVerifyParity(t, s, p, FixedPower(powers))
 	// Multicolor with duplicate appearances and an empty slot.
 	s, powers = randInstance(120, 6, 30000, 30, 3)

@@ -12,8 +12,14 @@
 //     θ² — contributes its total power mass over [maxdist, mindist], giving
 //     a certified interval for the interference and hence for the link's
 //     SINR margin. Nearby nodes are opened; base cells are summed exactly.
-//     The first pass runs every link with a deliberately coarse θ, so the
-//     near field stays tiny and the descent costs O(near + log m) per link.
+//     The first pass runs every link at a deliberately coarse θ and is
+//     frontier-shared: one level-ordered walk of the pyramid for the whole
+//     slot classifies nodes against each sender cell's receiver bounding
+//     box, so a far node certifies its interval for all of the cell's
+//     receivers at once. The cell and its eight neighbours are then summed
+//     exactly in one contiguous run per receiver, and each receiver
+//     re-tests the outer near cells against its own point, aggregating
+//     those that are far for it, so its near field stays a few cells wide.
 //
 //  2. Adaptive cell refinement. The slot's worst margin is the minimum over
 //     links, so only links whose margin interval reaches below the smallest
@@ -24,12 +30,14 @@
 //     shrinking or a tighter pass would cost more than the exact row.
 //     Intervals at every rung are certified, so mixing rungs is sound.
 //
-//  3. SoA exact kernels. Links still straddling after the ladder are
-//     resolved by the exact pairwise sum, in slot order like the naive
-//     path. Both this fallback and the near-field cell sums run on flat
-//     structure-of-arrays float64 loops (separate x/y/power slices,
-//     cell-ordered copies, no per-link struct loads) specialized per
-//     α ∈ {2, 3, 4} with a math.Pow generic fallback. Every interval is
+//  3. SoA exact kernels. Slots of at most engineExactCutoff links skip the
+//     grid and take the exact pairwise evaluation of every link directly.
+//     Links still straddling after the ladder are resolved by the exact
+//     pairwise sum, in slot order like the naive path. Both this fallback
+//     and the near-field cell sums run on flat structure-of-arrays float64
+//     loops (separate x/y/power slices, cell-ordered copies, no per-link
+//     struct loads) specialized per α ∈ {2, 3, 4} with a math.Pow generic
+//     fallback. Every interval is
 //     padded by a relative 1e-9 so floating-point slop between the interval
 //     and exact arithmetic can never eject the true argmin from the
 //     candidate set — the returned margin is always an exactly-computed one.
@@ -69,7 +77,11 @@ const intervalPad = 1e-9
 // engineExactCutoff is the slot size at or below which the grid is not worth
 // building and the engine runs the exact pairwise evaluation directly (still
 // on the cached-gain SoA kernels, so small slots skip per-pair math.Pow too).
-const engineExactCutoff = 64
+// It sits at the measured crossover: BenchmarkMarginSlotBySize has the exact
+// tier ahead at 128 links and the grid tier from 256 on (2× at 512). On EMST
+// slots the grid wins from 128, but a cutoff of 128 saved only ~5% of
+// sweep-50k's verify time for 28% more verify allocation (retained grids).
+const engineExactCutoff = 256
 
 // exactTile is the row/column tile size of the symmetric exact-all kernel:
 // small enough that two tiles of sender/receiver coordinates and the
@@ -81,10 +93,11 @@ const exactTile = 128
 // descent, coarsest first. A pyramid node is aggregated when
 // maxdist² ≤ θ²·mindist², i.e. its power mass is localized within a factor θ
 // of its distance, bounding the per-node interval ratio by θ^α. The first
-// rung runs every link: θ=2 keeps the near field to a handful of cells.
-// Later rungs re-descend only candidate links — straddlers of the slot
-// minimum — trading a (θ−1)⁻² blowup of the near field for interval ratios
-// that approach 1 and evict almost all candidates before the exact fallback.
+// rung is the frontier-shared pass over every link: θ=2 keeps the near field
+// to a handful of cells. Later rungs re-descend only candidate links —
+// straddlers of the slot minimum — trading a (θ−1)⁻² blowup of the near
+// field for interval ratios that approach 1 and evict almost all candidates
+// before the exact fallback.
 var engineThetaLadder2 = [...]float64{
 	2.0 * 2.0,
 	1.5 * 1.5,
@@ -102,12 +115,11 @@ const engineRefineMin = 4
 // engineMaxGridDim caps the base-grid resolution (memory is O(dim²)).
 const engineMaxGridDim = 1024
 
-// engineSharedPassMin is the slot size at or above which the coarse first
-// pass runs the cell-shared descent (one pyramid walk per sender cell,
-// amortized over its members) instead of one walk per link. Below it the
-// per-link pass is already cheap and its tighter per-receiver intervals
-// keep the candidate set smaller.
-const engineSharedPassMin = 1 << 13
+// engineCellOcc is the base grid's senders per cell for every slot size.
+// The shared first pass walks per cell while each receiver sums a few cells
+// exactly; on EMST slots 16 beat 8 by 1.3–2.2× per link at 128–8191 links,
+// beat 24–48 at 10⁴–5·10⁴ links, and tied 24–32 below that.
+const engineCellOcc = 16
 
 // FNV-1a over 64-bit words, used for the SlotGrid reuse guards.
 const (
@@ -126,9 +138,6 @@ type Engine struct {
 	links     []geom.Link
 	// lenA[i] = l_i^α, the received-signal denominator of link i.
 	lenA []float64
-	// forcePerLink disables the frontier-shared first pass regardless of
-	// slot size; test-only, for pinning shared-vs-per-link margin identity.
-	forcePerLink bool
 }
 
 // pow-mode fast paths for (d²)^(α/2).
@@ -178,6 +187,18 @@ func (e *Engine) powD2Slow(d2 float64) float64 {
 		return d2 * d2
 	}
 	return math.Pow(d2, e.alphaHalf)
+}
+
+// farBounds returns the certified interference interval [mass/a, mass/b] of
+// a far node with a = maxd^α and b = mind^α. One divide serves both bounds:
+// 1/(a·b) is recovered into 1/a and 1/b by multiplication. A few ulps of
+// slop land in the certified interval, where intervalPad absorbs them; a
+// degenerate product falls back to the two divides.
+func farBounds(mass, a, b float64) (lo, hi float64) {
+	if inv := 1 / (a * b); inv > 0 && !math.IsInf(inv, 1) {
+		return mass * b * inv, mass * a * inv
+	}
+	return mass / a, mass / b
 }
 
 // rowSum accumulates Σ_j pw[j]/dist(p_j, q)^α into acc over the flat sender
@@ -368,7 +389,8 @@ type EngineStats struct {
 	// of the final descent of links that did not fall to the exact row.
 	NearPairs int64
 	// FarNodes counts pyramid nodes accepted by the far-field bound across
-	// all descent passes (a work counter, not a pair fraction).
+	// all passes — per sender cell in the shared walk, per receiver in its
+	// near-cell screen (a work counter, not a pair fraction).
 	FarNodes int64
 	// RefinedLinks counts refined link descents: one per link per
 	// tighter-θ ladder rung it was re-descended at.
@@ -541,26 +563,19 @@ type EngineScratch struct {
 	sig    []float64 // received signals P/l^α
 	lb, ub []float64 // certified margin interval per member
 
-	fill []int32 // CSR fill cursors (grid build only)
+	fill []int32 // CSR fill cursors (grid build, near-pair counting sort)
 
 	near []int32 // near pairs of each member's latest descent
 	cand []int32 // current candidate members (ascending)
 
 	stack []nodeRef // descent stack
 
-	// Cell-shared first-pass buffers: per-cell receiver bounding boxes, the
-	// near-cell list of the cell being processed, and the flattened copies
-	// of its near-field senders (one contiguous kernel scan per member
-	// instead of one short call per near cell).
-	rminx, rmaxx  []float64
-	rminy, rmaxy  []float64
-	nearCells     []int32
-	fpx, fpy, fpw []float64
-
-	// Frontier-shared descent buffers: double-buffered node groups and the
-	// shared still-open cell pool they span, per-cell far-field interval
-	// accumulators and cell coordinates, and the (cell, base-cell) near
-	// pairs with their counting-sort layout.
+	// Frontier-shared first-pass buffers: per-cell receiver bounding boxes,
+	// double-buffered node groups and the shared still-open cell pool they
+	// span, per-cell far-field interval accumulators and cell coordinates,
+	// and the (cell, base-cell) near pairs with their counting-sort layout.
+	rminx, rmaxx   []float64
+	rminy, rmaxy   []float64
 	fgCur, fgNext  []frontierGroup
 	flCur, flNext  []int32
 	cellLo, cellHi []float64
@@ -568,6 +583,8 @@ type EngineScratch struct {
 	npCell, npBase []int32
 	nearStart      []int32
 	nearOrd        []int32
+	fpx, fpy, fpw  []float64 // flattened senders of a home cell's 3×3 block
+	outer          []int32   // the home cell's other near cells
 
 	// grid is the scratch-owned slot structure, rebuilt (or refreshed from
 	// a retained grid) when the caller is not caching grids.
@@ -664,19 +681,8 @@ func (e *Engine) MarginSlotGrid(idx []int, power []float64, sc *EngineScratch, s
 	if m == 0 {
 		return math.Inf(1), nil, false, nil
 	}
-	sc.reserve(m)
-	for k, gi := range idx {
-		if power[k] <= 0 {
-			return 0, nil, false, fmt.Errorf("sinr: non-positive power %g on link %d", power[k], k)
-		}
-		if gi < 0 || gi >= len(e.links) {
-			return 0, nil, false, fmt.Errorf("sinr: link index %d outside the engine's %d links", gi, len(e.links))
-		}
-		l := e.links[gi]
-		sc.px[k], sc.py[k] = l.S.X, l.S.Y
-		sc.qx[k], sc.qy[k] = l.R.X, l.R.Y
-		sc.pw[k] = power[k]
-		sc.sig[k] = power[k] / e.lenA[gi]
+	if err := e.gather(sc, idx, power); err != nil {
+		return 0, nil, false, err
 	}
 	st.Links += int64(m)
 	st.NaivePairs += int64(m) * int64(m-1)
@@ -719,33 +725,49 @@ func (e *Engine) MarginSlotGrid(idx []int, power []float64, sc *EngineScratch, s
 		}
 	}
 
-	// Tier 1 — coarse interval pass: a certified [lb, ub] margin interval
-	// per link at the widest θ. Huge slots amortize the pyramid walk across
-	// each sender cell's members via the shared descent; smaller slots run
-	// the per-link descent in cell order (the grid's member order), so
-	// neighbors descend near-identical pyramid paths and the tree walk
-	// stays cache-resident. Each variant writes only per-k entries, so the
-	// pass is order-independent.
-	if m >= engineSharedPassMin && !e.forcePerLink {
-		e.descendShared(sc, use, engineThetaLadder2[0], st)
-	} else {
-		for _, mk := range use.members {
-			e.descend(sc, use, int(mk), engineThetaLadder2[0], false, st)
+	return e.marginGrid(sc, use, m, st), grid, reused, nil
+}
+
+// gather validates the slot's powers and link indices and loads its members
+// into the scratch arrays in slot order: sender and receiver coordinates,
+// powers and received signals.
+func (e *Engine) gather(sc *EngineScratch, idx []int, power []float64) error {
+	sc.reserve(len(idx))
+	for k, gi := range idx {
+		if power[k] <= 0 {
+			return fmt.Errorf("sinr: non-positive power %g on link %d", power[k], k)
 		}
+		if gi < 0 || gi >= len(e.links) {
+			return fmt.Errorf("sinr: link index %d outside the engine's %d links", gi, len(e.links))
+		}
+		l := e.links[gi]
+		sc.px[k], sc.py[k] = l.S.X, l.S.Y
+		sc.qx[k], sc.qy[k] = l.R.X, l.R.Y
+		sc.pw[k] = power[k]
+		sc.sig[k] = power[k] / e.lenA[gi]
 	}
-	// Only links whose interval reaches below the smallest upper bound can
-	// attain the slot minimum.
+	return nil
+}
+
+// marginGrid runs tiers 1–3 on the slot's built grid and returns the exact
+// slot margin.
+func (e *Engine) marginGrid(sc *EngineScratch, g *SlotGrid, m int, st *EngineStats) float64 {
+	// Tier 1 — coarse interval pass: a certified [lb, ub] margin interval
+	// per link at the widest θ, from one frontier-shared pyramid walk. Only
+	// links whose interval reaches below the smallest upper bound can attain
+	// the slot minimum.
+	e.descendShared(sc, g, engineThetaLadder2[0], st)
 	cand := e.candidates(sc, m)
 
 	// Tier 2 — adaptive refinement: re-descend just the straddlers with
 	// tighter θ until the set is tiny or a pass would out-cost exact rows.
 	for rung := 1; rung < len(engineThetaLadder2) && len(cand) > engineRefineMin; rung++ {
 		th2 := engineThetaLadder2[rung]
-		if use.refineCost(th2, m) >= float64(m-1)/2 {
+		if g.refineCost(th2, m) >= float64(m-1)/2 {
 			break
 		}
 		for _, k := range cand {
-			e.descend(sc, use, int(k), th2, true, st)
+			e.descend(sc, g, int(k), th2, st)
 		}
 		st.RefinedLinks += int64(len(cand))
 		next := e.candidates(sc, m)
@@ -757,16 +779,20 @@ func (e *Engine) MarginSlotGrid(idx []int, power []float64, sc *EngineScratch, s
 		}
 		cand = next
 	}
+	if len(cand) == 0 {
+		// Defensive: interval arithmetic met a non-finite input the grid
+		// guards missed. The exact path is always well defined, and it
+		// supersedes every descent, so none of their near pairs count.
+		return e.exactAll(sc, m, st)
+	}
 
 	// Tier 3 — exact fallback for the remaining candidates, in slot order
 	// like the naive path.
 	worst := math.Inf(1)
-	resolved := false
 	for _, k := range cand {
 		st.ExactLinks++
 		st.ExactPairs += int64(m - 1)
 		sc.near[k] = -1 // superseded by the exact row
-		resolved = true
 		if mg := e.exactOne(sc, m, int(k)); mg < worst {
 			worst = mg
 		}
@@ -776,12 +802,7 @@ func (e *Engine) MarginSlotGrid(idx []int, power []float64, sc *EngineScratch, s
 			st.NearPairs += int64(sc.near[k])
 		}
 	}
-	if !resolved {
-		// Defensive: interval arithmetic met a non-finite input the grid
-		// guards missed. The exact path is always well defined.
-		return e.exactAll(sc, m, st), grid, reused, nil
-	}
-	return worst, grid, reused, nil
+	return worst
 }
 
 // candidates rebuilds the straddler set: members whose margin lower bound
@@ -935,21 +956,11 @@ func (e *Engine) exactAll(sc *EngineScratch, m int, st *EngineStats) float64 {
 }
 
 // gridDim returns the base-grid dimension for a slot of m senders: the
-// smallest power of two whose square covers m at the target occupancy,
-// clamped to [4, engineMaxGridDim]. The occupancy target adapts to slot
-// size: ≈8 senders per cell keeps refined-ladder cells cheap on the small
-// and mid-size slots, while huge slots coarsen stepwise to 64 per cell —
-// the coarse first pass dominates there, its frontier shrinks ~4× per
-// halving of the base dimension, and the extra near-field pairs are
-// streamed by the batched kernels at a fraction of the traversal cost
-// while staying a vanishing fraction of m².
+// smallest power of two whose square holds m at no more than
+// engineCellOcc senders per cell, clamped to [4, engineMaxGridDim].
 func gridDim(m int) int {
-	occ := 8
-	if m >= 1<<13 {
-		occ = 16
-	}
 	d := 4
-	for d < engineMaxGridDim && d*d*occ < m {
+	for d < engineMaxGridDim && d*d*engineCellOcc < m {
 		d <<= 1
 	}
 	return d
@@ -1104,14 +1115,14 @@ func cellCoord(off, invCS float64, d0 int) int {
 	return c
 }
 
-// descend computes the certified margin interval of slot member k by a
-// Barnes–Hut-style descent of the pyramid at opening threshold theta2:
-// far nodes contribute aggregated power-mass bounds, near base cells are
-// summed exactly on the SoA kernels, and the member's own sender is
-// excluded wherever it lands (by position in exact cells, by mass
-// subtraction in aggregated nodes). It overwrites sc.lb[k], sc.ub[k] and
-// sc.near[k]; refined marks tighter-ladder passes for the work counters.
-func (e *Engine) descend(sc *EngineScratch, g *SlotGrid, k int, theta2 float64, refined bool, st *EngineStats) {
+// descend is the refinement ladder's per-link walk: it computes the
+// certified margin interval of slot member k by a Barnes–Hut-style descent
+// of the pyramid at opening threshold theta2. Far nodes contribute
+// aggregated power-mass bounds, near base cells are summed exactly on the
+// SoA kernels, and the member's own sender is excluded wherever it lands
+// (by position in exact cells, by mass subtraction in aggregated nodes). It
+// overwrites sc.lb[k], sc.ub[k] and sc.near[k].
+func (e *Engine) descend(sc *EngineScratch, g *SlotGrid, k int, theta2 float64, st *EngineStats) {
 	d0 := g.d0
 	top := len(g.levelOff) - 1
 	selfCX := int32(int(g.cellOf[k]) % d0)
@@ -1149,19 +1160,9 @@ func (e *Engine) descend(sc *EngineScratch, g *SlotGrid, k int, theta2 float64, 
 		if mind2 > 0 && maxd2 <= theta2*mind2 {
 			if mass > 0 {
 				farNodes++
-				// One divide for both bounds: 1/(a·b) recovered into 1/a
-				// and 1/b by multiplication. A few ulps of slop land in
-				// the certified interval, where intervalPad absorbs them;
-				// a degenerate product falls back to the two divides.
-				a := e.powD2(maxd2)
-				b := e.powD2(mind2)
-				if inv := 1 / (a * b); inv > 0 && !math.IsInf(inv, 1) {
-					lo += mass * b * inv
-					hi += mass * a * inv
-				} else {
-					lo += mass / a
-					hi += mass / b
-				}
+				l, h := farBounds(mass, e.powD2(maxd2), e.powD2(mind2))
+				lo += l
+				hi += h
 			}
 			continue
 		}
@@ -1197,52 +1198,43 @@ func (e *Engine) descend(sc *EngineScratch, g *SlotGrid, k int, theta2 float64, 
 	}
 	sc.stack = stack
 	st.FarNodes += farNodes
-	if refined {
-		st.RefinedCells += nearCells
-	}
+	st.RefinedCells += nearCells
 	sc.near[k] = int32(nearPairs)
-
-	iLo := exact + lo + e.p.Noise
-	iHi := exact + hi + e.p.Noise
-	sig := sc.sig[k]
-	if iHi == 0 {
-		sc.lb[k], sc.ub[k] = math.Inf(1), math.Inf(1)
-		return
-	}
-	sc.lb[k] = sig / (e.p.Beta * iHi) * (1 - intervalPad)
-	if iLo == 0 {
-		sc.ub[k] = math.Inf(1)
-	} else {
-		sc.ub[k] = sig / (e.p.Beta * iLo) * (1 + intervalPad)
-	}
+	e.setInterval(sc, k, exact, lo, hi)
 }
 
-// descendShared is the cell-amortized coarse first pass for huge slots: one
-// pyramid walk per non-empty sender cell instead of one per link. The
-// far/near classification uses the cell's receiver bounding box, so a node
-// accepted as far is far — and its aggregated [mass/maxdist^α,
+// descendShared is the coarse first pass of every grid slot: one
+// level-ordered pyramid walk for the whole slot instead of one per link. The
+// far/near classification uses each sender cell's receiver bounding box, so
+// a node accepted as far is far — and its aggregated [mass/maxdist^α,
 // mass/mindist^α] interval certified — for every receiver in the cell
-// simultaneously; the per-link cost drops to the exact near-field sums.
-// Ancestors of the cell itself are always opened (never aggregated), so the
-// members' own senders are excluded positionally in the base-cell sums
-// exactly as in the per-link descent, and no mass subtraction is needed.
+// simultaneously. Ancestors of the cell itself are always opened (never
+// aggregated), so the members' own senders are excluded positionally in the
+// base-cell sums, and no mass subtraction is needed. The outer base cells
+// left near are then screened per receiver (see the final loop).
 //
-// The shared bounds are wider than per-receiver ones by the receiver
-// spread, which only inflates the candidate set tier 2 then refines with
-// the precise per-link descent — certification, and with it the bit-exact
-// final margin, is unaffected. Writes sc.lb, sc.ub and sc.near for every
-// member.
+// The shared bounds are wider than per-link ones by the receiver spread,
+// which only inflates the candidate set tier 2 then refines — certification,
+// and with it the bit-exact final margin, is unaffected. Writes sc.lb, sc.ub
+// and sc.near for every member.
 func (e *Engine) descendShared(sc *EngineScratch, g *SlotGrid, theta2 float64, st *EngineStats) {
 	d0 := g.d0
 	nc := d0 * d0
 	if cap(sc.rminx) < nc {
-		sc.rminx = make([]float64, nc)
-		sc.rmaxx = make([]float64, nc)
-		sc.rminy = make([]float64, nc)
-		sc.rmaxy = make([]float64, nc)
+		sc.rminx, sc.rmaxx = make([]float64, nc), make([]float64, nc)
+		sc.rminy, sc.rmaxy = make([]float64, nc), make([]float64, nc)
+		sc.cellLo, sc.cellHi = make([]float64, nc), make([]float64, nc)
+		sc.ccx, sc.ccy = make([]int32, nc), make([]int32, nc)
 	}
 	rminx, rmaxx := sc.rminx[:nc], sc.rmaxx[:nc]
 	rminy, rmaxy := sc.rminy[:nc], sc.rmaxy[:nc]
+	cellLo, cellHi := sc.cellLo[:nc], sc.cellHi[:nc]
+	ccx, ccy := sc.ccx[:nc], sc.ccy[:nc]
+
+	// Per non-empty cell: the receiver bounding box, zeroed far-field
+	// accumulators, the cell coordinates, and a place in the root frontier —
+	// every non-empty cell starts open at the pyramid top.
+	curL := sc.flCur[:0]
 	for c := 0; c < nc; c++ {
 		t0, t1 := g.starts[c], g.starts[c+1]
 		if t0 == t1 {
@@ -1251,29 +1243,11 @@ func (e *Engine) descendShared(sc *EngineScratch, g *SlotGrid, theta2 float64, s
 		k0 := int(g.members[t0])
 		rminx[c], rmaxx[c] = sc.qx[k0], sc.qx[k0]
 		rminy[c], rmaxy[c] = sc.qy[k0], sc.qy[k0]
-		for t := t0 + 1; t < t1; t++ {
-			k := int(g.members[t])
+		for _, k := range g.members[t0+1 : t1] {
 			rminx[c] = min(rminx[c], sc.qx[k])
 			rmaxx[c] = max(rmaxx[c], sc.qx[k])
 			rminy[c] = min(rminy[c], sc.qy[k])
 			rmaxy[c] = max(rmaxy[c], sc.qy[k])
-		}
-	}
-
-	// Per-cell far-field accumulators, cell coordinates, and the root
-	// frontier: every non-empty cell starts open at the pyramid top.
-	if cap(sc.cellLo) < nc {
-		sc.cellLo = make([]float64, nc)
-		sc.cellHi = make([]float64, nc)
-		sc.ccx = make([]int32, nc)
-		sc.ccy = make([]int32, nc)
-	}
-	cellLo, cellHi := sc.cellLo[:nc], sc.cellHi[:nc]
-	ccx, ccy := sc.ccx[:nc], sc.ccy[:nc]
-	curL := sc.flCur[:0]
-	for c := 0; c < nc; c++ {
-		if g.starts[c] == g.starts[c+1] {
-			continue
 		}
 		cellLo[c], cellHi[c] = 0, 0
 		ccx[c], ccy[c] = int32(c%d0), int32(c/d0)
@@ -1287,11 +1261,7 @@ func (e *Engine) descendShared(sc *EngineScratch, g *SlotGrid, theta2 float64, s
 	// all of its cells in one flat run, so the node load and classification
 	// setup amortize across cells instead of restarting a stack walk per
 	// cell. Far acceptances accumulate into the per-cell interval; cells
-	// that survive to level 0 become (cell, base-cell) near pairs. The
-	// classification predicate per (node, cell) pair is exactly the per-cell
-	// walk's, so near sets and certified intervals match it up to far-field
-	// accumulation order — absorbed by the candidate tier; final margins
-	// only ever come from the order-pinned exact kernels.
+	// that survive to level 0 become (cell, base-cell) near pairs.
 	top := len(g.levelOff) - 1
 	nodes, levelOff := g.nodes, g.levelOff
 	curG := append(sc.fgCur[:0], frontierGroup{0, 0, 0, int32(len(curL))})
@@ -1325,15 +1295,9 @@ func (e *Engine) descendShared(sc *EngineScratch, g *SlotGrid, theta2 float64, s
 					if maxd2 <= theta2*mind2 {
 						if mass > 0 {
 							farNodes++
-							a := e.powD2(maxd2)
-							b := e.powD2(mind2)
-							if inv := 1 / (a * b); inv > 0 && !math.IsInf(inv, 1) {
-								cellLo[c] += mass * b * inv
-								cellHi[c] += mass * a * inv
-							} else {
-								cellLo[c] += mass / a
-								cellHi[c] += mass / b
-							}
+							l, h := farBounds(mass, e.powD2(maxd2), e.powD2(mind2))
+							cellLo[c] += l
+							cellHi[c] += h
 						}
 						continue
 					}
@@ -1361,7 +1325,6 @@ func (e *Engine) descendShared(sc *EngineScratch, g *SlotGrid, theta2 float64, s
 	sc.fgCur, sc.fgNext = curG[:0], nextG[:0]
 	sc.flCur, sc.flNext = curL[:0], nextL[:0]
 	sc.npCell, sc.npBase = pc, pb
-	st.FarNodes += farNodes
 
 	// Counting-sort the near pairs by home cell so each cell's base cells
 	// form one contiguous run, in the deterministic wave emission order.
@@ -1382,27 +1345,31 @@ func (e *Engine) descendShared(sc *EngineScratch, g *SlotGrid, theta2 float64, s
 		sc.nearOrd = make([]int32, len(pb))
 	}
 	nearOrd := sc.nearOrd[:len(pb)]
-	fill := append(sc.nearCells[:0], nearStart[:nc]...)
+	fill := append(sc.fill[:0], nearStart[:nc]...)
 	for i, c := range pc {
 		nearOrd[fill[c]] = pb[i]
 		fill[c]++
 	}
-	sc.nearCells = fill[:0]
+	sc.fill = fill
 
 	for c := 0; c < nc; c++ {
 		t0, t1 := g.starts[c], g.starts[c+1]
 		if t0 == t1 {
 			continue
 		}
-		lo, hi := cellLo[c], cellHi[c]
-		// Flatten the near cells' sender copies into one contiguous run;
-		// every member of the home cell then scans a single SoA stretch
-		// (split around its own sender) instead of a dozen short cell
-		// segments. The copy is paid once per cell and amortized over its
-		// members.
+		// The home cell and its eight neighbours are near for almost every
+		// receiver: flatten their senders once into one contiguous run that
+		// each member scans split around its own sender, which keeps the
+		// self-exclusion positional. The outer near cells are screened per
+		// receiver below.
 		fpx, fpy, fpw := sc.fpx[:0], sc.fpy[:0], sc.fpw[:0]
+		outer := sc.outer[:0]
 		homeOff := 0
 		for _, bc := range nearOrd[nearStart[c]:nearStart[c+1]] {
+			if dx, dy := ccx[bc]-ccx[c], ccy[bc]-ccy[c]; dx*dx > 1 || dy*dy > 1 {
+				outer = append(outer, bc)
+				continue
+			}
 			b0, b1 := g.starts[bc], g.starts[bc+1]
 			if int(bc) == c {
 				homeOff = len(fpx)
@@ -1411,29 +1378,59 @@ func (e *Engine) descendShared(sc *EngineScratch, g *SlotGrid, theta2 float64, s
 			fpy = append(fpy, g.cpy[b0:b1]...)
 			fpw = append(fpw, g.cpw[b0:b1]...)
 		}
-		sc.fpx, sc.fpy, sc.fpw = fpx, fpy, fpw
-		basePairs := int64(len(fpx))
+		sc.fpx, sc.fpy, sc.fpw, sc.outer = fpx, fpy, fpw, outer
 		for t := t0; t < t1; t++ {
 			k := int(g.members[t])
 			qxk, qyk := sc.qx[k], sc.qy[k]
-			sp := homeOff + int(g.posOf[k]-t0)
+			sp := homeOff + int(t-t0)
 			exact := e.rowSumFast(0, fpx[:sp], fpy[:sp], fpw[:sp], qxk, qyk)
 			exact = e.rowSumFast(exact, fpx[sp+1:], fpy[sp+1:], fpw[sp+1:], qxk, qyk)
-			sc.near[k] = int32(basePairs - 1)
-
-			iLo := exact + lo + e.p.Noise
-			iHi := exact + hi + e.p.Noise
-			sig := sc.sig[k]
-			if iHi == 0 {
-				sc.lb[k], sc.ub[k] = math.Inf(1), math.Inf(1)
-				continue
+			pairs := int32(len(fpx) - 1)
+			lo, hi := cellLo[c], cellHi[c]
+			// Screen the outer cells against this receiver's own point: a
+			// cell far for it joins the certified interval, the rest are
+			// summed exactly.
+			for _, bc := range outer {
+				n := &nodes[bc]
+				dx := max(n.minX-qxk, qxk-n.maxX, 0)
+				dy := max(n.minY-qyk, qyk-n.maxY, 0)
+				mind2 := dx*dx + dy*dy
+				fx := max(qxk-n.minX, n.maxX-qxk)
+				fy := max(qyk-n.minY, n.maxY-qyk)
+				maxd2 := fx*fx + fy*fy
+				if mind2 > 0 && maxd2 <= theta2*mind2 {
+					farNodes++
+					l, h := farBounds(n.mass, e.powD2(maxd2), e.powD2(mind2))
+					lo += l
+					hi += h
+					continue
+				}
+				b0, b1 := g.starts[bc], g.starts[bc+1]
+				exact = e.rowSumFast(exact, g.cpx[b0:b1], g.cpy[b0:b1], g.cpw[b0:b1], qxk, qyk)
+				pairs += b1 - b0
 			}
-			sc.lb[k] = sig / (e.p.Beta * iHi) * (1 - intervalPad)
-			if iLo == 0 {
-				sc.ub[k] = math.Inf(1)
-			} else {
-				sc.ub[k] = sig / (e.p.Beta * iLo) * (1 + intervalPad)
-			}
+			sc.near[k] = pairs
+			e.setInterval(sc, k, exact, lo, hi)
 		}
+	}
+	st.FarNodes += farNodes
+}
+
+// setInterval turns member k's interference bounds — the exact near-field
+// sum plus the far-field interval [lo, hi] — into its padded certified
+// margin interval [sc.lb[k], sc.ub[k]].
+func (e *Engine) setInterval(sc *EngineScratch, k int, exact, lo, hi float64) {
+	iLo := exact + lo + e.p.Noise
+	iHi := exact + hi + e.p.Noise
+	sig := sc.sig[k]
+	if iHi == 0 {
+		sc.lb[k], sc.ub[k] = math.Inf(1), math.Inf(1)
+		return
+	}
+	sc.lb[k] = sig / (e.p.Beta * iHi) * (1 - intervalPad)
+	if iLo == 0 {
+		sc.ub[k] = math.Inf(1)
+	} else {
+		sc.ub[k] = sig / (e.p.Beta * iLo) * (1 + intervalPad)
 	}
 }

@@ -1,6 +1,7 @@
 package sinr
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -96,13 +97,13 @@ func checkParity(t *testing.T, p Params, links []geom.Link, idx []int, powers []
 }
 
 // TestEngineMatchesMarginExactPath covers the small-slot cutoff: every size
-// below the grid threshold must match the naive oracle bit-for-bit in
+// up to engineExactCutoff must match the naive oracle bit-for-bit in
 // verdict and ≤1e-9 in margin, across exponents and noise regimes.
 func TestEngineMatchesMarginExactPath(t *testing.T) {
 	for _, alpha := range []float64{2.1, 3, 4} {
 		for _, noise := range []float64{0, 0.03} {
 			p := Params{Alpha: alpha, Beta: 2, Noise: noise, Epsilon: 0.5}
-			for _, m := range []int{1, 2, 3, 8, 40, 64} {
+			for _, m := range []int{1, 2, 3, 8, 40, engineExactCutoff} {
 				links := randLinks(m, 1000, int64(m)*7+int64(alpha*10))
 				checkParity(t, p, links, fullSlot(m), randPowers(m, int64(m)))
 			}
@@ -110,12 +111,14 @@ func TestEngineMatchesMarginExactPath(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesMarginGridPath forces the grid pyramid (m above the
-// cutoff) on uniform and clustered layouts.
+// TestEngineMatchesMarginGridPath forces the grid pyramid (m above
+// engineExactCutoff) on uniform and clustered layouts, from the first grid
+// size up to 1000 links; TestEngineSharedFrontierParity covers a slot of
+// more than 2¹³ links.
 func TestEngineMatchesMarginGridPath(t *testing.T) {
 	for _, alpha := range []float64{2.1, 3, 4} {
 		p := Params{Alpha: alpha, Beta: 1, Noise: 0, Epsilon: 0.5}
-		for _, m := range []int{65, 200, 1000} {
+		for _, m := range []int{engineExactCutoff + 1, 2 * engineExactCutoff, 1000} {
 			links := randLinks(m, 5000, int64(m)+int64(alpha))
 			checkParity(t, p, links, fullSlot(m), randPowers(m, int64(m)+1))
 
@@ -125,16 +128,15 @@ func TestEngineMatchesMarginGridPath(t *testing.T) {
 	}
 }
 
-// TestEngineSharedFrontierParity forces the frontier-shared first pass
-// (m ≥ engineSharedPassMin) and checks, on uniform and clustered layouts,
-// that (a) the margin matches the naive oracle and (b) it is bit-identical
-// to the per-link descent tier — the certified-interval argument says the
-// shared pass may only change candidate-set composition, never the margin.
+// TestEngineSharedFrontierParity pins the shared first pass (descendShared)
+// on a slot of more than 2¹³ links, uniform and clustered: the margin equals
+// the exact-all kernel's bit for bit, matches Params.Margin within 1e-9, and
+// the verdict agrees with the naive oracle.
 func TestEngineSharedFrontierParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quadratic oracle on a large slot")
 	}
-	m := engineSharedPassMin + 123
+	m := 1<<13 + 123
 	p := Params{Alpha: 3, Beta: 1, Noise: 0, Epsilon: 0.5}
 	layouts := map[string][]geom.Link{
 		"uniform": randLinks(m, 20000, 31),
@@ -147,30 +149,75 @@ func TestEngineSharedFrontierParity(t *testing.T) {
 		var st EngineStats
 		shared, err := eng.MarginSlot(idx, powers, NewEngineScratch(), &st)
 		if err != nil {
-			t.Fatalf("%s: shared MarginSlot: %v", name, err)
+			t.Fatalf("%s: MarginSlot: %v", name, err)
 		}
-		engPL := NewEngine(p, links)
-		engPL.forcePerLink = true
-		var stPL EngineStats
-		perLink, err := engPL.MarginSlot(idx, powers, NewEngineScratch(), &stPL)
-		if err != nil {
-			t.Fatalf("%s: per-link MarginSlot: %v", name, err)
+		if exact := exactSlotMargin(t, eng, idx, powers); shared != exact {
+			t.Fatalf("%s: shared margin %.17g != exact-tier margin %.17g", name, shared, exact)
 		}
-		if shared != perLink {
-			t.Fatalf("%s: shared margin %.17g != per-link margin %.17g", name, shared, perLink)
-		}
-		slotLinks := make([]geom.Link, m)
-		for k, i := range idx {
-			slotLinks[k] = links[i]
-		}
-		want, err := p.Margin(slotLinks, powers)
-		if err != nil {
-			t.Fatalf("%s: Margin: %v", name, err)
-		}
-		if rel := math.Abs(shared-want) / math.Max(math.Abs(want), 1e-300); rel > 1e-9 {
-			t.Fatalf("%s: margin %.17g vs naive %.17g (rel %.3g)", name, shared, want, rel)
-		}
+		checkParity(t, p, links, idx, powers)
 	}
+}
+
+// exactSlotMargin is the exact tier's margin for a slot, whatever its size:
+// the symmetric exact-all kernel, which accumulates every row in naive slot
+// order.
+func exactSlotMargin(t testing.TB, e *Engine, idx []int, powers []float64) float64 {
+	t.Helper()
+	sc := NewEngineScratch()
+	if err := e.gather(sc, idx, powers); err != nil {
+		t.Fatalf("gather: %v", err)
+	}
+	var st EngineStats
+	return e.exactAll(sc, len(idx), &st)
+}
+
+// FuzzMarginSlotMatchesExact pins the grid tier to the exact tier: on slots
+// from just below engineExactCutoff to 2¹⁴ links, uniform or clustered, at
+// α ∈ {2.1, 3, 4} with random powers and noise, MarginSlot returns the
+// exact-all kernel's margin bit for bit (the returned margin always comes
+// from an order-pinned exact row), and on slots of up to 2000 links it is
+// within 1e-9 of Params.Margin. At α=2.1 every exact term is a math.Pow, so
+// slots stop at 2¹²: a 2¹⁴ one takes ~15 s, past the fuzzer's hang limit.
+func FuzzMarginSlotMatchesExact(f *testing.F) {
+	f.Add(int64(1), uint16(0), uint8(0), uint8(0))
+	f.Add(int64(2), uint16(4000), uint8(1), uint8(1))
+	f.Add(int64(3), uint16(9000), uint8(0), uint8(2))
+	f.Add(int64(4), uint16(20000), uint8(3), uint8(1))
+	f.Add(int64(5), uint16(30000), uint8(2), uint8(2))
+	f.Add(int64(6), uint16(45000), uint8(1), uint8(4))
+	f.Add(int64(7), uint16(65535), uint8(0), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, size uint16, layout, alphaSel uint8) {
+		// Log-uniform slot size over [cutoff−16, 2¹⁴], or 2¹² at α=2.1.
+		alpha := []float64{2.1, 3, 4}[alphaSel%3]
+		lo, hi := float64(engineExactCutoff-16), float64(1<<14)
+		if alpha == 2.1 {
+			hi = 1 << 12
+		}
+		m := int(lo * math.Pow(hi/lo, float64(size)/math.MaxUint16))
+		var links []geom.Link
+		if layout&1 == 0 {
+			links = randLinks(m, 100*math.Sqrt(float64(m)), seed)
+		} else {
+			links = clusterLinks(m, seed)
+		}
+		p := Params{Alpha: alpha, Beta: 1, Epsilon: 0.5}
+		if layout&2 != 0 {
+			p.Noise = 0.03
+		}
+		idx, powers := fullSlot(m), randPowers(m, seed^0x5bd1e995)
+		e := NewEngine(p, links)
+		var st EngineStats
+		got, err := e.MarginSlot(idx, powers, NewEngineScratch(), &st)
+		if err != nil {
+			t.Fatalf("m=%d: MarginSlot: %v", m, err)
+		}
+		if want := exactSlotMargin(t, e, idx, powers); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("m=%d α=%g: margin %.17g, exact tier %.17g", m, p.Alpha, got, want)
+		}
+		if m <= 2000 {
+			checkParity(t, p, links, idx, powers)
+		}
+	})
 }
 
 // TestEngineSubsetSlot verifies that slots referencing a strict subset of
@@ -307,14 +354,15 @@ func TestEngineStatsAccumulate(t *testing.T) {
 }
 
 // TestEngineStatsFracInvariant: the per-link distinct-pair accounting must
-// keep ExactPairsFrac ≤ 1 on real engine runs — including small slots just
-// above the grid cutoff (the historical >1.0 regime) and when stats are
-// accumulated across repeated verification passes, as the γ-escalation
-// retry loop does.
+// keep ExactPairsFrac ≤ 1 on real engine runs — at the exact-path cutoff,
+// on small slots just above it (the historical >1.0 regime), on a slot of
+// 2¹³ links, and when stats are accumulated across repeated verification
+// passes, as the γ-escalation retry loop does.
 func TestEngineStatsFracInvariant(t *testing.T) {
 	p := DefaultParams()
 	var acc EngineStats
-	for _, m := range []int{65, 70, 80, 100, 150, 300, 1000, 2500} {
+	c := engineExactCutoff
+	for _, m := range []int{c, c + 1, c + 6, c + 16, c + 36, c + 86, 2 * c, 1000, 2500, 1 << 13} {
 		links := randLinks(m, 2000, int64(m))
 		eng := NewEngine(p, links)
 		sc := NewEngineScratch()
@@ -340,32 +388,140 @@ func TestEngineStatsFracInvariant(t *testing.T) {
 	}
 }
 
-// BenchmarkMargin compares the naive O(m²) Margin with the engine on one
-// large slot — the per-slot speedup layer 1+2 buy before slot parallelism.
-// BenchmarkDescendShared compares the tier-1 coarse pass on a huge slot:
-// per-link pyramid descents ("cold") against the frontier-shared wave.
-func BenchmarkDescendShared(b *testing.B) {
-	m := 1 << 14
-	links := randLinks(m, 50000, 41)
-	powers := randPowers(m, 42)
-	idx := fullSlot(m)
-	p := Params{Alpha: 3, Beta: 1, Noise: 0, Epsilon: 0.5}
-	for _, mode := range []string{"cold", "frontier"} {
-		b.Run(mode, func(b *testing.B) {
-			eng := NewEngine(p, links)
-			eng.forcePerLink = mode == "cold"
-			sc := NewEngineScratch()
-			var st EngineStats
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.MarginSlot(idx, powers, sc, &st); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+// TestEngineUnresolvedFallbackPairs: when interval arithmetic leaves no
+// candidate, the grid slot falls back to the exact-all kernel, which
+// supersedes every descent — its near pairs must not be counted on top of
+// the m(m−1) exact pairs. Zero-length links whose senders coincide in pairs
+// make every interval NaN (an infinite signal over an infinite
+// interference), which is exactly that fallback.
+func TestEngineUnresolvedFallbackPairs(t *testing.T) {
+	m := engineExactCutoff + 44
+	r := rand.New(rand.NewSource(61))
+	links := make([]geom.Link, m)
+	for i := range links {
+		if i%2 == 1 {
+			links[i] = geom.NewLink(2*i, 2*i+1, links[i-1].S, links[i-1].S)
+			continue
+		}
+		s := geom.Point{X: r.Float64() * 1000, Y: r.Float64() * 1000}
+		links[i] = geom.NewLink(2*i, 2*i+1, s, s)
+	}
+	idx, powers := fullSlot(m), randPowers(m, 62)
+	e := NewEngine(DefaultParams(), links)
+	var st EngineStats
+	got, err := e.MarginSlot(idx, powers, NewEngineScratch(), &st)
+	if err != nil {
+		t.Fatalf("MarginSlot: %v", err)
+	}
+	if want := exactSlotMargin(t, e, idx, powers); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("margin %v, exact tier %v", got, want)
+	}
+	if st.ExactLinks != int64(m) || st.NearPairs != 0 {
+		t.Fatalf("fallback stats %+v: want %d exact links and no near pairs", st, m)
+	}
+	if f := st.ExactPairsFrac(); f > 1 {
+		t.Fatalf("ExactPairsFrac %g > 1 (stats %+v)", f, st)
 	}
 }
 
+// spreadLinks returns m links of length 0.5–1.5 with senders uniform at a
+// mean spacing of four link lengths — the shape of a feasible slot, whose
+// links share a length class and are kept apart by the conflict graph.
+func spreadLinks(m int, seed int64) []geom.Link {
+	r := rand.New(rand.NewSource(seed))
+	side := 4 * math.Sqrt(float64(m))
+	links := make([]geom.Link, m)
+	for i := range links {
+		s := geom.Point{X: r.Float64() * side, Y: r.Float64() * side}
+		l, th := 0.5+r.Float64(), 2*math.Pi*r.Float64()
+		links[i] = geom.NewLink(2*i, 2*i+1, s, s.Add(geom.Point{X: l * math.Cos(th), Y: l * math.Sin(th)}))
+	}
+	return links
+}
+
+// TestEngineFirstPassWorkBounded pins the work of the frontier-shared first
+// pass, hardware-independently: pyramid nodes accepted as far (shared per
+// cell, and screened per receiver) plus near-field pairs summed exactly,
+// per link. A pass that stops screening, opens far nodes or walks a
+// mis-sized grid exceeds the bound, which sits at 1.5× the measured count.
+func TestEngineFirstPassWorkBounded(t *testing.T) {
+	// The clustered layout packs each cluster into a few cells of a grid
+	// sized for the whole extent, so its near field is a large share of the
+	// slot; the bound pins that too.
+	bounds := map[string]float64{ // 1.5 × the measured work per link
+		"uniform/512":   1.5 * 77.4,
+		"uniform/4096":  1.5 * 163.9,
+		"uniform/16384": 1.5 * 177.9,
+		"cluster/512":   1.5 * 170.0,
+		"cluster/4096":  1.5 * 1365.1,
+		"cluster/16384": 1.5 * 5461.5,
+	}
+	for _, m := range []int{512, 4096, 16384} {
+		for _, layout := range []string{"uniform", "cluster"} {
+			links := spreadLinks(m, int64(m))
+			if layout == "cluster" {
+				links = clusterLinks(m, int64(m))
+			}
+			e := NewEngine(DefaultParams(), links)
+			sc := NewEngineScratch()
+			if err := e.gather(sc, fullSlot(m), randPowers(m, int64(m)+1)); err != nil {
+				t.Fatal(err)
+			}
+			if !e.buildGrid(sc, &sc.grid, m) {
+				t.Fatalf("%s/%d: no grid", layout, m)
+			}
+			var st EngineStats
+			e.descendShared(sc, &sc.grid, engineThetaLadder2[0], &st)
+			var near int64
+			for _, n := range sc.near[:m] {
+				near += int64(n)
+			}
+			name := fmt.Sprintf("%s/%d", layout, m)
+			work := float64(st.FarNodes+near) / float64(m)
+			t.Logf("%s: far/link=%.1f near/link=%.1f work/link=%.1f (bound %.0f)", name,
+				float64(st.FarNodes)/float64(m), float64(near)/float64(m), work, bounds[name])
+			if work > bounds[name] {
+				t.Errorf("%s: %.1f far nodes + near pairs per link, bound %.0f", name, work, bounds[name])
+			}
+		}
+	}
+}
+
+// marginSink keeps benchmarked margins observable.
+var marginSink float64
+
+// BenchmarkMarginSlotBySize times both tiers per link across slot sizes on
+// spreadLinks slots: the exact-all kernel and the grid tier (build, shared
+// first pass, refinement, exact candidate rows). Their crossover sets
+// engineExactCutoff.
+func BenchmarkMarginSlotBySize(b *testing.B) {
+	p := DefaultParams()
+	for _, m := range []int{128, 256, 512, 1024, 4096, 16384} {
+		links := spreadLinks(m, int64(m))
+		e := NewEngine(p, links)
+		idx, powers := fullSlot(m), randPowers(m, int64(m)+1)
+		for _, tier := range []string{"exact", "grid"} {
+			b.Run(fmt.Sprintf("%s/m=%d", tier, m), func(b *testing.B) {
+				sc := NewEngineScratch()
+				var st EngineStats
+				for i := 0; i < b.N; i++ {
+					if err := e.gather(sc, idx, powers); err != nil {
+						b.Fatal(err)
+					}
+					if tier == "exact" || !e.buildGrid(sc, &sc.grid, m) {
+						marginSink = e.exactAll(sc, m, &st)
+					} else {
+						marginSink = e.marginGrid(sc, &sc.grid, m, &st)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(m)), "ns/link")
+			})
+		}
+	}
+}
+
+// BenchmarkMargin compares the naive O(m²) Margin with the engine on one
+// large slot — the per-slot speedup layer 1+2 buy before slot parallelism.
 func BenchmarkMargin(b *testing.B) {
 	links := randLinks(4000, 20000, 61)
 	powers := randPowers(4000, 62)

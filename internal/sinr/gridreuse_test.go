@@ -98,7 +98,7 @@ func TestMarginSlotGridReuse(t *testing.T) {
 // on is positive and grows with slot size.
 func TestSlotGridSizeBytes(t *testing.T) {
 	p := DefaultParams()
-	sizes := []int{200, 2000}
+	sizes := []int{engineExactCutoff + 1, 2000}
 	var prev int64
 	for _, m := range sizes {
 		links := randLinks(m, 40000, 33)

@@ -47,12 +47,12 @@ func MeasureKernelNsPerPair(p Params, m, rounds int) float64 {
 	links := kernelBenchLinks(m)
 	e := NewEngine(p, links)
 	sc := NewEngineScratch()
-	sc.reserve(m)
-	for k, l := range links {
-		sc.px[k], sc.py[k] = l.S.X, l.S.Y
-		sc.qx[k], sc.qy[k] = l.R.X, l.R.Y
-		sc.pw[k] = 1
-		sc.sig[k] = 1 / e.lenA[k]
+	idx, ones := make([]int, m), make([]float64, m)
+	for k := range idx {
+		idx[k], ones[k] = k, 1
+	}
+	if err := e.gather(sc, idx, ones); err != nil {
+		return math.NaN()
 	}
 	var st EngineStats
 	sink := 0.0
