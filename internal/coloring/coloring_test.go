@@ -47,7 +47,7 @@ func TestGreedyProper(t *testing.T) {
 			if len(class) == 0 {
 				t.Fatalf("%s: color %d unused (palette not dense)", f.Name, c)
 			}
-			if !g.IsIndependent(class) {
+			if !isIndependent(g, class) {
 				t.Fatalf("%s: color class %d not independent", f.Name, c)
 			}
 			total += len(class)

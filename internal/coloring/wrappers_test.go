@@ -132,3 +132,20 @@ func RefinementIndependentInG1(links []geom.Link, sets [][]int) error {
 	}
 	return nil
 }
+
+// isIndependent reports whether the given vertex subset of g is pairwise
+// non-adjacent.
+func isIndependent(g *conflict.Graph, set []int) bool {
+	mark := make([]bool, g.N())
+	for _, v := range set {
+		mark[v] = true
+	}
+	for _, v := range set {
+		for _, w := range g.Row(v) {
+			if mark[w] {
+				return false
+			}
+		}
+	}
+	return true
+}

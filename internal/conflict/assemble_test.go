@@ -20,9 +20,9 @@ const denseGamma = 16
 
 // oracleEdges lists the undirected edges of an oracle graph with their
 // strengths, each edge once as (i, j) with i < j.
-func oracleEdges(g *Graph) ([]edge, []float64) {
+func oracleEdges(g *Graph) ([]edge, []float32) {
 	var edges []edge
-	var qs []float64
+	var qs []float32
 	for i := 0; i < g.N(); i++ {
 		for k := g.RowPtr[i]; k < g.RowPtr[i+1]; k++ {
 			if j := g.Neighbors[k]; int32(i) < j {
@@ -57,7 +57,7 @@ func TestAssembleMatchesOracle(t *testing.T) {
 		for _, nbufs := range []int{1, 2, 3, 5, 16} {
 			perm := r.Perm(len(edges))
 			bufs := make([][]edge, nbufs)
-			qbufs := make([][]float64, nbufs)
+			qbufs := make([][]float32, nbufs)
 			for k, p := range perm {
 				b := k % nbufs
 				e := edges[p]
@@ -211,4 +211,70 @@ func BenchmarkBuildDense(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(g.Edges()), "edges")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.Edges()), "ns/edge")
+}
+
+// tableBytes returns the bytes a class grid's cell table holds: the
+// open-addressed slots and the compact per-cell keys and start offsets, at
+// their allocated capacity.
+func (cg *classGrid) tableBytes() int {
+	return 4*cap(cg.table) + 8*cap(cg.cellX) + 8*cap(cg.cellY) + 4*cap(cg.start)
+}
+
+// TestBuildBytesPerEdge gates the build's memory in hardware-independent
+// units on uniform n=100k MST links under G_obl(γ=3, δ=½) at GOMAXPROCS 1:
+// the bytes one BuildLookaheadCtx allocates (runtime.MemStats.TotalAlloc,
+// with the edge-buffer pools emptied first) per accepted edge, and the bytes
+// its cell tables hold per occupied cell. Worker buffers take 12 B per edge
+// and the CSR 16 B; the tables, sized by occupied cells, take 4 B per slot
+// at load ≤ ½ plus 20 B of keys and offsets per cell. Each bound is 1.15×
+// the value measured when it was set.
+func TestBuildBytesPerEdge(t *testing.T) {
+	const (
+		maxBytesPerEdge = 1.15 * 54.9
+		maxBytesPerCell = 1.15 * 34.6
+	)
+	// One worker: with more, how blocks split between the workers' edge
+	// buffers, and so how much their growth discards, depends on timing.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	links := mstLinks(t, 100_000, 57, 30_000)
+	fam := PowerLawFamily(0.5)
+	// A pooled buffer survives one GC in the pool's victim cache; two empty
+	// the pools, so the build below allocates all of its buffers.
+	runtime.GC()
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	g := build(t, links, fam, 3)
+	runtime.ReadMemStats(&m1)
+	perEdge := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(g.Stats.CandAccepted)
+
+	lens, sx, sy, rx, ry := make([]float64, len(links)), make([]float64, len(links)),
+		make([]float64, len(links)), make([]float64, len(links)), make([]float64, len(links))
+	lmin, lmax := math.Inf(1), 0.0
+	for i, l := range links {
+		lens[i] = l.Length()
+		lmin, lmax = math.Min(lmin, lens[i]), math.Max(lmax, lens[i])
+		sx[i], sy[i], rx[i], ry[i] = l.S.X, l.S.Y, l.R.X, l.R.Y
+	}
+	f := fam.At(3)
+	grids, _, _, err := indexClasses(lens, sx, sy, rx, ry, lmin, lmax, f, f.Eval(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytes, cells := 0, 0
+	for _, cg := range grids {
+		if cg != nil {
+			bytes += cg.tableBytes()
+			cells += cg.cells()
+		}
+	}
+	perCell := float64(bytes) / float64(cells)
+	t.Logf("%d edges, %.1f B allocated per edge (bound %.1f); %d cells, %.1f table B per cell (bound %.1f)",
+		g.Edges(), perEdge, maxBytesPerEdge, cells, perCell, maxBytesPerCell)
+	if perEdge > maxBytesPerEdge {
+		t.Errorf("build allocated %.1f B per edge, bound %.1f", perEdge, maxBytesPerEdge)
+	}
+	if perCell > maxBytesPerCell {
+		t.Errorf("cell tables hold %.1f B per cell, bound %.1f", perCell, maxBytesPerCell)
+	}
 }

@@ -32,6 +32,16 @@
 // index are refused with ErrDegenerate, and graphs too large for the int32
 // CSR index with ErrTooManyEdges. The exact O(n²) pairwise scan lives in the
 // package tests as the oracle.
+//
+// Strengths are stored as float32: each is the smallest float32 at or
+// above the exact float64 strength (roundUp32). The annotation costs 4
+// bytes per directed entry, and no output bit depends on the rounding:
+// FilterCtx decides every γ that is a float32 (every rung of the escalation
+// ladder) by the float32 compare alone, and re-decides the rare entry whose
+// rounded strength brackets any other γ with the build's own pair
+// predicate, Conflicting (see FilterCtx). A graph and its filtered or
+// scheduled descendants share one link slice, which no one writes after
+// the build.
 package conflict
 
 import (
@@ -132,6 +142,9 @@ func Conflicting(f Func, i, j geom.Link) bool {
 // slice. The layout is two flat allocations regardless of the vertex count,
 // and a row walk is one contiguous scan.
 type Graph struct {
+	// Links is the caller's link slice, stored without a copy and shared by
+	// every graph filtered from this one. It is immutable: neither the
+	// package nor its callers write to it once the graph exists.
 	Links []geom.Link
 	F     Func
 	// RowPtr has length N()+1; RowPtr[0] == 0.
@@ -139,11 +152,14 @@ type Graph struct {
 	// Neighbors holds all adjacency rows back to back (2·Edges entries).
 	Neighbors []int32
 	// Strengths, when non-nil, parallels Neighbors: Strengths[k] is the
-	// conflict strength of the pair (i, Neighbors[k]) — the smallest γ at
-	// which the two links f_γ-conflict under the threshold family the graph
-	// was built for (see Family and BuildLookaheadCtx). Every built or
-	// filtered graph carries it; only FromAdj leaves it nil.
-	Strengths []float64
+	// conflict strength of the pair (i, Neighbors[k]) — the smallest float64
+	// γ at which the two links f_γ-conflict under the threshold family the
+	// graph was built for (see Family and strengthOf) — rounded up to the
+	// next float32 (roundUp32). Rounding up keeps "Strengths[k] ≤ γ" exact
+	// for every float32 γ; FilterCtx rechecks the pairs the rounding leaves
+	// undecided at any other γ. Every built or filtered graph carries it;
+	// only FromAdj leaves it nil.
+	Strengths []float32
 	// Stats counts the candidate-pruning work of the bucketed build that
 	// produced the graph; zero for test-constructed graphs.
 	// FilterCtx propagates it, so filtered lookahead graphs report the
@@ -180,6 +196,17 @@ func (s *BuildStats) Add(o BuildStats) {
 
 // edge is one undirected edge, owned by the discovering endpoint.
 type edge struct{ i, j int32 }
+
+// roundUp32 returns the smallest float32 at or above q ≥ 0 (+Inf past
+// math.MaxFloat32): the stored form of a conflict strength. For
+// non-negative floats the next value up is the next bit pattern.
+func roundUp32(q float64) float32 {
+	r := float32(q)
+	if float64(r) < q {
+		r = math.Float32frombits(math.Float32bits(r) + 1)
+	}
+	return r
+}
 
 // ErrTooManyEdges reports a conflict graph whose directed adjacency entries
 // (2·edges) overflow the int32 CSR index. The edge count is driven by the
@@ -223,7 +250,7 @@ func scatterGroups(nbufs, n, total, entryBytes int) int {
 // (sortRows), so the result does not depend on how edges are spread over
 // buffers or on their order. An edge total past the int32 index is refused
 // with a wrapped ErrTooManyEdges before anything is allocated.
-func assemble(links []geom.Link, f Func, bufs [][]edge, qs [][]float64) (*Graph, error) {
+func assemble(links []geom.Link, f Func, bufs [][]edge, qs [][]float32) (*Graph, error) {
 	n := len(links)
 	total := 0
 	for _, b := range bufs {
@@ -233,15 +260,15 @@ func assemble(links []geom.Link, f Func, bufs [][]edge, qs [][]float64) (*Graph,
 		return nil, err
 	}
 	g := &Graph{
-		Links:     append([]geom.Link(nil), links...),
+		Links:     links,
 		F:         f,
 		RowPtr:    make([]int32, n+1),
 		Neighbors: make([]int32, 2*total),
 	}
 	entryBytes := 8
 	if qs != nil {
-		g.Strengths = make([]float64, 2*total)
-		entryBytes += 8
+		g.Strengths = make([]float32, 2*total)
+		entryBytes += 4
 	}
 	k := scatterGroups(len(bufs), n, total, entryBytes)
 	cur := make([][]int32, k)
@@ -306,7 +333,7 @@ const longRow = 32
 func sortRows(g *Graph) {
 	par.ForBlocks(g.N(), 256, func(next func() (int, int, bool)) {
 		var keys []uint64
-		var qtmp []float64
+		var qtmp []float32
 		for lo, hi, ok := next(); ok; lo, hi, ok = next() {
 			for i := lo; i < hi; i++ {
 				row := g.Row(i)
@@ -380,6 +407,12 @@ func FromAdj(links []geom.Link, f Func, adj [][]int32) *Graph {
 // for any instance extent; replacing the former map[cellKey][]int32 removes
 // the runtime map's hashing, bucket-probe, and per-cell slice overhead from
 // the build's innermost lookup.
+//
+// Everything per cell lives in compact order — cells numbered in first-touch
+// order — and the table holds only that compact index, so it costs 4 bytes
+// per slot and is sized by the occupied cells, not by the class's links: it
+// starts at 8 slots and doubles whenever a new cell would push the load
+// past ½.
 type classGrid struct {
 	size float64 // cell side length
 	maxL float64 // actual maximum link length in the class
@@ -388,18 +421,17 @@ type classGrid struct {
 	// it, so a search radius far larger than the class extent (possible for
 	// LogThreshold with α near 2) costs no more than the extent itself.
 	minCX, maxCX, minCY, maxCY int64
-	// Open-addressed table: slot s holds cell (keyX[s], keyY[s]) iff full[s].
-	mask       uint64
-	keyX, keyY []int64
-	full       []bool
-	slots      int // occupied slots, i.e. cells
-	// cellIdx maps an occupied slot to its compact cell index in [0, slots),
-	// handed out in first-touch order. The insert pass walks links in
-	// Morton order, so compact order follows space and so do the member
-	// lists below.
-	cellIdx []int32
+	// Open-addressed table: slot s holds the compact index of its cell, -1
+	// when empty.
+	mask  uint64
+	table []int32
+	// cellX[c], cellY[c] are the coordinates of compact cell c. The insert
+	// pass walks links in Morton order, so compact order follows space and
+	// so do the member lists below.
+	cellX, cellY []int64
 	// CSR member storage in compact cell order: the links with an endpoint
 	// in cell c are members[start[c]:start[c+1]], in increasing link order.
+	// start gains one entry per claimed cell.
 	start   []int32
 	members []int32
 	// Cell-local SoA mirror, aligned with members: the endpoints and length
@@ -434,24 +466,50 @@ func (cg *classGrid) cellCoordXY(x, y float64) (int64, int64) {
 	return int64(math.Floor(x / cg.size)), int64(math.Floor(y / cg.size))
 }
 
-// insertCell returns the compact index of cell (x, y), claiming an empty
-// table slot and the next compact index on first use. The capacity chosen
-// in BuildLookaheadCtx bounds the load factor by ½, so probe chains stay
-// short and the loop always terminates.
+// cells returns the number of occupied cells.
+func (cg *classGrid) cells() int { return len(cg.cellX) }
+
+// insertCell returns the compact index of cell (x, y), claiming the next
+// compact index (and a start entry) on first use. A claim that would push
+// the load past ½ first doubles the table, so probe chains stay short and
+// the loop always terminates.
 func (cg *classGrid) insertCell(x, y int64) int32 {
 	h := cellHash(x, y) & cg.mask
 	for {
-		if !cg.full[h] {
-			cg.full[h] = true
-			cg.keyX[h], cg.keyY[h] = x, y
-			cg.cellIdx[h] = int32(cg.slots)
-			cg.slots++
-			return cg.cellIdx[h]
+		c := cg.table[h]
+		if c < 0 {
+			if 2*(cg.cells()+1) > len(cg.table) {
+				cg.grow()
+				return cg.insertCell(x, y)
+			}
+			c = int32(cg.cells())
+			cg.table[h] = c
+			cg.cellX = append(cg.cellX, x)
+			cg.cellY = append(cg.cellY, y)
+			cg.start = append(cg.start, 0)
+			return c
 		}
-		if cg.keyX[h] == x && cg.keyY[h] == y {
-			return cg.cellIdx[h]
+		if cg.cellX[c] == x && cg.cellY[c] == y {
+			return c
 		}
 		h = (h + 1) & cg.mask
+	}
+}
+
+// grow doubles the table (to 8 slots when empty) and re-inserts every
+// claimed cell from the compact key arrays.
+func (cg *classGrid) grow() {
+	cg.table = make([]int32, max(8, 2*len(cg.table)))
+	for s := range cg.table {
+		cg.table[s] = -1
+	}
+	cg.mask = uint64(len(cg.table) - 1)
+	for c, x := range cg.cellX {
+		h := cellHash(x, cg.cellY[c]) & cg.mask
+		for cg.table[h] >= 0 {
+			h = (h + 1) & cg.mask
+		}
+		cg.table[h] = int32(c)
 	}
 }
 
@@ -459,13 +517,13 @@ func (cg *classGrid) insertCell(x, y int64) int32 {
 // empty.
 func (cg *classGrid) cellAt(x, y int64) int32 {
 	h := cellHash(x, y) & cg.mask
-	for cg.full[h] {
-		if cg.keyX[h] == x && cg.keyY[h] == y {
-			return cg.cellIdx[h]
+	for {
+		c := cg.table[h]
+		if c < 0 || (cg.cellX[c] == x && cg.cellY[c] == y) {
+			return c
 		}
 		h = (h + 1) & cg.mask
 	}
-	return -1
 }
 
 func (cg *classGrid) extend(x, y int64) {
@@ -512,13 +570,13 @@ func getEdgeBuf() *[]edge {
 // builds, mirroring edgeBufPool entry for entry.
 var strengthBufPool sync.Pool
 
-func getStrengthBuf() *[]float64 {
+func getStrengthBuf() *[]float32 {
 	pooledOut.Add(1)
-	if p, ok := strengthBufPool.Get().(*[]float64); ok {
+	if p, ok := strengthBufPool.Get().(*[]float32); ok {
 		*p = (*p)[:0]
 		return p
 	}
-	return new([]float64)
+	return new([]float32)
 }
 
 // mortonOrder returns the link indices sorted by the Morton (Z-order) code
@@ -587,12 +645,14 @@ func interleave16(v uint64) uint64 {
 
 // ErrDegenerate reports an input the bucketed build cannot index: a link
 // length that is non-positive or non-finite (no dyadic length class), a
-// threshold f(2) that is not finite and positive, or a grid cell side
-// l·f(2) outside float64's positive finite range. Builders wrap it with the
-// reason; test with errors.Is. A length ratio or search radius that
-// overflows is not degenerate: the infinite radius clamps to the class's
-// occupied cells, and the pair test (like the pairwise oracle) then sees an
-// infinite threshold.
+// threshold f(2) that is not finite and positive, a grid cell side l·f(2)
+// outside float64's positive finite range, or cells so small against the
+// coordinates of their class (|x|/side ≥ 2⁶²) that a cell index would
+// overflow int64, which a tiny γ under a steep family reaches. Builders
+// wrap it with the reason; test with errors.Is. A length ratio or search
+// radius that overflows is not degenerate: the infinite radius clamps to
+// the class's occupied cells, and the pair test (like the pairwise oracle)
+// then sees an infinite threshold.
 var ErrDegenerate = errors.New("conflict: degenerate input")
 
 // BuildLookaheadCtx constructs G_f(links) for f = fam.At(gm) with
@@ -665,35 +725,130 @@ func BuildLookaheadCtx(ctx context.Context, links []geom.Link, fam Family, gm fl
 	sys := make([]float64, n)
 	rxs := make([]float64, n)
 	rys := make([]float64, n)
-	maxAbs := 0.0
 	for k, o := range orig {
 		l := links[o]
 		plens[k] = lens[o]
 		sxs[k], sys[k] = l.S.X, l.S.Y
 		rxs[k], rys[k] = l.R.X, l.R.Y
-		maxAbs = math.Max(maxAbs, math.Max(
-			math.Max(math.Abs(l.S.X), math.Abs(l.S.Y)),
-			math.Max(math.Abs(l.R.X), math.Abs(l.R.Y))))
 	}
 	lens = plens
 
+	grids, class, maxAbs, err := indexClasses(lens, sxs, sys, rxs, rys, lmin, lmax, f, f2)
+	if err != nil {
+		return nil, err
+	}
+
+	bs := &bucketedSearch{
+		lens: lens, class: class, grids: grids, f: f, fConst: f.Const,
+		h: fam.H, gm: gm, orig: orig, maxAbs: maxAbs,
+		sx: sxs, sy: sys, rx: rxs, ry: rys,
+	}
+
+	// Parallel candidate search. Each worker appends the edges its vertices
+	// own — same-class neighbors j > i and all conflicting neighbors in
+	// strictly higher classes — to one flat per-worker edge buffer and an
+	// index-aligned strength buffer, both drawn from the shared pools
+	// (returned once assemble has scattered them, or on any error).
+	var mu sync.Mutex
+	var bufs []*[]edge
+	var qbufs []*[]float32 // index-aligned with bufs
+	var stats BuildStats
+	defer func() {
+		for _, b := range bufs {
+			edgeBufPool.Put(b)
+		}
+		for _, b := range qbufs {
+			strengthBufPool.Put(b)
+		}
+		pooledOut.Add(-int64(len(bufs) + len(qbufs)))
+	}()
+	err = par.ForBlocksCtx(ctx, n, 64, func(next func() (int, int, bool)) {
+		stamp := make([]int32, n)
+		for i := range stamp {
+			stamp[i] = -1
+		}
+		bufp, qbufp := getEdgeBuf(), getStrengthBuf()
+		buf, qbuf := *bufp, *qbufp
+		// One-shot buffer reservation: at large sizes append grows slices by
+		// only ~1.25×, so accumulating tens of millions of edges through the
+		// default growth path allocates (and discards) several times the
+		// final footprint — enough churn to drag whole GC cycles into big
+		// builds. After a 1/16 prefix of this worker's expected share,
+		// extrapolate the final count and reserve it once; a low estimate
+		// just resumes normal append growth.
+		seen, grown := 0, false
+		share := n/max(runtime.GOMAXPROCS(0), 1) + 1
+		var wst BuildStats
+		for lo, hi, ok := next(); ok; lo, hi, ok = next() {
+			for i := lo; i < hi; i++ {
+				bs.searchLink(int32(i), stamp, &buf, &qbuf, &wst)
+			}
+			seen += hi - lo
+			if !grown && seen >= share/16 && seen >= 4096 && len(buf) > 0 {
+				grown = true
+				proj := int(float64(len(buf)) / float64(seen) * float64(share) * 1.15)
+				if proj > cap(buf) {
+					buf = append(make([]edge, 0, proj), buf...)
+					qbuf = append(make([]float32, 0, proj), qbuf...)
+				}
+			}
+		}
+		*bufp, *qbufp = buf, qbuf
+		mu.Lock()
+		bufs = append(bufs, bufp)
+		qbufs = append(qbufs, qbufp)
+		stats.Add(wst)
+		mu.Unlock()
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Workers that drew no block left empty buffers; dropping them keeps
+	// the round-robin deal in assemble from idling a scatter group. qs stays
+	// non-nil even with no edges: the graph must be marked filterable.
+	edges := make([][]edge, 0, len(bufs))
+	qs := make([][]float32, 0, len(bufs))
+	for k, b := range bufs {
+		if len(*b) > 0 {
+			edges = append(edges, *b)
+			qs = append(qs, *qbufs[k])
+		}
+	}
+	g, err := assemble(links, f, edges, qs)
+	if err != nil {
+		return nil, err
+	}
+	g.Stats = stats
+	return g, nil
+}
+
+// indexClasses buckets the links — given as Morton-ordered lengths and
+// endpoint coordinates — into dyadic length classes and builds each class's
+// cell grid with side maxL·f(2): the cell table, the member lists with their
+// SoA mirrors, and the per-cell pruning metadata. It returns the grids
+// (nil for an empty class), each link's class, and the largest coordinate
+// magnitude. A class whose cell indices would overflow int64 makes the
+// input degenerate.
+func indexClasses(lens, sxs, sys, rxs, rys []float64, lmin, lmax float64, f Func, f2 float64) ([]*classGrid, []int, float64, error) {
 	// Dyadic class boundaries b_c = lmin·2^c, assigned by comparison (not
 	// floating log2) so that classification is exactly monotone in length.
 	bounds := []float64{lmin}
 	for b := lmin * 2; b <= lmax; b *= 2 {
 		bounds = append(bounds, b)
 	}
-	nc := len(bounds)
+	n, nc := len(lens), len(bounds)
 	class := make([]int, n)
 	grids := make([]*classGrid, nc)
-	cnt := make([]int, nc)
+	farC := make([]float64, nc) // largest coordinate magnitude per class
 	for i := 0; i < n; i++ {
 		c := sort.SearchFloat64s(bounds, lens[i])
 		if c == nc || bounds[c] > lens[i] {
 			c--
 		}
 		class[i] = c
-		cnt[c]++
+		farC[c] = math.Max(farC[c], math.Max(
+			math.Max(math.Abs(sxs[i]), math.Abs(sys[i])),
+			math.Max(math.Abs(rxs[i]), math.Abs(rys[i]))))
 		if grids[c] == nil {
 			grids[c] = &classGrid{
 				maxL: lens[i], minL: lens[i],
@@ -706,23 +861,19 @@ func BuildLookaheadCtx(ctx context.Context, links []geom.Link, fam Family, gm fl
 			g.minL = math.Min(g.minL, lens[i])
 		}
 	}
+	maxAbs := 0.0
 	for c, cg := range grids {
 		if cg == nil {
 			continue
 		}
+		maxAbs = math.Max(maxAbs, farC[c])
 		cg.size = cg.maxL * f2
-		// A class of k links occupies at most 2k cells, so capacity 4k keeps
-		// the open-addressed load factor at or below ½.
-		capSlots := 8
-		for capSlots < 4*cnt[c] {
-			capSlots <<= 1
+		// Cell indices floor(x/size) of the class must convert to int64.
+		if q := farC[c] / cg.size; !(q < 1<<62) {
+			return nil, nil, 0, fmt.Errorf("%w: %s cell index %g overflows int64", ErrDegenerate, f.Name, q)
 		}
-		cg.mask = uint64(capSlots - 1)
-		cg.keyX = make([]int64, capSlots)
-		cg.keyY = make([]int64, capSlots)
-		cg.full = make([]bool, capSlots)
-		cg.cellIdx = make([]int32, capSlots)
-		cg.start = make([]int32, 2*cnt[c]+1) // trimmed to slots+1 below
+		cg.grow()
+		cg.start = []int32{0}
 	}
 	// Insert pass: claim cells and count per-cell members (into start[c+1],
 	// ready for the prefix sum), then scatter link indices. A link whose two
@@ -749,24 +900,24 @@ func BuildLookaheadCtx(ctx context.Context, links []geom.Link, fam Family, gm fl
 		if cg == nil {
 			continue
 		}
-		cg.start = cg.start[:cg.slots+1]
-		for c := 0; c < cg.slots; c++ {
+		cells := cg.cells()
+		for c := 0; c < cells; c++ {
 			cg.start[c+1] += cg.start[c]
 		}
-		nm := int(cg.start[cg.slots])
+		nm := int(cg.start[cells])
 		cg.members = make([]int32, nm)
 		cg.msx = make([]float64, nm)
 		cg.msy = make([]float64, nm)
 		cg.mrx = make([]float64, nm)
 		cg.mry = make([]float64, nm)
 		cg.mlen = make([]float64, nm)
-		cg.bbMinX = make([]float64, cg.slots)
-		cg.bbMaxX = make([]float64, cg.slots)
-		cg.bbMinY = make([]float64, cg.slots)
-		cg.bbMaxY = make([]float64, cg.slots)
-		cg.cMinL = make([]float64, cg.slots)
-		cg.cMaxL = make([]float64, cg.slots)
-		for c := 0; c < cg.slots; c++ {
+		cg.bbMinX = make([]float64, cells)
+		cg.bbMaxX = make([]float64, cells)
+		cg.bbMinY = make([]float64, cells)
+		cg.bbMaxY = make([]float64, cells)
+		cg.cMinL = make([]float64, cells)
+		cg.cMaxL = make([]float64, cells)
+		for c := 0; c < cells; c++ {
 			cg.bbMinX[c], cg.bbMaxX[c] = math.Inf(1), math.Inf(-1)
 			cg.bbMinY[c], cg.bbMaxY[c] = math.Inf(1), math.Inf(-1)
 			cg.cMinL[c], cg.cMaxL[c] = math.Inf(1), 0
@@ -782,7 +933,7 @@ func BuildLookaheadCtx(ctx context.Context, links []geom.Link, fam Family, gm fl
 		if cg == nil {
 			continue
 		}
-		cg.fillTmp = append([]int32(nil), cg.start[:cg.slots]...)
+		cg.fillTmp = append([]int32(nil), cg.start[:cg.cells()]...)
 	}
 	extendCell := func(cg *classGrid, ci int32, x, y, le float64) {
 		cg.bbMinX[ci] = math.Min(cg.bbMinX[ci], x)
@@ -821,89 +972,7 @@ func BuildLookaheadCtx(ctx context.Context, links []geom.Link, fam Family, gm fl
 			cg.fillTmp = nil
 		}
 	}
-
-	bs := &bucketedSearch{
-		lens: lens, class: class, grids: grids, f: f, fConst: f.Const,
-		h: fam.H, gm: gm, orig: orig, maxAbs: maxAbs,
-		sx: sxs, sy: sys, rx: rxs, ry: rys,
-	}
-
-	// Parallel candidate search. Each worker appends the edges its vertices
-	// own — same-class neighbors j > i and all conflicting neighbors in
-	// strictly higher classes — to one flat per-worker edge buffer and an
-	// index-aligned strength buffer, both drawn from the shared pools
-	// (returned once assemble has scattered them, or on any error).
-	var mu sync.Mutex
-	var bufs []*[]edge
-	var qbufs []*[]float64 // index-aligned with bufs
-	var stats BuildStats
-	defer func() {
-		for _, b := range bufs {
-			edgeBufPool.Put(b)
-		}
-		for _, b := range qbufs {
-			strengthBufPool.Put(b)
-		}
-		pooledOut.Add(-int64(len(bufs) + len(qbufs)))
-	}()
-	err := par.ForBlocksCtx(ctx, n, 64, func(next func() (int, int, bool)) {
-		stamp := make([]int32, n)
-		for i := range stamp {
-			stamp[i] = -1
-		}
-		bufp, qbufp := getEdgeBuf(), getStrengthBuf()
-		buf, qbuf := *bufp, *qbufp
-		// One-shot buffer reservation: at large sizes append grows slices by
-		// only ~1.25×, so accumulating tens of millions of edges through the
-		// default growth path allocates (and discards) several times the
-		// final footprint — enough churn to drag whole GC cycles into big
-		// builds. After a 1/16 prefix of this worker's expected share,
-		// extrapolate the final count and reserve it once; a low estimate
-		// just resumes normal append growth.
-		seen, grown := 0, false
-		share := n/max(runtime.GOMAXPROCS(0), 1) + 1
-		var wst BuildStats
-		for lo, hi, ok := next(); ok; lo, hi, ok = next() {
-			for i := lo; i < hi; i++ {
-				bs.searchLink(int32(i), stamp, &buf, &qbuf, &wst)
-			}
-			seen += hi - lo
-			if !grown && seen >= share/16 && seen >= 4096 && len(buf) > 0 {
-				grown = true
-				proj := int(float64(len(buf)) / float64(seen) * float64(share) * 1.15)
-				if proj > cap(buf) {
-					buf = append(make([]edge, 0, proj), buf...)
-					qbuf = append(make([]float64, 0, proj), qbuf...)
-				}
-			}
-		}
-		*bufp, *qbufp = buf, qbuf
-		mu.Lock()
-		bufs = append(bufs, bufp)
-		qbufs = append(qbufs, qbufp)
-		stats.Add(wst)
-		mu.Unlock()
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Workers that drew no block left empty buffers; dropping them keeps
-	// the round-robin deal in assemble from idling a scatter group. qs stays
-	// non-nil even with no edges: the graph must be marked filterable.
-	edges := make([][]edge, 0, len(bufs))
-	qs := make([][]float64, 0, len(bufs))
-	for k, b := range bufs {
-		if len(*b) > 0 {
-			edges = append(edges, *b)
-			qs = append(qs, *qbufs[k])
-		}
-	}
-	g, err := assemble(links, f, edges, qs)
-	if err != nil {
-		return nil, err
-	}
-	g.Stats = stats
-	return g, nil
+	return grids, class, maxAbs, nil
 }
 
 // bucketedSearch carries the read-only state of one bucketed candidate
@@ -956,7 +1025,7 @@ func cellNear(cx, cy int64, s, rp2, sx, sy, rx, ry float64) bool {
 // searchLink appends to *out every edge (i, j) that link i owns, and each
 // edge's conflict strength to *qout in lockstep.
 // st accumulates the worker's pruning counters.
-func (b *bucketedSearch) searchLink(i int32, stamp []int32, out *[]edge, qout *[]float64, st *BuildStats) {
+func (b *bucketedSearch) searchLink(i int32, stamp []int32, out *[]edge, qout *[]float32, st *BuildStats) {
 	li := b.lens[i]
 	ci := b.class[i]
 	isx, isy := b.sx[i], b.sy[i]
@@ -995,23 +1064,21 @@ func (b *bucketedSearch) searchLink(i int32, stamp []int32, out *[]edge, qout *[
 		x1 := clampCell(math.Floor((math.Max(isx, irx)+r)/s), cg.minCX, cg.maxCX)
 		y0 := clampCell(math.Floor((math.Min(isy, iry)-r)/s), cg.minCY, cg.maxCY)
 		y1 := clampCell(math.Floor((math.Max(isy, iry)+r)/s), cg.minCY, cg.maxCY)
-		if float64(x1-x0+1)*float64(y1-y0+1) > float64(len(cg.full)) {
-			// The rectangle holds more cells than the table has slots
+		if float64(x1-x0+1)*float64(y1-y0+1) > float64(cg.cells()) {
+			// The rectangle holds more cells than the class occupies
 			// (sparse class spread over a wide extent): iterating it
-			// would mostly probe empty cells, so walk the occupied
-			// slots and test rectangle membership instead.
-			for sl := range cg.full {
-				if !cg.full[sl] {
-					continue
-				}
-				kx, ky := cg.keyX[sl], cg.keyY[sl]
+			// would mostly probe empty cells, so walk the occupied cells
+			// and test rectangle membership instead. Either walk tests the
+			// same cells; only the order edges are found in differs.
+			for cc, kx := range cg.cellX {
+				ky := cg.cellY[cc]
 				if kx < x0 || kx > x1 || ky < y0 || ky > y1 {
 					continue
 				}
 				if !cellNear(kx, ky, s, rp2, isx, isy, irx, iry) {
 					continue
 				}
-				b.scanCandCell(i, ci == c, li, cg, cg.cellIdx[sl], stamp, out, qout, st)
+				b.scanCandCell(i, ci == c, li, cg, int32(cc), stamp, out, qout, st)
 			}
 			continue
 		}
@@ -1049,7 +1116,7 @@ func (b *bucketedSearch) searchLink(i int32, stamp []int32, out *[]edge, qout *[
 // The surviving cell's members are then distance-tested against rc² instead
 // of the class radius, tightening the per-candidate reject as well.
 func (b *bucketedSearch) scanCandCell(i int32, sameClass bool, li float64, cg *classGrid, ic int32,
-	stamp []int32, out *[]edge, qout *[]float64, st *BuildStats) {
+	stamp []int32, out *[]edge, qout *[]float32, st *BuildStats) {
 	cmax := cg.cMaxL[ic]
 	var rc float64
 	if b.fConst > 0 {
@@ -1094,8 +1161,8 @@ func (b *bucketedSearch) scanCandCell(i int32, sameClass bool, li float64, cg *c
 // distances against (l_min·(γ·h(l_max/l_min)))², the floating-point
 // expression f.Eval computes by Family.At's contract — is
 // expression-identical to Conflicting, so the edge set matches the exact
-// pairwise scan bit-for-bit. Each accepted edge's strength is appended to
-// *qout.
+// pairwise scan bit-for-bit. Each accepted edge's strength, rounded up to
+// float32, is appended to *qout.
 //
 // The loop is ordered cheapest-reject-first: the squared distance (pure SoA
 // loads and arithmetic) is compared against rr — the squared padded
@@ -1106,7 +1173,7 @@ func (b *bucketedSearch) scanCandCell(i int32, sameClass bool, li float64, cg *c
 // cells is simply tested twice; the stamp still deduplicates the emitted
 // edge.
 func (b *bucketedSearch) scanCell(i int32, sameClass bool, rr float64,
-	cg *classGrid, mlo, mhi int32, stamp []int32, out *[]edge, qout *[]float64, st *BuildStats) {
+	cg *classGrid, mlo, mhi int32, stamp []int32, out *[]edge, qout *[]float32, st *BuildStats) {
 	li := b.lens[i]
 	isx, isy := b.sx[i], b.sy[i]
 	irx, iry := b.rx[i], b.ry[i]
@@ -1159,7 +1226,7 @@ func (b *bucketedSearch) scanCell(i int32, sameClass bool, rr float64,
 			stamp[j] = i
 			st.CandAccepted++
 			*out = append(*out, edge{b.orig[i], b.orig[j]})
-			*qout = append(*qout, strengthOf(d, lmin, hx, b.gm))
+			*qout = append(*qout, roundUp32(strengthOf(d, lmin, hx, b.gm)))
 		}
 	}
 }
@@ -1189,23 +1256,6 @@ func (g *Graph) MaxDegree() int {
 		}
 	}
 	return int(d)
-}
-
-// IsIndependent reports whether the given vertex subset is pairwise
-// non-adjacent.
-func (g *Graph) IsIndependent(set []int) bool {
-	mark := make([]bool, g.N())
-	for _, v := range set {
-		mark[v] = true
-	}
-	for _, v := range set {
-		for _, w := range g.Row(v) {
-			if mark[w] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // AverageDegree returns 2·|E|/|V| (0 for an empty graph).

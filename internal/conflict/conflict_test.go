@@ -110,7 +110,7 @@ func graphsEqual(t *testing.T, want, got *Graph, label string) {
 		t.Fatalf("%s: Strengths missing", label)
 	}
 	for k, q := range want.Strengths {
-		if math.Float64bits(q) != math.Float64bits(got.Strengths[k]) {
+		if math.Float32bits(q) != math.Float32bits(got.Strengths[k]) {
 			t.Fatalf("%s: strength of entry %d: oracle=%g got=%g", label, k, q, got.Strengths[k])
 		}
 	}
@@ -163,9 +163,9 @@ func TestZeroLengthRejected(t *testing.T) {
 
 // TestDegenerateIsBounded proves no quadratic path is left: each kind of
 // degenerate 10⁵-link input — a zero-length link at the end, a NaN δ, an
-// infinite length, an overflowing f(2) and an overflowing cell side — is
-// refused with ErrDegenerate in well under a second. A pairwise scan would
-// test 5·10⁹ pairs.
+// infinite length, an overflowing f(2), an overflowing cell side and a cell
+// side too small for int64 cell indices — is refused with ErrDegenerate in
+// well under a second. A pairwise scan would test 5·10⁹ pairs.
 func TestDegenerateIsBounded(t *testing.T) {
 	const n = 100_000
 	r := rng.New(35)
@@ -189,6 +189,7 @@ func TestDegenerateIsBounded(t *testing.T) {
 		{"inf-length", with(n-1, geom.NewLink(0, 1, geom.Point{X: -1e308}, geom.Point{X: 1e308})), famGamma{GammaFamily(), 2}},
 		{"f2-overflow", links, famGamma{GammaFamily(), math.Inf(1)}},
 		{"cell-overflow", with(n-1, geom.NewLink(0, 1, geom.Point{}, geom.Point{X: 1e300})), famGamma{PowerLawFamily(0.5), 1e10}},
+		{"cell-index-overflow", links, famGamma{PowerLawFamily(0.5), 1e-16}},
 	}
 	for _, tc := range cases {
 		if !degenerate(tc.links, tc.fg.fam.At(tc.fg.gamma)) {

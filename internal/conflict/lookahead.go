@@ -10,10 +10,15 @@
 // Exactness is preserved bit-for-bit: strengthOf computes the smallest
 // float64 γ at which the build's own floating-point predicate flips to
 // true (the predicate is weakly monotone in γ because every operation in
-// l_min·(γ·h(x)) and its square is), so filtering by Strengths[k] ≤ γ
-// reproduces the direct build's pair test exactly — not approximately —
-// at every γ up to the build γ. The parity suite and the fuzz targets pin
-// this against the exact pairwise oracle kept in the package tests.
+// l_min·(γ·h(x)) and its square is), so "strength ≤ γ" reproduces the
+// direct build's pair test exactly — not approximately — at every γ up to
+// the build γ. The graph stores that strength rounded up to a float32
+// (roundUp32), and FilterCtx recovers the exact decision from it: by the
+// float32 compare alone whenever γ is a float32, which every escalation
+// rung is, and otherwise through the pair predicate for the entries whose
+// rounded strength is the float32 just above γ. The parity suite and the
+// fuzz targets pin this against the exact pairwise oracle kept in the
+// package tests.
 package conflict
 
 import (
@@ -143,10 +148,22 @@ func strengthOf(d2, lmin, h, buildGamma float64) float64 {
 
 // FilterCtx materializes the conflict graph at a smaller γ from a
 // strength-annotated graph: one linear scan over the CSR arrays keeping the
-// directed entries with strength ≤ gamma. Row order is preserved (a
-// subsequence of sorted rows stays sorted), so the result is bit-identical —
-// edges, CSR row order, Strengths annotation — to BuildLookaheadCtx at
-// gamma. f should be the family's Func at gamma; it becomes the result's F.
+// directed entries whose exact strength is ≤ gamma. Row order is preserved
+// (a subsequence of sorted rows stays sorted), so the result is
+// bit-identical — edges, CSR row order, Strengths annotation — to
+// BuildLookaheadCtx at gamma. f must be the family's Func at gamma: it
+// becomes the result's F and decides the entries the float32 strengths
+// leave open. The result shares g's Links.
+//
+// Exactness. Let q be an entry's exact float64 strength and q32 =
+// roundUp32(q) the stored one, and let lo be the largest float32 ≤ gamma.
+// Round-up is monotone and fixes float32 values, so q32 ≤ lo implies
+// q ≤ gamma (keep), and q32 > lo with gamma == lo implies q > gamma (drop):
+// for a float32 gamma the float32 compare decides every entry. For any
+// other gamma, lo < gamma < hi with hi the next float32 above lo; q32 > hi
+// again implies q > gamma, and only q32 == hi (q in (lo, hi]) stays open.
+// Those entries are re-decided by Conflicting(f, ·, ·), which by
+// Family.At's contract evaluates the build's own pair predicate at gamma.
 //
 // Cancellation: ctx is checked at row-block boundaries during both the
 // counting and the scatter pass; on cancellation FilterCtx returns
@@ -157,20 +174,40 @@ func (g *Graph) FilterCtx(ctx context.Context, f Func, gamma float64) (*Graph, e
 	}
 	n := g.N()
 	out := &Graph{
-		Links:  g.Links, // shared: both graphs treat Links as immutable
+		Links:  g.Links,
 		F:      f,
 		RowPtr: make([]int32, n+1),
 		Stats:  g.Stats, // the annotated build's pruning counters carry over
 	}
+	lo, hi := float32Window(gamma)
+	// recheck decides an open entry k of row i. The counting pass counts a
+	// row's open entries with plain compares and rechecks only the rows
+	// that have some, which keeps its hot loop free of calls.
+	recheck := func(i int, k int32) bool {
+		return Conflicting(f, g.Links[i], g.Links[g.Neighbors[k]])
+	}
 	// Counting pass: per-row surviving-entry counts, written into
 	// RowPtr[i+1] so the prefix sum below finalizes the offsets.
 	err := par.ForBlocksCtx(ctx, n, 1024, func(next func() (int, int, bool)) {
-		for lo, hi, ok := next(); ok; lo, hi, ok = next() {
-			for i := lo; i < hi; i++ {
-				cnt := int32(0)
-				for _, q := range g.Strengths[g.RowPtr[i]:g.RowPtr[i+1]] {
-					if q <= gamma {
+		rowPtr, qs := g.RowPtr, g.Strengths
+		for rlo, rhi, ok := next(); ok; rlo, rhi, ok = next() {
+			for i := rlo; i < rhi; i++ {
+				s := rowPtr[i]
+				row := qs[s:rowPtr[i+1]]
+				cnt, open := int32(0), int32(0)
+				for _, q := range row {
+					if q <= lo {
 						cnt++
+					}
+					if q == hi {
+						open++
+					}
+				}
+				if open > 0 {
+					for k, q := range row {
+						if q == hi && recheck(i, s+int32(k)) {
+							cnt++
+						}
 					}
 				}
 				out.RowPtr[i+1] = cnt
@@ -184,16 +221,17 @@ func (g *Graph) FilterCtx(ctx context.Context, f Func, gamma float64) (*Graph, e
 		out.RowPtr[i+1] += out.RowPtr[i]
 	}
 	out.Neighbors = make([]int32, out.RowPtr[n])
-	out.Strengths = make([]float64, out.RowPtr[n])
+	out.Strengths = make([]float32, out.RowPtr[n])
 	err = par.ForBlocksCtx(ctx, n, 1024, func(next func() (int, int, bool)) {
-		for lo, hi, ok := next(); ok; lo, hi, ok = next() {
-			for i := lo; i < hi; i++ {
-				w := out.RowPtr[i]
-				s, e := g.RowPtr[i], g.RowPtr[i+1]
-				for k := s; k < e; k++ {
-					if q := g.Strengths[k]; q <= gamma {
-						out.Neighbors[w] = g.Neighbors[k]
-						out.Strengths[w] = q
+		rowPtr, nbr, qs := g.RowPtr, g.Neighbors, g.Strengths
+		outNbr, outQs := out.Neighbors, out.Strengths
+		for rlo, rhi, ok := next(); ok; rlo, rhi, ok = next() {
+			for i := rlo; i < rhi; i++ {
+				w, s := out.RowPtr[i], rowPtr[i]
+				for k, q := range qs[s:rowPtr[i+1]] {
+					if q <= lo || (q == hi && recheck(i, s+int32(k))) {
+						outNbr[w] = nbr[s+int32(k)]
+						outQs[w] = q
 						w++
 					}
 				}
@@ -206,6 +244,23 @@ func (g *Graph) FilterCtx(ctx context.Context, f Func, gamma float64) (*Graph, e
 	return out, nil
 }
 
+// float32Window returns the float32s around gamma that FilterCtx compares
+// stored strengths against: lo, the largest float32 ≤ gamma, keeps every
+// strength ≤ lo, and hi, the next float32 above lo, marks the strengths
+// left open when gamma lies strictly between the two. hi is NaN, equal to
+// no strength, when gamma is a float32 (or NaN).
+func float32Window(gamma float64) (lo, hi float32) {
+	lo = float32(gamma)
+	if float64(lo) > gamma {
+		lo = math.Nextafter32(lo, float32(math.Inf(-1)))
+	}
+	hi = float32(math.NaN())
+	if float64(lo) < gamma {
+		hi = math.Nextafter32(lo, float32(math.Inf(1)))
+	}
+	return lo, hi
+}
+
 // Lookahead amortizes conflict-graph construction across a γ-escalation
 // ladder: the first request for a link set pays one strength-annotated build
 // at the lookahead γ (GammaMax), and every request at a γ at or below it —
@@ -214,6 +269,8 @@ func (g *Graph) FilterCtx(ctx context.Context, f Func, gamma float64) (*Graph, e
 // directly). Builds are cached per link-set content, so the lengthclass
 // strategy's per-class graphs each get their own annotated build and reuse
 // it across attempts even though the class slices are reallocated per call.
+// A cached graph keeps the slice of the call that built it, so callers must
+// not write to a link slice once they have passed it in.
 //
 // A Lookahead is safe for concurrent use; builds and filters run under an
 // internal lock, so concurrent callers serialize (the intended use is one
@@ -254,9 +311,10 @@ type LookaheadStats struct {
 }
 
 // GraphFor returns the conflict graph of links under fam.At(gamma),
-// bit-identical to BuildLookaheadCtx(ctx, links, fam, gamma). The first
-// call per link set builds once at GammaMax with strengths; subsequent
-// calls (any γ ≤ GammaMax) filter.
+// bit-identical to BuildLookaheadCtx(ctx, links, fam, gamma) wherever that
+// build succeeds. The first call per link set builds once at GammaMax with
+// strengths; subsequent calls (any γ ≤ GammaMax) filter, which also serves
+// a γ so small that a direct build would refuse its cells as degenerate.
 func (la *Lookahead) GraphFor(ctx context.Context, links []geom.Link, fam Family, gamma float64) (*Graph, LookaheadStats, error) {
 	var st LookaheadStats
 	t0 := time.Now()
@@ -324,10 +382,16 @@ func linksHash(links []geom.Link) uint64 {
 	return h
 }
 
-// linksEqual reports element-wise equality of two link sets.
+// linksEqual reports element-wise equality of two link sets. Slices that
+// share their backing array and length are equal at once: graphs store the
+// caller's slice, so a repeat request with the same slice is the common
+// hit.
 func linksEqual(a, b []geom.Link) bool {
 	if len(a) != len(b) {
 		return false
+	}
+	if len(a) == 0 || &a[0] == &b[0] {
+		return true
 	}
 	for i := range a {
 		if a[i] != b[i] {

@@ -29,7 +29,8 @@ func BuildNaive(links []geom.Link, f Func) *Graph {
 // assembler it checks: one serial counting pass over the edge list, then a
 // scatter of each edge in both directions in list order, so a
 // lexicographically ordered list yields ascending rows. qs, when non-nil,
-// parallels edges with per-edge strengths.
+// parallels edges with per-edge exact strengths, stored rounded up to
+// float32 as Graph.Strengths specifies.
 func oracleCSR(links []geom.Link, f Func, edges []edge, qs []float64) *Graph {
 	n := len(links)
 	g := &Graph{
@@ -39,7 +40,7 @@ func oracleCSR(links []geom.Link, f Func, edges []edge, qs []float64) *Graph {
 		Neighbors: make([]int32, 2*len(edges)),
 	}
 	if qs != nil {
-		g.Strengths = make([]float64, 2*len(edges))
+		g.Strengths = make([]float32, 2*len(edges))
 	}
 	for _, e := range edges {
 		g.RowPtr[e.i+1]++
@@ -52,7 +53,8 @@ func oracleCSR(links []geom.Link, f Func, edges []edge, qs []float64) *Graph {
 	for k, e := range edges {
 		g.Neighbors[fill[e.i]], g.Neighbors[fill[e.j]] = e.j, e.i
 		if qs != nil {
-			g.Strengths[fill[e.i]], g.Strengths[fill[e.j]] = qs[k], qs[k]
+			q := roundUp32(qs[k])
+			g.Strengths[fill[e.i]], g.Strengths[fill[e.j]] = q, q
 		}
 		fill[e.i]++
 		fill[e.j]++
@@ -90,10 +92,22 @@ func buildNaiveLookahead(links []geom.Link, fam Family, gamma float64) *Graph {
 	return oracleCSR(links, f, edges, qs)
 }
 
+// pairStrength returns the exact float64 conflict strength of links a and
+// b under fam, as buildNaiveLookahead computes it: the pair must conflict
+// at buildGamma.
+func pairStrength(fam Family, a, b geom.Link, buildGamma float64) float64 {
+	lmin, lmax := geom.MinMaxLen(a, b)
+	if lmin <= 0 {
+		return 0
+	}
+	return strengthOf(geom.LinkDist2(a, b), lmin, fam.H(lmax/lmin), buildGamma)
+}
+
 // degenerate reports whether the bucketed build must refuse links under f,
 // restating each ErrDegenerate condition from its definition: a link length
-// that is non-positive or non-finite, f(2) not finite and positive, or a
-// cell side l·f(2) that leaves float64's positive finite range.
+// that is non-positive or non-finite, f(2) not finite and positive, a cell
+// side l·f(2) that leaves float64's positive finite range, or a coordinate
+// 2⁶² or more cell sides of its dyadic length class from the origin.
 func degenerate(links []geom.Link, f Func) bool {
 	lmin, lmax := math.Inf(1), 0.0
 	for _, l := range links {
@@ -107,7 +121,36 @@ func degenerate(links []geom.Link, f Func) bool {
 	if !(f2 > 0) || math.IsInf(f2, 1) {
 		return true
 	}
-	return len(links) > 0 && (!(lmin*f2 > 0) || math.IsInf(lmax*f2, 1))
+	if len(links) == 0 {
+		return false
+	}
+	if !(lmin*f2 > 0) || math.IsInf(lmax*f2, 1) {
+		return true
+	}
+	// Class c holds the lengths in [lmin·2^c, lmin·2^(c+1)); its cell side
+	// is its longest length times f(2).
+	classOf := func(le float64) int {
+		c := 0
+		for b := lmin * 2; b <= le; b *= 2 {
+			c++
+		}
+		return c
+	}
+	classMax := map[int]float64{}
+	classFar := map[int]float64{}
+	for _, l := range links {
+		c := classOf(l.Length())
+		classMax[c] = math.Max(classMax[c], l.Length())
+		for _, v := range []float64{l.S.X, l.S.Y, l.R.X, l.R.Y} {
+			classFar[c] = math.Max(classFar[c], math.Abs(v))
+		}
+	}
+	for c, m := range classMax {
+		if !(classFar[c]/(m*f2) < 1<<62) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestNaiveAdjacencyAscending pins the invariant that lets BuildNaive skip

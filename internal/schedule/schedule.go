@@ -18,15 +18,17 @@ import (
 
 // Schedule is a periodic TDMA schedule over an indexed link set.
 type Schedule struct {
-	// Links is the scheduled link set.
+	// Links is the scheduled link set: the caller's slice, stored without a
+	// copy. It is immutable: neither the package nor its callers write to
+	// it once the schedule exists.
 	Links []geom.Link
 	// Slots[k] lists link indices transmitting in slot k of each period.
 	Slots [][]int
 }
 
-// FromColoring builds a coloring schedule: slot c carries exactly the links
-// colored c. It returns an error if any link is uncolored or a color is out
-// of the dense palette [0, numColors).
+// FromColoring builds a coloring schedule over links (stored, not copied):
+// slot c carries exactly the links colored c. It returns an error if any
+// link is uncolored or a color is out of the dense palette [0, numColors).
 func FromColoring(links []geom.Link, colors []int) (*Schedule, error) {
 	if len(colors) != len(links) {
 		return nil, fmt.Errorf("schedule: %d colors for %d links", len(colors), len(links))
@@ -41,7 +43,7 @@ func FromColoring(links []geom.Link, colors []int) (*Schedule, error) {
 		}
 	}
 	s := &Schedule{
-		Links: append([]geom.Link(nil), links...),
+		Links: links,
 		Slots: make([][]int, numColors),
 	}
 	// Counting sort into one flat backing array: two sequential passes over
@@ -69,10 +71,11 @@ func FromColoring(links []geom.Link, colors []int) (*Schedule, error) {
 	return s, nil
 }
 
-// New builds a schedule directly from slot contents, copying the inputs.
+// New builds a schedule directly from slot contents, storing links and
+// copying the slots.
 func New(links []geom.Link, slots [][]int) *Schedule {
 	s := &Schedule{
-		Links: append([]geom.Link(nil), links...),
+		Links: links,
 		Slots: make([][]int, len(slots)),
 	}
 	for k, slot := range slots {
