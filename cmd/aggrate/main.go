@@ -55,7 +55,6 @@ import (
 
 	"aggrate/internal/experiment"
 	"aggrate/internal/scenario"
-	"aggrate/internal/schedule"
 	"aggrate/internal/scheduler"
 	"aggrate/internal/service"
 	"aggrate/internal/sinr"
@@ -197,36 +196,10 @@ func (pf *profileFlags) start() (stop func() error, err error) {
 	}, nil
 }
 
-var validPowers = []string{
-	experiment.PowerUniform, experiment.PowerMean, experiment.PowerLinear, experiment.PowerGlobal,
-}
-
-var validGraphs = []string{
-	experiment.GraphGamma, experiment.GraphOblivious, experiment.GraphArbitrary,
-}
-
-var validEngines = schedule.Engines()
-
-// validateChoices rejects values outside the valid set up front, so flag
-// typos fail fast instead of surfacing as per-instance errors mid-batch.
-func validateChoices(flagName string, given, valid []string) error {
-	for _, g := range given {
-		if !slices.Contains(valid, g) {
-			return fmt.Errorf("unknown --%s %q (want one of %s)",
-				flagName, g, strings.Join(valid, ", "))
-		}
-	}
-	if len(given) == 0 {
-		return fmt.Errorf("--%s is empty (want one of %s)", flagName, strings.Join(valid, ", "))
-	}
-	return nil
-}
-
 // specFlags registers the instance-shaping flags shared by run and compare;
-// resolve validates them and materializes the scenario list, size list, and
-// base Spec.
+// specs parses them into the spec grid.
 type specFlags struct {
-	scenarios, ns, graph, engine     *string
+	scenarios, ns, graph             *string
 	seeds, workers                   *int
 	seed                             *uint64
 	gamma, delta, alpha, beta, noise *float64
@@ -246,40 +219,47 @@ func addSpecFlags(fs *flag.FlagSet, defaultN string, defaultSeeds int) *specFlag
 		beta:      fs.Float64("beta", 2, "SINR threshold β"),
 		noise:     fs.Float64("noise", 0, "ambient noise N"),
 		verify:    fs.Bool("verify", true, "verify every slot against the SINR condition, escalating γ on failure"),
-		engine:    fs.String("verify-engine", schedule.EngineFast, "SINR verification engine (fast, naive)"),
 		workers:   fs.Int("workers", 0, "parallel instances (0 = GOMAXPROCS)"),
 	}
 }
 
-func (sf *specFlags) resolve() ([]experiment.Scenario, []int, experiment.Spec, error) {
-	var zero experiment.Spec
+// specs expands the flags over the given power and algorithm lists and
+// validates every spec of the grid, so a typo fails before any instance
+// runs instead of as a per-instance error mid-batch.
+func (sf *specFlags) specs(powers, algos []string, refine bool) ([]experiment.Spec, error) {
 	scList, err := parseScenarios(*sf.scenarios)
 	if err != nil {
-		return nil, nil, zero, err
+		return nil, err
 	}
 	nList, err := parseInts(*sf.ns)
 	if err != nil {
-		return nil, nil, zero, fmt.Errorf("bad --n: %w", err)
+		return nil, fmt.Errorf("bad --n: %w", err)
 	}
-	if err := validateChoices("graph", []string{*sf.graph}, validGraphs); err != nil {
-		return nil, nil, zero, err
-	}
-	if err := validateChoices("verify-engine", []string{*sf.engine}, validEngines); err != nil {
-		return nil, nil, zero, err
+	// An empty value would silently take the Spec default.
+	for _, f := range []struct {
+		name string
+		vals []string
+	}{{"power", powers}, {"algo", algos}, {"graph", []string{*sf.graph}}} {
+		if len(f.vals) == 0 || slices.Contains(f.vals, "") {
+			return nil, fmt.Errorf("--%s is empty", f.name)
+		}
 	}
 	base := experiment.Spec{
-		Seed:         *sf.seed,
-		Graph:        *sf.graph,
-		Gamma:        *sf.gamma,
-		Delta:        *sf.delta,
-		SINR:         sinr.Params{Alpha: *sf.alpha, Beta: *sf.beta, Noise: *sf.noise, Epsilon: 0.5},
-		Verify:       *sf.verify,
-		VerifyEngine: *sf.engine,
+		Seed:   *sf.seed,
+		Graph:  *sf.graph,
+		Gamma:  *sf.gamma,
+		Delta:  *sf.delta,
+		SINR:   sinr.Params{Alpha: *sf.alpha, Beta: *sf.beta, Noise: *sf.noise, Epsilon: 0.5},
+		Refine: refine,
+		Verify: *sf.verify,
 	}
-	if err := base.CheckFinite(); err != nil {
-		return nil, nil, zero, err
+	specs := experiment.Expand(scList, nList, *sf.seeds, powers, algos, base)
+	for _, sp := range specs {
+		if err := sp.Validate(); err != nil {
+			return nil, err
+		}
 	}
-	return scList, nList, base, nil
+	return specs, nil
 }
 
 // batchContext builds the batch's cancellation context: an optional
@@ -302,6 +282,10 @@ func batchContext(timeout time.Duration) (context.Context, context.CancelFunc) {
 	}
 }
 
+// newBatchContext is the seam through which run and compare get their batch
+// context; a test swaps it to choose the moment the deadline fires.
+var newBatchContext = batchContext
+
 func cmdRun(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("run", stderr)
 	sf := addSpecFlags(fs, "1000", 1)
@@ -323,16 +307,8 @@ func cmdRun(args []string, stdout, stderr io.Writer) error {
 	if *summaryOnly && *format != "json" {
 		return fmt.Errorf("--summary-only requires --format json (csv/ndjson have no summary form)")
 	}
-	scList, nList, base, err := sf.resolve()
+	specs, err := sf.specs(splitList(*powers), splitList(*algos), *refine)
 	if err != nil {
-		return err
-	}
-	powerList := splitList(*powers)
-	if err := validateChoices("power", powerList, validPowers); err != nil {
-		return err
-	}
-	algoList := splitList(*algos)
-	if err := validateChoices("algo", algoList, scheduler.Names()); err != nil {
 		return err
 	}
 	stopProf, err := prof.start()
@@ -345,12 +321,10 @@ func cmdRun(args []string, stdout, stderr io.Writer) error {
 		}
 	}()
 
-	base.Refine = *refine
-	specs := experiment.Expand(scList, nList, *sf.seeds, powerList, algoList, base)
 	fmt.Fprintf(stderr, "aggrate: running %d instances on %d workers\n",
 		len(specs), experiment.Workers(*sf.workers, len(specs)))
 
-	ctx, cancel := batchContext(*timeout)
+	ctx, cancel := newBatchContext(*timeout)
 	defer cancel()
 
 	w, closeFn, err := openOut(*out, stdout)
@@ -535,25 +509,17 @@ func cmdCompare(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	scList, nList, base, err := sf.resolve()
+	algoList := splitList(*algos)
+	specs, err := sf.specs([]string{*power}, algoList, false)
 	if err != nil {
 		return err
 	}
-	if err := validateChoices("power", []string{*power}, validPowers); err != nil {
-		return err
-	}
-	algoList := splitList(*algos)
-	if err := validateChoices("algo", algoList, scheduler.Names()); err != nil {
-		return err
-	}
-
-	specs := experiment.Expand(scList, nList, *sf.seeds, []string{*power}, algoList, base)
 	fmt.Fprintf(stderr, "aggrate: comparing %d algorithms over %d instances on %d workers\n",
 		len(algoList), len(specs), experiment.Workers(*sf.workers, len(specs)))
-	ctx, cancel := batchContext(0)
+	ctx, cancel := newBatchContext(0)
 	defer cancel()
 	start := time.Now()
-	results := experiment.RunBatch(ctx, specs, *sf.workers)
+	results, _ := (&experiment.Runner{Workers: *sf.workers}).Run(ctx, specs) // its error is ctx.Err(), checked below
 	fmt.Fprintf(stderr, "aggrate: done in %.2fs\n", time.Since(start).Seconds())
 
 	// Aggregate skips nil entries, so an interrupted compare still prints

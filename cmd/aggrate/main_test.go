@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"flag"
@@ -232,15 +233,15 @@ func TestFlagValidation(t *testing.T) {
 	}{
 		{"summary-only csv", []string{"run", "--summary-only", "--format", "csv"}, "--summary-only requires --format json"},
 		{"bad format", []string{"run", "--format", "yaml"}, `unknown --format "yaml"`},
-		{"bad graph", []string{"run", "--graph", "bogus"}, `unknown --graph "bogus"`},
-		{"bad power", []string{"run", "--power", "bogus"}, `unknown --power "bogus"`},
-		{"bad algo", []string{"run", "--algo", "bogus"}, `unknown --algo "bogus"`},
+		{"bad graph", []string{"run", "--graph", "bogus"}, `unknown graph kind "bogus"`},
+		{"bad power", []string{"run", "--power", "bogus"}, `unknown power scheme "bogus"`},
+		{"bad algo", []string{"run", "--algo", "bogus"}, `unknown algorithm "bogus"`},
 		{"empty algo", []string{"run", "--algo", ","}, "--algo is empty"},
 		{"bad scenario", []string{"run", "--scenario", "bogus"}, "bogus"},
 		{"bad n", []string{"run", "--n", "abc"}, "bad --n"},
-		{"compare bad algo", []string{"compare", "--algo", "bogus"}, `unknown --algo "bogus"`},
-		{"compare bad graph", []string{"compare", "--graph", "bogus"}, `unknown --graph "bogus"`},
-		{"compare bad power", []string{"compare", "--power", "bogus"}, `unknown --power "bogus"`},
+		{"compare bad algo", []string{"compare", "--algo", "bogus"}, `unknown algorithm "bogus"`},
+		{"compare bad graph", []string{"compare", "--graph", "bogus"}, `unknown graph kind "bogus"`},
+		{"compare bad power", []string{"compare", "--power", "bogus"}, `unknown power scheme "bogus"`},
 		{"gamma NaN", []string{"run", "--n", "60", "--gamma", "NaN"}, "gamma is NaN"},
 		{"gamma Inf", []string{"run", "--n", "60", "--gamma", "Inf"}, "gamma is +Inf"},
 		{"delta NaN", []string{"run", "--n", "60", "--delta", "NaN"}, "delta is NaN"},
@@ -326,12 +327,60 @@ func TestRunNDJSONGolden(t *testing.T) {
 	checkGolden(t, "run_ndjson.golden", normalized.String())
 }
 
+// rowGatedDeadline is a batch context whose deadline passes when done is
+// closed.
+type rowGatedDeadline struct {
+	context.Context
+	done chan struct{}
+}
+
+func (c rowGatedDeadline) Done() <-chan struct{} { return c.done }
+
+func (c rowGatedDeadline) Err() error {
+	select {
+	case <-c.done:
+		return context.DeadlineExceeded
+	default:
+		return nil
+	}
+}
+
 // TestRunTimeoutFlushesPartial: an expired --timeout cancels the batch and
 // the incremental CSV still holds every completed row — no discarded work,
 // no torn lines.
 func TestRunTimeoutFlushesPartial(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "partial.csv")
+	// The --timeout clock starts only once the CSV holds a data row, so a
+	// slow host (the race detector, a loaded CI runner) cannot time out the
+	// batch before its first instance completes.
+	restore := newBatchContext
+	t.Cleanup(func() { newBatchContext = restore })
+	newBatchContext = func(timeout time.Duration) (context.Context, context.CancelFunc) {
+		ctx := rowGatedDeadline{Context: context.Background(), done: make(chan struct{})}
+		stop, exited := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(exited)
+			for data, _ := os.ReadFile(path); bytes.Count(data, []byte("\n")) < 2; data, _ = os.ReadFile(path) {
+				select {
+				case <-stop:
+					return
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+			clock, cancel := batchContext(timeout)
+			defer cancel()
+			select {
+			case <-clock.Done():
+				close(ctx.done)
+			case <-stop:
+			}
+		}()
+		return ctx, func() {
+			close(stop)
+			<-exited
+		}
+	}
 	// 400 × 2000-node instances cannot finish in 300ms.
 	_, stderr, code := runCLI("run", "--scenario", "uniform", "--n", "2000",
 		"--seeds", "400", "--format", "csv", "--out", path, "--timeout", "300ms")

@@ -1244,9 +1244,6 @@ func (g *Graph) Row(i int) []int32 {
 	return g.Neighbors[g.RowPtr[i]:g.RowPtr[i+1]]
 }
 
-// Degree returns the degree of vertex i.
-func (g *Graph) Degree(i int) int { return int(g.RowPtr[i+1] - g.RowPtr[i]) }
-
 // MaxDegree returns the maximum vertex degree (0 for an empty graph).
 func (g *Graph) MaxDegree() int {
 	d := int32(0)

@@ -17,7 +17,7 @@ import (
 func verifyBothEngines(t *testing.T, inst *Instance, label string) {
 	t.Helper()
 	fast, _, ferr := inst.VerifySchedule(schedule.EngineFast)
-	naive, _, nerr := inst.VerifySchedule(schedule.EngineNaive)
+	naive, _, nerr := inst.VerifySchedule(engineNaive)
 	if (ferr == nil) != (nerr == nil) {
 		t.Fatalf("%s: verdict mismatch: fast err=%v naive err=%v", label, ferr, nerr)
 	}
@@ -80,38 +80,62 @@ func TestEngineMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestVerifyEngineSpec: the naive engine is selectable per spec, produces
-// the same result record, and unknown engines fail fast.
+// TestVerifyEngineSpec: the naive oracle agrees with the fast engine on
+// every schedule the escalation ladder built, including the rungs that
+// failed; the fast run carries engine diagnostics and the oracle none; and
+// a spec naming any engine but fast, naive included, is rejected.
 func TestVerifyEngineSpec(t *testing.T) {
 	sc := uniformScenario(t)
-	fastSpec := NewSpec(sc, 300, 9)
-	naiveSpec := fastSpec
-	naiveSpec.VerifyEngine = schedule.EngineNaive
-	rf := Run(context.Background(), fastSpec)
-	rn := Run(context.Background(), naiveSpec)
-	if rf.Err != "" || rn.Err != "" {
-		t.Fatalf("runs failed: fast=%q naive=%q", rf.Err, rn.Err)
+	spec := NewSpec(sc, 300, 9)
+	spec.Gamma = 1 // too low: the ladder escalates before it verifies
+	inst, rf, err := NewInstance(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("fast run failed: %v", err)
 	}
-	if rf.Verified != rn.Verified || rf.Colors != rn.Colors {
-		t.Fatalf("engines disagree: fast=%+v naive=%+v", rf, rn)
+	if rf.GammaRetries == 0 {
+		t.Fatal("no escalation: the rung parity below is vacuous")
 	}
-	if rel := math.Abs(rf.Margin-rn.Margin) / rn.Margin; rel > 1e-9 {
-		t.Fatalf("margins diverge: %g vs %g", rf.Margin, rn.Margin)
+	fast, fst, ferr := inst.VerifySchedule(schedule.EngineFast)
+	naive, nst, nerr := inst.VerifySchedule(engineNaive)
+	if ferr != nil || nerr != nil || !rf.Verified {
+		t.Fatalf("final schedule: verified=%t fast err=%v naive err=%v", rf.Verified, ferr, nerr)
 	}
-	// The fast run carries engine diagnostics; the naive run must not. The
-	// fraction is a true ratio of distinct-pair work: structurally ≤ 1,
+	for _, m := range []float64{fast, rf.Margin} {
+		if rel := math.Abs(m-naive) / naive; rel > 1e-9 {
+			t.Fatalf("margins diverge: %g vs naive %g", m, naive)
+		}
+	}
+	// The fraction is a true ratio of distinct-pair work: structurally ≤ 1,
 	// including across γ-escalation accumulation.
 	if rf.Timings.VerifyExactPairsFrac <= 0 || rf.Timings.VerifyExactPairsFrac > 1 {
 		t.Fatalf("fast exact_pairs_frac = %g, want (0, 1]", rf.Timings.VerifyExactPairsFrac)
 	}
-	if rn.Timings.VerifyExactLinks != 0 {
-		t.Fatalf("naive run reports engine stats: %+v", rn.Timings)
+	if fst.Engine.Links == 0 || nst != (schedule.VerifyStats{}) {
+		t.Fatalf("engine stats: fast %+v, naive %+v (want fast only)", fst.Engine, nst)
+	}
+	// Every rung below the verified γ failed under the fast engine; the
+	// oracle must fail it the same way.
+	gamma := spec.Gamma
+	for k := 0; k < rf.GammaRetries; k++ {
+		rung := spec
+		rung.Gamma, rung.Verify = gamma, false
+		ri, _, err := NewInstance(context.Background(), rung)
+		if err != nil {
+			t.Fatalf("rung %d: %v", k, err)
+		}
+		if _, _, ferr := ri.VerifySchedule(schedule.EngineFast); ferr == nil {
+			t.Fatalf("rung %d (gamma=%g) verifies, but the escalation loop rejected it", k, gamma)
+		}
+		verifyBothEngines(t, ri, "rung")
+		gamma *= spec.GammaStep
 	}
 
-	bad := fastSpec
-	bad.VerifyEngine = "warp"
-	if r := Run(context.Background(), bad); r.Err == "" || !strings.Contains(r.Err, "unknown verify engine") {
-		t.Fatalf("bad engine accepted: %q", r.Err)
+	for _, engine := range []string{engineNaive, "warp"} {
+		bad := spec
+		bad.VerifyEngine = engine
+		if r := Run(context.Background(), bad); r.Err == "" || !strings.Contains(r.Err, "unknown verify engine") {
+			t.Fatalf("engine %q accepted: %q", engine, r.Err)
+		}
 	}
 }
 
@@ -206,7 +230,8 @@ func BenchmarkPipeline(b *testing.B) {
 }
 
 // BenchmarkVerifyEngine isolates the verification stage at n=1e4: one
-// prebuilt instance, each engine re-verifying its schedule.
+// prebuilt instance, the fast engine and the naive oracle each
+// re-verifying its schedule.
 func BenchmarkVerifyEngine(b *testing.B) {
 	sc, err := scenario.Lookup("uniform")
 	if err != nil {
@@ -216,7 +241,7 @@ func BenchmarkVerifyEngine(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, engine := range schedule.Engines() {
+	for _, engine := range []string{schedule.EngineFast, engineNaive} {
 		b.Run(engine, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := inst.VerifySchedule(engine); err != nil {

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -77,9 +78,10 @@ type Spec struct {
 	SINR   sinr.Params
 	Refine bool
 	Verify bool
-	// VerifyEngine selects the SINR verification engine:
-	// schedule.EngineFast (the default) or schedule.EngineNaive, the exact
-	// O(m²)-per-slot oracle.
+	// VerifyEngine names the SINR verification engine. Its only legal
+	// value is schedule.EngineFast, which empty means; the O(m²) naive
+	// verifier is a test oracle, not a spec option. The field stays because
+	// it is part of SpecKey's hash string, so no cached key moves.
 	VerifyEngine string
 	// MaxGammaRetries bounds the escalation loop (default 8).
 	MaxGammaRetries int
@@ -179,11 +181,20 @@ func SpecKey(s Spec) string {
 	return hex.EncodeToString(h[:16])
 }
 
-// CheckFinite rejects a NaN or infinite Gamma, Delta or GammaStep. The
-// defaults of normalized only replace values that compare out of range, and
-// NaN compares false against every bound, so without this check a NaN γ or
-// δ would run the pipeline and fail late — or not at all.
-func (s Spec) CheckFinite() error {
+// powerSchemes lists the power scheme names Validate admits.
+var powerSchemes = []string{PowerUniform, PowerMean, PowerLinear, PowerGlobal}
+
+// Validate reports why the spec cannot run, before any stage starts: a
+// non-finite γ, δ or γ step; no scenario, n < 2 or a sink out of range;
+// invalid SINR constants; an unknown algorithm, graph kind or power scheme;
+// or a verify engine other than schedule.EngineFast. Zero values are
+// checked as the defaults Normalized gives them. The pipeline calls it
+// first, and so do the CLI and the HTTP API on every spec of a grid, so
+// this is the one place that says which specs are legal.
+func (s Spec) Validate() error {
+	// The defaults of normalized only replace values that compare out of
+	// range, and NaN compares false against every bound, so finiteness is
+	// checked on the raw fields.
 	for _, p := range []struct {
 		name string
 		v    float64
@@ -191,6 +202,30 @@ func (s Spec) CheckFinite() error {
 		if math.IsNaN(p.v) || math.IsInf(p.v, 0) {
 			return fmt.Errorf("experiment: %s is %g, want a finite value", p.name, p.v)
 		}
+	}
+	n := s.normalized()
+	switch {
+	case n.Scenario == nil:
+		return fmt.Errorf("experiment: spec has no scenario")
+	case n.N < 2:
+		return fmt.Errorf("experiment: need n >= 2, got %d", n.N)
+	case n.Sink < 0 || n.Sink >= n.N:
+		return fmt.Errorf("experiment: sink %d out of range [0, %d)", n.Sink, n.N)
+	}
+	if err := n.SINR.Validate(); err != nil {
+		return err
+	}
+	if _, err := scheduler.Lookup(n.Algo); err != nil {
+		return err
+	}
+	if _, err := n.config(n.Gamma).ConflictFunc(); err != nil {
+		return err
+	}
+	if !slices.Contains(powerSchemes, n.Power) {
+		return fmt.Errorf("experiment: unknown power scheme %q (have %v)", n.Power, powerSchemes)
+	}
+	if n.VerifyEngine != schedule.EngineFast {
+		return fmt.Errorf("experiment: unknown verify engine %q (have [%s])", n.VerifyEngine, schedule.EngineFast)
 	}
 	return nil
 }
@@ -236,14 +271,12 @@ func (s Spec) config(gamma float64) scheduler.Config {
 }
 
 // powerFunc returns the slot-power supplier for the spec's scheme over the
-// given link set.
+// given link set. The spec must have passed Validate.
 func (s Spec) powerFunc(links []geom.Link) (schedule.PowerFunc, error) {
-	var sch power.Scheme
+	sch := power.Mean()
 	switch s.Power {
 	case PowerUniform:
 		sch = power.Uniform()
-	case PowerMean:
-		sch = power.Mean()
 	case PowerLinear:
 		sch = power.Linear()
 	case PowerGlobal:
@@ -269,8 +302,6 @@ func (s Spec) powerFunc(links []geom.Link) (schedule.PowerFunc, error) {
 			})
 			return out, err
 		}, nil
-	default:
-		return nil, fmt.Errorf("experiment: unknown power scheme %q", s.Power)
 	}
 	perLink, err := sch.Assign(links, s.SINR)
 	if err != nil {
@@ -304,7 +335,7 @@ type Instance struct {
 	// (+Inf when every slot is a singleton under zero noise).
 	Margin float64
 	// VerifyStats is the fast engine's diagnostic record for the final
-	// verification pass; zero when VerifyEngine is naive or Verify is off.
+	// verification pass; zero when Verify is off.
 	VerifyStats schedule.VerifyStats
 	// pf is the slot-power supplier verification used, retained so the
 	// parity tests can re-verify without re-deriving powers (and, under
@@ -510,39 +541,15 @@ func NewWorkspace() *Workspace {
 }
 
 func newInstance(ctx context.Context, spec Spec, ws *Workspace, dc *DeployCache) (*Instance, *Result, error) {
-	if err := spec.CheckFinite(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, nil, err
 	}
 	spec = spec.normalized()
-	if spec.Scenario == nil {
-		return nil, nil, fmt.Errorf("experiment: spec has no scenario")
-	}
-	if spec.N < 2 {
-		return nil, nil, fmt.Errorf("experiment: need n >= 2, got %d", spec.N)
-	}
-	if spec.Sink < 0 || spec.Sink >= spec.N {
-		return nil, nil, fmt.Errorf("experiment: sink %d out of range [0, %d)", spec.Sink, spec.N)
-	}
-	if err := spec.SINR.Validate(); err != nil {
-		return nil, nil, err
-	}
-	strat, err := scheduler.Lookup(spec.Algo)
-	if err != nil {
-		return nil, nil, err
-	}
+	strat, _ := scheduler.Lookup(spec.Algo) // Validate admitted the name
 	res := &Result{
 		Scenario: spec.Scenario.PresetName(),
 		N:        spec.N, Seed: spec.Seed,
 		Power: spec.Power, Graph: spec.Graph, Algo: spec.Algo,
-	}
-	// Reject unknown graph kinds and verify engines before paying for
-	// generation.
-	if _, err := spec.config(spec.Gamma).ConflictFunc(); err != nil {
-		return nil, res, err
-	}
-	if spec.VerifyEngine != schedule.EngineFast && spec.VerifyEngine != schedule.EngineNaive {
-		return nil, res, fmt.Errorf("experiment: unknown verify engine %q (have %v)",
-			spec.VerifyEngine, schedule.Engines())
 	}
 	// TotalSec is stamped on every exit path, so stage timings of a run
 	// that failed mid-pipeline still come with their wall-clock total;
@@ -564,15 +571,14 @@ func newInstance(ctx context.Context, spec Spec, ws *Workspace, dc *DeployCache)
 	// DeployCache; cold runs build a private, uncached entry through the
 	// exact same path.
 	var dep *deployEntry
+	var err error
 	if dc != nil && !spec.NoInstanceCache {
 		dep, err = deployFor(ctx, spec, dc, &res.Timings)
-		if err != nil {
-			return nil, res, err
-		}
 	} else {
-		if dep, err = buildDeploy(ctx, spec, &res.Timings); err != nil {
-			return nil, res, err
-		}
+		dep, err = buildDeploy(ctx, spec, &res.Timings)
+	}
+	if err != nil {
+		return nil, res, err
 	}
 	pts, tree := dep.pts, dep.tree
 
@@ -601,7 +607,7 @@ func newInstance(ctx context.Context, spec Spec, ws *Workspace, dc *DeployCache)
 	}
 
 	inst := &Instance{Spec: spec, Points: pts, Tree: tree, pf: pf}
-	if spec.Verify && !spec.NoIncrementalVerify && spec.VerifyEngine == schedule.EngineFast {
+	if spec.Verify && !spec.NoIncrementalVerify {
 		// One cache across all γ-escalation attempts: any slot the next
 		// attempt's schedule shares with a previous one (same membership,
 		// same powers) replays its exact margin instead of re-running the
@@ -712,19 +718,12 @@ func newInstance(ctx context.Context, spec Spec, ws *Workspace, dc *DeployCache)
 			break
 		}
 		t0 := time.Now()
-		var margin float64
-		var verr error
-		if spec.VerifyEngine == schedule.EngineNaive {
-			margin, verr = sched.VerifySINRNaive(spec.SINR, pf)
-		} else {
-			var vst schedule.VerifyStats
-			margin, vst, verr = sched.VerifySINRDelta(ctx, spec.SINR, pf, inst.vc)
-			engStats.Add(vst.Engine)
-			res.Timings.PowerSolveSec += vst.PowerSec
-			res.Timings.VerifyReusedSlots += int64(vst.ReusedSlots)
-			res.Timings.VerifyGridReused += int64(vst.ReusedGrids)
-			inst.VerifyStats = vst
-		}
+		margin, vst, verr := sched.VerifySINRDelta(ctx, spec.SINR, pf, inst.vc)
+		engStats.Add(vst.Engine)
+		res.Timings.PowerSolveSec += vst.PowerSec
+		res.Timings.VerifyReusedSlots += int64(vst.ReusedSlots)
+		res.Timings.VerifyGridReused += int64(vst.ReusedGrids)
+		inst.VerifyStats = vst
 		res.Timings.VerifySec += time.Since(t0).Seconds()
 		if verr != nil && ctx.Err() != nil {
 			// Cancelled mid-verification: no verdict was reached, so this is
@@ -836,16 +835,7 @@ func (r *Runner) Run(ctx context.Context, specs []Spec) ([]*Result, error) {
 	return out, ctx.Err()
 }
 
-// RunBatch executes the specs over a pool of workers goroutines (GOMAXPROCS
-// when workers <= 0) and returns results in spec order. On cancellation the
-// returned slice is partial — nil entries mark instances that never
-// completed. Streaming consumers should use Runner directly.
-func RunBatch(ctx context.Context, specs []Spec, workers int) []*Result {
-	out, _ := (&Runner{Workers: workers}).Run(ctx, specs)
-	return out
-}
-
-// Workers resolves a requested worker count to the one RunBatch will
+// Workers resolves a requested worker count to the one Runner will
 // actually use: GOMAXPROCS when workers <= 0, clamped to the job count.
 func Workers(workers, jobs int) int {
 	if workers <= 0 {

@@ -103,8 +103,8 @@ func TestBatchDeterministicAcrossWorkers(t *testing.T) {
 	if len(specs) != 24 {
 		t.Fatalf("Expand produced %d specs, want 24", len(specs))
 	}
-	r1 := RunBatch(context.Background(), specs, 1)
-	r4 := RunBatch(context.Background(), specs, 4)
+	r1, _ := (&Runner{Workers: 1}).Run(context.Background(), specs)
+	r4, _ := (&Runner{Workers: 4}).Run(context.Background(), specs)
 	// Wall-clock timings legitimately vary; everything else must not.
 	for _, rs := range [][]*Result{r1, r4} {
 		for _, r := range rs {
@@ -124,7 +124,7 @@ func TestAggregate(t *testing.T) {
 	sc := uniformScenario(t)
 	base := NewSpec(sc, 0, 0)
 	specs := Expand([]Scenario{sc}, []int{100}, 3, []string{PowerMean}, nil, base)
-	results := RunBatch(context.Background(), specs, 0)
+	results, _ := (&Runner{}).Run(context.Background(), specs)
 	results = append(results, &Result{Scenario: "uniform", N: 100, Power: PowerMean,
 		Graph: GraphOblivious, Algo: scheduler.Greedy, Err: "boom"})
 	sums := Aggregate(results)
@@ -240,7 +240,8 @@ func TestAggregateSplitsByAlgo(t *testing.T) {
 	base := NewSpec(sc, 0, 0)
 	specs := Expand([]Scenario{sc}, []int{120}, 2, []string{PowerMean},
 		[]string{scheduler.Greedy, scheduler.Naive}, base)
-	sums := Aggregate(RunBatch(context.Background(), specs, 0))
+	results, _ := (&Runner{}).Run(context.Background(), specs)
+	sums := Aggregate(results)
 	if len(sums) != 2 {
 		t.Fatalf("Aggregate produced %d groups, want 2 (one per algo)", len(sums))
 	}
@@ -280,6 +281,50 @@ func TestNonFiniteParamsRejected(t *testing.T) {
 	}
 	if gen != 0 {
 		t.Fatalf("generator ran %d times for rejected specs", gen)
+	}
+}
+
+// TestValidateBeforeGeneration: every spec Validate rejects fails Run with
+// Validate's own message and never reaches the scenario generator, an
+// unknown power scheme included.
+func TestValidateBeforeGeneration(t *testing.T) {
+	gen := 0
+	sc := NamedScenario{Name: "counting", Gen: func(n int, seed uint64) []geom.Point {
+		gen++
+		return uniformScenario(t).Generate(n, seed)
+	}}
+	for _, tc := range []struct {
+		name, wantErr string
+		set           func(*Spec)
+	}{
+		{"bad power", "unknown power scheme", func(s *Spec) { s.Power = "warp" }},
+		{"bad algo", "unknown algorithm", func(s *Spec) { s.Algo = "warp" }},
+		{"bad graph", "unknown graph kind", func(s *Spec) { s.Graph = "warp" }},
+		{"naive engine", "unknown verify engine", func(s *Spec) { s.VerifyEngine = engineNaive }},
+		{"no scenario", "no scenario", func(s *Spec) { s.Scenario = nil }},
+		{"n=1", "need n >= 2", func(s *Spec) { s.N = 1 }},
+		{"alpha=2", "alpha", func(s *Spec) { s.SINR.Alpha = 2 }},
+		{"beta=0", "beta", func(s *Spec) { s.SINR.Beta = 0 }},
+		{"negative noise", "noise", func(s *Spec) { s.SINR.Noise = -1 }},
+	} {
+		spec := NewSpec(sc, 60, 1)
+		tc.set(&spec)
+		verr := spec.Validate()
+		if verr == nil || !strings.Contains(verr.Error(), tc.wantErr) {
+			t.Fatalf("%s: Validate = %v, want %q", tc.name, verr, tc.wantErr)
+		}
+		if res := Run(context.Background(), spec); res.Err != verr.Error() {
+			t.Fatalf("%s: Run error %q, want Validate's %q", tc.name, res.Err, verr)
+		}
+	}
+	if gen != 0 {
+		t.Fatalf("generator ran %d times for rejected specs", gen)
+	}
+	if err := NewSpec(sc, 60, 1).Validate(); err != nil {
+		t.Fatalf("default spec rejected: %v", err)
+	}
+	if err := (Spec{Scenario: sc, N: 2}).Validate(); err != nil {
+		t.Fatalf("sparse spec rejected (zero values take their defaults): %v", err)
 	}
 }
 

@@ -41,12 +41,6 @@ func (p Point) Dist2(q Point) float64 {
 // Add returns the translate p+q.
 func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 
-// Sub returns the difference p-q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Scale returns p scaled by the factor s about the origin.
-func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
-
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%g, %g)", p.X, p.Y) }
 

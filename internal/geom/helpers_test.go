@@ -49,7 +49,7 @@ func Translate(pts []Point, off Point) []Point {
 func ScalePoints(pts []Point, s float64) []Point {
 	out := make([]Point, len(pts))
 	for i, p := range pts {
-		out[i] = p.Scale(s)
+		out[i] = Point{p.X * s, p.Y * s}
 	}
 	return out
 }

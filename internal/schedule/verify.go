@@ -22,17 +22,9 @@ import (
 	"aggrate/internal/sinr"
 )
 
-// Verification engine names, as accepted by the experiment layer and the
-// CLI --verify-engine flag.
-const (
-	// EngineFast is the near-linear engine (the default).
-	EngineFast = "fast"
-	// EngineNaive is the exact O(m²)-per-slot reference path.
-	EngineNaive = "naive"
-)
-
-// Engines lists the verification engines in canonical order.
-func Engines() []string { return []string{EngineFast, EngineNaive} }
+// EngineFast names the near-linear engine behind VerifySINRDelta, the one
+// engine a spec may select; VerifySINRNaive is the tests' exact oracle.
+const EngineFast = "fast"
 
 // VerifyStats reports what a fast verification run did: the engine's work
 // counters plus the wall-clock split between power assignment (where global

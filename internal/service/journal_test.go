@@ -187,3 +187,35 @@ func TestJournalCompactionDropsTerminal(t *testing.T) {
 		t.Fatalf("compaction lost completed specs: %d, want 3", len(again[0].completed))
 	}
 }
+
+// TestJournalReplaysEngineField: a journal written before the verify_engine
+// field left JobRequest still replays. Its job record carries
+// "verify_engine":"" (the replay decoder ignores unknown fields), the job
+// resumes from its journaled spec, and the spec key it was journaled under
+// is the key the resumed grid computes, so no cached key moved.
+func TestJournalReplaysEngineField(t *testing.T) {
+	const parentKey = "b7e8bd0df18d268045934918cbbfaf54"
+	path := filepath.Join(t.TempDir(), "journal.ndjson")
+	lines := `{"t":"job","time":"2026-10-18T03:07:27.864866408Z","id":"j000001","client":"anonymous","req":{"scenarios":["uniform"],"ns":[60],"seeds":2,"seed":7,"powers":null,"algos":null,"graph":"","gamma":0,"delta":0,"alpha":0,"beta":0,"noise":0,"verify":null,"verify_engine":"","priority":0,"timeout_sec":0}}
+{"t":"spec","time":"2026-10-18T03:07:27.867165985Z","job":"j000001","key":"` + parentKey + `","result":{"scenario":"uniform","n":60,"seed":7,"power":"mean","graph":"obl","algo":"greedy","colors":8,"margin":1.7276143848529664,"verified":true}}
+`
+	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Workers: 1, JournalPath: path})
+	st := waitStatus(t, ts, "j000001", StatusDone, 30*time.Second)
+	if !st.Resumed || st.Replayed != 1 || st.Completed != 2 {
+		t.Fatalf("resumed=%t replayed=%d completed=%d, want true/1/2", st.Resumed, st.Replayed, st.Completed)
+	}
+	if len(st.Results) != 2 {
+		t.Fatalf("%d results, want 2", len(st.Results))
+	}
+	for _, it := range st.Results {
+		if it.Index == 0 && (it.SpecKey != parentKey || it.Source != SourceJournal) {
+			t.Fatalf("spec 0: key %s source %q, want the journaled %s from the journal", it.SpecKey, it.Source, parentKey)
+		}
+		if it.Result == nil || !it.Result.Verified || it.Result.Err != "" {
+			t.Fatalf("spec %d: result %+v", it.Index, it.Result)
+		}
+	}
+}

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"math/big"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -42,7 +43,6 @@ import (
 	"aggrate/internal/experiment"
 	"aggrate/internal/lru"
 	"aggrate/internal/scenario"
-	"aggrate/internal/schedule"
 	"aggrate/internal/scheduler"
 	"aggrate/internal/sinr"
 )
@@ -644,9 +644,12 @@ func (j *job) statusPayload(withResults bool) JobStatus {
 
 // JobRequest is the POST /v1/jobs payload: the same grid axes as the CLI's
 // run subcommand. Zero values take the CLI defaults (uniform scenario
-// excepted — Scenarios is required). Verify defaults to true; send false
-// explicitly to skip SINR verification. Priority orders the queue (higher
-// first, same-priority FIFO; clamped to [-100, 100]).
+// excepted — Scenarios is required; a zero alpha or beta means the default
+// 3 or 2). Verify defaults to true; send false explicitly to skip SINR
+// verification. Priority orders the queue (higher first, same-priority
+// FIFO; must lie in [-100, 100]). Every spec of the grid must pass
+// experiment.Spec.Validate. Unknown fields, verify_engine among them, are
+// rejected with a 400.
 type JobRequest struct {
 	Scenarios []string `json:"scenarios"`
 	Ns        []int    `json:"ns"`
@@ -661,15 +664,16 @@ type JobRequest struct {
 	Beta      float64  `json:"beta"`
 	Noise     float64  `json:"noise"`
 	Verify    *bool    `json:"verify"`
-	Engine    string   `json:"verify_engine"`
 	Priority  int      `json:"priority"`
 	// TimeoutSec, when positive, bounds the job's wall clock; on expiry the
 	// job cancels like DELETE and keeps its completed prefix.
 	TimeoutSec float64 `json:"timeout_sec"`
 }
 
-// specs validates the request and expands it into the instance grid. Every
-// enum and range error is reported before any instance runs.
+// specs applies the JSON defaults, caps the grid size and expands the
+// request into the instance grid, every spec of which must pass
+// experiment.Spec.Validate. Every error is reported before any instance
+// runs.
 func (r *JobRequest) specs(maxSpecs int) ([]experiment.Spec, error) {
 	if len(r.Scenarios) == 0 {
 		return nil, fmt.Errorf("scenarios is required")
@@ -686,46 +690,17 @@ func (r *JobRequest) specs(maxSpecs int) ([]experiment.Spec, error) {
 	if len(ns) == 0 {
 		ns = []int{1000}
 	}
-	for _, n := range ns {
-		if n < 2 {
-			return nil, fmt.Errorf("ns entries must be >= 2, got %d", n)
-		}
-	}
 	powers := r.Powers
 	if len(powers) == 0 {
 		powers = []string{experiment.PowerMean}
-	}
-	for _, p := range powers {
-		switch p {
-		case experiment.PowerUniform, experiment.PowerMean, experiment.PowerLinear, experiment.PowerGlobal:
-		default:
-			return nil, fmt.Errorf("unknown power %q", p)
-		}
 	}
 	algos := r.Algos
 	if len(algos) == 0 {
 		algos = []string{scheduler.Greedy}
 	}
-	for _, a := range algos {
-		if _, err := scheduler.Lookup(a); err != nil {
-			return nil, err
-		}
-	}
-	graph := r.Graph
-	if graph == "" {
-		graph = experiment.GraphOblivious
-	}
-	switch graph {
-	case experiment.GraphGamma, experiment.GraphOblivious, experiment.GraphArbitrary:
-	default:
-		return nil, fmt.Errorf("unknown graph %q", graph)
-	}
-	engine := r.Engine
-	if engine == "" {
-		engine = schedule.EngineFast
-	}
-	if engine != schedule.EngineFast && engine != schedule.EngineNaive {
-		return nil, fmt.Errorf("unknown verify_engine %q", engine)
+	// An empty name would silently take the Spec default.
+	if slices.Contains(powers, "") || slices.Contains(algos, "") {
+		return nil, fmt.Errorf("powers and algos entries must be non-empty")
 	}
 	if r.Priority < -100 || r.Priority > 100 {
 		return nil, fmt.Errorf("priority %d out of range [-100, 100]", r.Priority)
@@ -750,16 +725,12 @@ func (r *JobRequest) specs(maxSpecs int) ([]experiment.Spec, error) {
 		verify = *r.Verify
 	}
 	base := experiment.Spec{
-		Seed:         seed,
-		Graph:        graph,
-		Gamma:        r.Gamma,
-		Delta:        r.Delta,
-		SINR:         sinr.Params{Alpha: alpha, Beta: beta, Noise: r.Noise, Epsilon: 0.5},
-		Verify:       verify,
-		VerifyEngine: engine,
-	}
-	if err := base.SINR.Validate(); err != nil {
-		return nil, err
+		Seed:   seed,
+		Graph:  r.Graph,
+		Gamma:  r.Gamma,
+		Delta:  r.Delta,
+		SINR:   sinr.Params{Alpha: alpha, Beta: beta, Noise: r.Noise, Epsilon: 0.5},
+		Verify: verify,
 	}
 	// The grid size is multiplied exactly: a huge seeds count must not wrap
 	// the int product back under the limit.
@@ -770,7 +741,13 @@ func (r *JobRequest) specs(maxSpecs int) ([]experiment.Spec, error) {
 	if total.Cmp(big.NewInt(int64(maxSpecs))) > 0 {
 		return nil, fmt.Errorf("grid expands to %s specs, server limit is %d", total, maxSpecs)
 	}
-	return experiment.Expand(scList, ns, seeds, powers, algos, base), nil
+	specs := experiment.Expand(scList, ns, seeds, powers, algos, base)
+	for _, sp := range specs {
+		if err := sp.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	return specs, nil
 }
 
 // Handler returns the route multiplexer: the /v1 API plus /metrics.

@@ -129,11 +129,11 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad json", `{`, "bad request body"},
 		{"unknown field", `{"scenarios":["uniform"],"bogus":1}`, "bogus"},
 		{"bad scenario", `{"scenarios":["nope"]}`, "unknown preset"},
-		{"small n", `{"scenarios":["uniform"],"ns":[1]}`, "must be >= 2"},
+		{"small n", `{"scenarios":["uniform"],"ns":[1]}`, "need n >= 2"},
 		{"bad power", `{"scenarios":["uniform"],"powers":["warp"]}`, "unknown power"},
 		{"bad algo", `{"scenarios":["uniform"],"algos":["warp"]}`, "unknown algorithm"},
 		{"bad graph", `{"scenarios":["uniform"],"graph":"warp"}`, "unknown graph"},
-		{"bad engine", `{"scenarios":["uniform"],"verify_engine":"warp"}`, "unknown verify_engine"},
+		{"bad engine", `{"scenarios":["uniform"],"verify_engine":"naive"}`, `unknown field \"verify_engine\"`}, // JSON-escaped quotes
 		{"bad alpha", `{"scenarios":["uniform"],"alpha":1.5}`, "alpha"},
 		{"oversized grid", `{"scenarios":["uniform"],"ns":[100,200],"seeds":6}`, "server limit"},
 		{"overflowing grid", `{"scenarios":["uniform"],"ns":[100],"seeds":4611686018427387904,"algos":["greedy","dsatur"]}`, "grid expands to 9223372036854775808 specs"},

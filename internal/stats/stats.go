@@ -135,25 +135,3 @@ func Percentile(xs []float64, p float64) float64 {
 
 // Median returns the 50th percentile.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
-// Histogram counts xs into nbins equal-width bins over [lo, hi]. Values
-// outside the range are clamped to the first/last bin. It returns nil when
-// nbins <= 0 or hi <= lo.
-func Histogram(xs []float64, lo, hi float64, nbins int) []int {
-	if nbins <= 0 || hi <= lo {
-		return nil
-	}
-	counts := make([]int, nbins)
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return counts
-}

@@ -114,17 +114,6 @@ func TestLinearFit(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	counts := Histogram([]float64{-1, 0.1, 0.5, 0.9, 2}, 0, 1, 2)
-	// Bins are [0, 0.5) and [0.5, 1]; -1 clamps low, 2 clamps high.
-	if len(counts) != 2 || counts[0] != 2 || counts[1] != 3 {
-		t.Errorf("Histogram = %v, want [2 3] (out-of-range clamped)", counts)
-	}
-	if Histogram(nil, 0, 1, 0) != nil || Histogram(nil, 1, 0, 3) != nil {
-		t.Error("invalid Histogram parameters should return nil")
-	}
-}
-
 // TestLogStarNonFinite is the regression test for the former non-termination:
 // LogStar(+Inf) looped forever because math.Log2(+Inf) == +Inf. Non-finite
 // input must return the sentinel immediately, in both forms.

@@ -7,7 +7,6 @@ package unionfind
 type DSU struct {
 	parent []int
 	rank   []byte
-	sets   int
 }
 
 // New returns a DSU with n singleton sets {0}, {1}, …, {n-1}.
@@ -15,7 +14,6 @@ func New(n int) *DSU {
 	d := &DSU{
 		parent: make([]int, n),
 		rank:   make([]byte, n),
-		sets:   n,
 	}
 	for i := range d.parent {
 		d.parent[i] = i
@@ -25,9 +23,6 @@ func New(n int) *DSU {
 
 // Len returns n, the size of the ground set.
 func (d *DSU) Len() int { return len(d.parent) }
-
-// Sets returns the current number of disjoint sets.
-func (d *DSU) Sets() int { return d.sets }
 
 // Find returns the canonical representative of x's set.
 func (d *DSU) Find(x int) int {
@@ -52,9 +47,5 @@ func (d *DSU) Union(x, y int) bool {
 	if d.rank[rx] == d.rank[ry] {
 		d.rank[rx]++
 	}
-	d.sets--
 	return true
 }
-
-// Connected reports whether x and y are in the same set.
-func (d *DSU) Connected(x, y int) bool { return d.Find(x) == d.Find(y) }

@@ -4,8 +4,8 @@ import "testing"
 
 func TestUnionFind(t *testing.T) {
 	d := New(6)
-	if d.Len() != 6 || d.Sets() != 6 {
-		t.Fatalf("fresh DSU: len=%d sets=%d", d.Len(), d.Sets())
+	if d.Len() != 6 {
+		t.Fatalf("fresh DSU: len=%d", d.Len())
 	}
 	if !d.Union(0, 1) || !d.Union(1, 2) {
 		t.Fatal("Union of disjoint sets returned false")
@@ -13,20 +13,16 @@ func TestUnionFind(t *testing.T) {
 	if d.Union(0, 2) {
 		t.Fatal("Union of joined sets returned true")
 	}
-	if d.Sets() != 4 {
-		t.Fatalf("Sets = %d, want 4", d.Sets())
-	}
-	if !d.Connected(0, 2) || d.Connected(0, 3) {
-		t.Fatal("Connected wrong")
-	}
-	if d.Find(0) != d.Find(2) {
-		t.Fatal("Find roots differ within a set")
+	if d.Find(0) != d.Find(2) || d.Find(0) == d.Find(3) {
+		t.Fatal("Find roots wrong")
 	}
 	// Merge everything and confirm a single set remains.
 	for i := 0; i < 5; i++ {
 		d.Union(i, i+1)
 	}
-	if d.Sets() != 1 {
-		t.Fatalf("Sets = %d after full merge, want 1", d.Sets())
+	for i := 1; i < 6; i++ {
+		if d.Find(i) != d.Find(0) {
+			t.Fatalf("element %d outside the merged set", i)
+		}
 	}
 }
