@@ -3,13 +3,22 @@
 // aggregation tree, and hence every conflict build over its links) and a
 // scheduling tail (power, graph, algo, γ/δ, SINR, verify knobs). Specs that
 // share the prefix — a 4-algo compare grid, near-key service jobs differing
-// only in algo or power — share one generation, one EMST, and one
-// strength-annotated lookahead build per γ ceiling, instead of recomputing
-// the deployment per spec. Results are bit-identical to cold runs: the
-// cached artifacts are the exact objects a cold run would have built
-// (generation and EMST are deterministic in the prefix, and the shared
-// conflict.Lookahead serves bit-identical graphs by its own parity
-// contract), and every cached object is treated as immutable downstream.
+// only in algo or power, a γ sweep — share one generation, one EMST, one
+// strength-annotated lookahead build per γ ceiling, one pre-power stage per
+// (SchedKey, γ) rung, one slot-power supplier per (power scheme, SINR
+// params), and one slot-margin cache per SINR params, instead of
+// recomputing them per spec. A γ=3 spec whose γ=2 twin already escalated
+// through γ=3 therefore certifies from its twin's exact margins, and power
+// variants of one schedule reuse its built slot grids. Results are
+// bit-identical to cold runs: the cached artifacts are the exact objects a
+// cold run would have built (generation and EMST are deterministic in the
+// prefix, the shared conflict.Lookahead serves bit-identical graphs by its
+// own parity contract, power suppliers are deterministic in the links and
+// the scheme, and cached margins are the engine's own exact values), and
+// every cached object is treated as immutable downstream. The margin caches
+// of every deployment draw on one schedule.VerifyPool owned by the
+// DeployCache, so retained grids are bounded by one budget for the whole
+// cache, and an evicted deployment returns its lines to the pool.
 package experiment
 
 import (
@@ -28,6 +37,7 @@ import (
 	"aggrate/internal/mst"
 	"aggrate/internal/schedule"
 	"aggrate/internal/scheduler"
+	"aggrate/internal/sinr"
 )
 
 // DeployKey returns the deployment prefix of the spec's canonical form:
@@ -90,6 +100,27 @@ type deployEntry struct {
 	// to the build a cold run would have done. It is unbounded: it lives
 	// and dies with its deployment.
 	scheds *lru.Cache[string, schedStage]
+
+	// pfs shares the slot-power supplier of each (power scheme, SINR
+	// params) across the specs of this deployment: the oblivious schemes'
+	// per-link powers are assigned once, and global power's memo of solved
+	// slots serves every spec. Suppliers are deterministic in the links and
+	// the key and safe for concurrent use.
+	pfs *lru.Cache[powerKey, schedule.PowerFunc]
+
+	// vcs shares one slot-margin cache per SINR params across the specs of
+	// this deployment. Every schedule of the entry is over tree.Links, so
+	// the caches' keys (global link indices plus power bits) mean the same
+	// slot for every spec. The caches draw on pool: the DeployCache's
+	// shared pool, or a private one for an uncached entry.
+	vcs  *lru.Cache[sinr.Params, *schedule.VerifyCache]
+	pool *schedule.VerifyPool
+}
+
+// powerKey is what a slot-power supplier depends on besides the links.
+type powerKey struct {
+	scheme string
+	p      sinr.Params
 }
 
 // schedStage is one cached pre-power stage product: the schedule skeleton
@@ -108,6 +139,36 @@ func (e *deployEntry) lookaheadFor(top float64) *conflict.Lookahead {
 	return la
 }
 
+// powerFor returns the entry's shared slot-power supplier for the spec's
+// power scheme and SINR params, creating it on first request. A failed
+// assignment is not cached, so every spec that asks reports it.
+func (e *deployEntry) powerFor(spec Spec) (schedule.PowerFunc, error) {
+	pf, _, err := e.pfs.Fill(context.TODO(), powerKey{spec.Power, spec.SINR}, func() (schedule.PowerFunc, error) {
+		return spec.powerFunc(e.tree.Links)
+	})
+	return pf, err
+}
+
+// verifyCacheFor returns the entry's shared slot-margin cache for p,
+// creating it on first request.
+func (e *deployEntry) verifyCacheFor(p sinr.Params) *schedule.VerifyCache {
+	vc, _, _ := e.vcs.Fill(context.TODO(), p, func() (*schedule.VerifyCache, error) {
+		return e.pool.Cache(p), nil
+	})
+	return vc
+}
+
+// releaseVerify returns the lines of the entry's margin caches to the pool.
+// An instance still running on the entry may add lines afterwards; they age
+// out of the pool like any other.
+func (e *deployEntry) releaseVerify() {
+	for _, p := range e.vcs.Keys() {
+		if vc, ok := e.vcs.Peek(p); ok {
+			vc.Release()
+		}
+	}
+}
+
 // DeployCache is an LRU cache of deployment artifacts keyed by DeployKey,
 // shared across the specs of a batch (and, in the serving layer, across
 // jobs). Concurrent requests for the same missing key collapse into one
@@ -115,6 +176,8 @@ func (e *deployEntry) lookaheadFor(top float64) *conflict.Lookahead {
 // it. Safe for concurrent use.
 type DeployCache struct {
 	entries *lru.Cache[string, *deployEntry]
+	// verify is the one byte budget of every entry's slot-margin caches.
+	verify *schedule.VerifyPool
 
 	// Pre-power stage cache counters, across every deployment entry: a hit
 	// is an escalation attempt served by a cached ordering+coloring build
@@ -130,12 +193,16 @@ type DeployCache struct {
 const DefaultDeployCacheEntries = 4
 
 // NewDeployCache returns an empty cache holding at most maxEntries
-// deployments (≤ 0 means DefaultDeployCacheEntries).
+// deployments (≤ 0 means DefaultDeployCacheEntries), whose slot-margin
+// caches share schedule.DefaultVerifyCacheBytes between them.
 func NewDeployCache(maxEntries int) *DeployCache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultDeployCacheEntries
 	}
-	return &DeployCache{entries: lru.New[string, *deployEntry](maxEntries, math.MaxInt64)}
+	return &DeployCache{
+		entries: lru.NewEvict(maxEntries, math.MaxInt64, func(_ string, e *deployEntry) { e.releaseVerify() }),
+		verify:  schedule.NewVerifyPool(schedule.DefaultVerifyCacheBytes),
+	}
 }
 
 // Len reports the number of cached deployments (including in-flight builds).
@@ -200,7 +267,7 @@ func deployFor(ctx context.Context, spec Spec, dc *DeployCache, t *Timings) (*de
 	built := false
 	e, _, err := dc.entries.Fill(ctx, DeployKey(spec), func() (*deployEntry, error) {
 		built = true
-		return buildDeploy(ctx, spec, t)
+		return buildDeploy(ctx, spec, dc.verify, t)
 	})
 	if err != nil {
 		return nil, err
@@ -210,14 +277,18 @@ func deployFor(ctx context.Context, spec Spec, dc *DeployCache, t *Timings) (*de
 }
 
 // buildDeploy runs the deployment stages (generate, EMST) into a fresh
-// entry, stamping the same per-stage timings the cold pipeline records.
-func buildDeploy(ctx context.Context, spec Spec, t *Timings) (*deployEntry, error) {
+// entry whose margin caches draw on pool, stamping the same per-stage
+// timings the cold pipeline records.
+func buildDeploy(ctx context.Context, spec Spec, pool *schedule.VerifyPool, t *Timings) (*deployEntry, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	e := &deployEntry{
 		las:    lru.New[float64, *conflict.Lookahead](math.MaxInt, math.MaxInt64),
 		scheds: lru.New[string, schedStage](math.MaxInt, math.MaxInt64),
+		pfs:    lru.New[powerKey, schedule.PowerFunc](math.MaxInt, math.MaxInt64),
+		vcs:    lru.New[sinr.Params, *schedule.VerifyCache](math.MaxInt, math.MaxInt64),
+		pool:   pool,
 	}
 	t0 := time.Now()
 	e.pts = spec.Scenario.Generate(spec.N, spec.Seed)

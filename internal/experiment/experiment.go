@@ -88,11 +88,12 @@ type Spec struct {
 	// GammaStep is the escalation factor (default 1.5).
 	GammaStep float64
 	// NoIncrementalVerify disables the slot-margin cache that carries exact
-	// verdicts across γ-escalation attempts (the VerifySINRDelta path), so
-	// every attempt recomputes every slot. Purely a performance knob — the
-	// cache replays the engine's own exact margins for content-identical
-	// slots, so margins, verdicts, and error messages are the same either
-	// way — hence it does not participate in SpecKey.
+	// verdicts across γ-escalation attempts and across the specs of one
+	// deployment (the VerifySINRDelta path), so every attempt recomputes
+	// every slot. Purely a performance knob — the cache replays the
+	// engine's own exact margins for content-identical slots, so margins,
+	// verdicts, and error messages are the same either way — hence it does
+	// not participate in SpecKey.
 	NoIncrementalVerify bool
 	// NoLookahead disables the γ-lookahead conflict build, so every
 	// escalation attempt pays a full grid rebuild instead of filtering one
@@ -110,10 +111,11 @@ type Spec struct {
 	GammaLookahead int
 	// NoInstanceCache opts this spec out of the batch runner's stage-split
 	// instance cache (the DeployCache), so the deployment (pointset, EMST,
-	// lookahead builds) is generated cold even when a same-deployment spec
-	// already built it. Another pure performance knob: cached deployments
-	// are the exact artifacts a cold run builds, results are bit-identical
-	// either way — so it does not participate in SpecKey.
+	// lookahead builds, stages, power suppliers, slot margins) is built
+	// into a private entry even when a same-deployment spec already built
+	// it. Another pure performance knob: cached deployments are the exact
+	// artifacts a cold run builds, results are bit-identical either way —
+	// so it does not participate in SpecKey.
 	NoInstanceCache bool
 }
 
@@ -280,13 +282,13 @@ func (s Spec) powerFunc(links []geom.Link) (schedule.PowerFunc, error) {
 	case PowerLinear:
 		sch = power.Linear()
 	case PowerGlobal:
-		// Per-instance memo of solved slot power vectors, keyed by slot
-		// content. Jacobi solving dominates global-power verification, and
-		// the same slot is verified more than once whenever the final
-		// schedule is re-checked — the fast-vs-naive parity tests, a warm
-		// re-verify — so each distinct slot
-		// is solved exactly once per instance. Callers must not mutate the
-		// returned vector; the function is safe for concurrent use.
+		// Memo of solved slot power vectors, keyed by slot content. Jacobi
+		// solving dominates global-power verification, and the same slot is
+		// verified more than once — by other specs of the deployment (the
+		// supplier lives in its deployEntry), on a warm re-verify, in the
+		// fast-vs-naive parity tests — so each distinct slot is solved
+		// exactly once per supplier. Callers must not mutate the returned
+		// vector; the function is safe for concurrent use.
 		solved := lru.New[string, []float64](math.MaxInt, math.MaxInt64)
 		return func(_ int, linkIdx []int) ([]float64, error) {
 			raw := make([]byte, 0, 4*len(linkIdx))
@@ -337,13 +339,17 @@ type Instance struct {
 	// VerifyStats is the fast engine's diagnostic record for the final
 	// verification pass; zero when Verify is off.
 	VerifyStats schedule.VerifyStats
-	// pf is the slot-power supplier verification used, retained so the
-	// parity tests can re-verify without re-deriving powers (and, under
-	// global power control, without re-solving cached slots).
+	// pf is the slot-power supplier verification used: the deployment
+	// entry's supplier for the spec's (power scheme, SINR params), shared
+	// with every other spec of the entry that has the same key. It is
+	// retained so the parity tests can re-verify without re-deriving powers
+	// (and, under global power control, without re-solving cached slots).
 	pf schedule.PowerFunc
-	// vc is the incremental verification cache the escalation loop used
-	// (nil when Spec.NoIncrementalVerify or Verify was off); it holds the
-	// exact margin and built grid of every slot of the final schedule.
+	// vc is the incremental verification cache the escalation loop used:
+	// the deployment entry's cache for the spec's SINR params, shared with
+	// the entry's other specs (nil when Spec.NoIncrementalVerify or Verify
+	// was off). Unless its pool's budget evicted them, it holds the exact
+	// margin and built grid of every slot of the final schedule.
 	vc *schedule.VerifyCache
 }
 
@@ -384,23 +390,31 @@ type Timings struct {
 	// PowerSolveSec is the CPU time spent computing slot power assignments
 	// (global power's per-slot Solve; ≈0 for oblivious schemes), summed
 	// over slots. Slots verify in parallel, so this can exceed the
-	// wall-clock VerifySec. Only measured by the fast engine.
+	// wall-clock VerifySec. Only measured by the fast engine. Slots whose
+	// powers another spec of the deployment already solved cost ≈0 here.
 	PowerSolveSec float64 `json:"power_solve_sec"`
+	// The Verify* work counters below count the verification work done in
+	// this instance, summed over its γ escalations — as the Build* counters
+	// do under SchedReused. The slot-margin cache is shared by every spec
+	// of the deployment, so work another spec already did shows up here as
+	// reuse, not as engine work; which spec of a concurrent batch does the
+	// work first depends on scheduling, so these counters (unlike margins
+	// and verdicts) can differ between runs of the same batch.
+	//
 	// VerifyExactLinks counts link-slot pairs the fast engine resolved via
-	// its exact pairwise fallback, summed over gamma escalations.
+	// its exact pairwise fallback.
 	VerifyExactLinks int64 `json:"verify_exact_links,omitempty"`
 	// VerifyExactPairsFrac is the fraction of the naive O(m²) pairwise
 	// work the fast engine actually performed (near-field + fallback).
 	VerifyExactPairsFrac float64 `json:"verify_exact_pairs_frac,omitempty"`
 	// VerifyReusedSlots counts slot verifications answered from the
-	// incremental cache (content-identical slot seen on an earlier
-	// γ-escalation attempt), summed over attempts. Zero when incremental
-	// verification is disabled or no attempt shared a slot.
+	// slot-margin cache (a content-identical slot verified on an earlier
+	// γ-escalation attempt or by another spec of the deployment). Zero when
+	// incremental verification is disabled or no slot was seen before.
 	VerifyReusedSlots int64 `json:"verify_reused_slots,omitempty"`
 	// VerifyGridReused counts slot verifications that recomputed a margin
 	// over a cached built sender grid (same membership as an earlier slot,
-	// different powers — the grid-refresh path that skips buildGrid), summed
-	// over attempts.
+	// different powers — the grid-refresh path that skips buildGrid).
 	VerifyGridReused int64 `json:"verify_grid_reused,omitempty"`
 	// VerifyRefinedCells counts far-field cells the engine re-aggregated at
 	// tightened openings during adaptive refinement (its middle tier,
@@ -575,7 +589,7 @@ func newInstance(ctx context.Context, spec Spec, ws *Workspace, dc *DeployCache)
 	if dc != nil && !spec.NoInstanceCache {
 		dep, err = deployFor(ctx, spec, dc, &res.Timings)
 	} else {
-		dep, err = buildDeploy(ctx, spec, &res.Timings)
+		dep, err = buildDeploy(ctx, spec, schedule.NewVerifyPool(schedule.DefaultVerifyCacheBytes), &res.Timings)
 	}
 	if err != nil {
 		return nil, res, err
@@ -601,18 +615,18 @@ func newInstance(ctx context.Context, spec Spec, ws *Workspace, dc *DeployCache)
 	res.LogStar = stats.LogStarFromLog2(res.Log2Diversity)
 	res.LogLog = stats.LogLogFromLog2(res.Log2Diversity)
 
-	pf, err := spec.powerFunc(links)
+	pf, err := dep.powerFor(spec)
 	if err != nil {
 		return nil, res, err
 	}
 
 	inst := &Instance{Spec: spec, Points: pts, Tree: tree, pf: pf}
 	if spec.Verify && !spec.NoIncrementalVerify {
-		// One cache across all γ-escalation attempts: any slot the next
-		// attempt's schedule shares with a previous one (same membership,
-		// same powers) replays its exact margin instead of re-running the
-		// engine.
-		inst.vc = schedule.NewVerifyCache(spec.SINR)
+		// One cache across all γ-escalation attempts and every spec of the
+		// deployment: any slot an attempt's schedule shares with one
+		// verified before (same membership, same powers) replays its exact
+		// margin instead of re-running the engine.
+		inst.vc = dep.verifyCacheFor(spec.SINR)
 	}
 	gamma := spec.Gamma
 	var la *conflict.Lookahead
@@ -781,7 +795,8 @@ type Runner struct {
 	Drain context.Context
 	// Deploy is the stage-split instance cache shared by the batch: specs
 	// with equal DeployKeys (same scenario, n, seed, sink) share one
-	// generation + EMST + lookahead build. Nil means Run creates a private
+	// generation + EMST + lookahead build, the pre-power stages, the power
+	// suppliers and the slot margins. Nil means Run creates a private
 	// cache per batch — the compare-grid case — so sharing is on by
 	// default; individual specs opt out via Spec.NoInstanceCache. The
 	// serving layer installs a server-wide cache here instead.

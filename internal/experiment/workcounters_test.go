@@ -88,3 +88,59 @@ func TestPipelineWorkCounters(t *testing.T) {
 	t.Logf("retries %d, exact_pairs_frac %.4g, reused slots %d/%d, reused grids %d, candidates %d/%d",
 		res.GammaRetries, cst.Engine.ExactPairsFrac(), wst.ReusedSlots, wst.Slots, gst.ReusedGrids, scanned, accepted)
 }
+
+// TestSharedVerifyWorkCounters holds the gain of sharing slot margins
+// across the specs of a deployment in hardware-independent work: on one
+// n=2000 deployment, greedy under three oblivious powers at γ 2 and 3 must
+// resolve at least 30% fewer exact link pairs than the same specs run with
+// private entries (NoInstanceCache), and a γ=3 spec whose γ=2 twin
+// escalated (so verified every rung of the γ=3 chain first) must answer
+// every slot of its final attempt from the twin's margins.
+func TestSharedVerifyWorkCounters(t *testing.T) {
+	ctx := context.Background()
+	sc := uniformScenario(t)
+	var specs []Spec
+	for _, gamma := range []float64{2, 3} {
+		for _, pw := range []string{PowerUniform, PowerMean, PowerLinear} {
+			sp := NewSpec(sc, 2000, 1)
+			sp.Gamma, sp.Power = gamma, pw
+			specs = append(specs, sp)
+		}
+	}
+	dc := NewDeployCache(0)
+	var shared, private int64
+	twinEscalated := map[string]bool{}
+	checked := 0
+	for _, spec := range specs {
+		inst, res, err := newInstance(ctx, spec, nil, dc)
+		if err != nil {
+			t.Fatalf("%s γ=%g: %v", spec.Power, spec.Gamma, err)
+		}
+		shared += res.Timings.VerifyExactLinks
+		if spec.Gamma == 2 {
+			twinEscalated[spec.Power] = res.GammaRetries >= 1
+		} else if twinEscalated[spec.Power] {
+			checked++
+			if st := inst.VerifyStats; st.ReusedSlots != st.Slots {
+				t.Errorf("%s γ=3: final attempt reused %d of %d slots from its escalated twin",
+					spec.Power, st.ReusedSlots, st.Slots)
+			}
+		}
+
+		spec.NoInstanceCache = true
+		cold := Run(ctx, spec)
+		if cold.Err != "" {
+			t.Fatalf("private %s γ=%g: %s", spec.Power, spec.Gamma, cold.Err)
+		}
+		private += cold.Timings.VerifyExactLinks
+	}
+	if checked == 0 {
+		t.Fatal("no γ=2 spec escalated: the twin gate has nothing to hold")
+	}
+	cut := 1 - float64(shared)/float64(private)
+	if cut < 0.30 {
+		t.Errorf("shared verification resolved %d exact link pairs against %d private (%.1f%% less), want >= 30%% less",
+			shared, private, 100*cut)
+	}
+	t.Logf("exact link pairs shared %d, private %d (%.1f%% less); %d escalated twins", shared, private, 100*cut, checked)
+}

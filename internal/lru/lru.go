@@ -7,7 +7,8 @@
 // Add, or by a Fill that misses), least-recently-used entries are dropped
 // until both budgets hold, except that the newest entry is always kept and
 // an entry whose fill is in flight is never dropped. A finished fill does
-// not evict; the next insertion restores the budgets.
+// not evict; the next insertion restores the budgets. A cache made by
+// NewEvict hands every entry the budgets drop to its hook.
 //
 // Fill. The first caller of a missing key inserts an in-flight entry and
 // runs build; later callers wait for it. A successful build is cached with
@@ -47,6 +48,8 @@ type Cache[K comparable, V any] struct {
 	// root is the sentinel of the circular recency list: root.next is the
 	// most recently used entry, root.prev the least.
 	root entry[K, V]
+	// onEvict, when set, sees every entry the budgets drop.
+	onEvict func(K, V)
 
 	hits, misses, evictions int64
 }
@@ -58,6 +61,16 @@ type Cache[K comparable, V any] struct {
 func New[K comparable, V any](maxEntries int, maxBytes int64) *Cache[K, V] {
 	c := &Cache[K, V]{maxEntries: maxEntries, maxBytes: maxBytes, items: make(map[K]*entry[K, V])}
 	c.root.prev, c.root.next = &c.root, &c.root
+	return c
+}
+
+// NewEvict is New with a hook that is called with every entry the budgets
+// evict (not with entries that Add replaces or Remove drops). The hook runs
+// on the inserting goroutine after the cache's lock is released, in
+// eviction order.
+func NewEvict[K comparable, V any](maxEntries int, maxBytes int64, onEvict func(K, V)) *Cache[K, V] {
+	c := New[K, V](maxEntries, maxBytes)
+	c.onEvict = onEvict
 	return c
 }
 
@@ -93,11 +106,12 @@ func (c *Cache[K, V]) lookup(key K, touch bool) (V, bool) {
 // entry, replacing any previous entry, then evicts past the budgets.
 func (c *Cache[K, V]) Add(key K, val V, size int64) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if old, ok := c.items[key]; ok {
 		c.drop(old)
 	}
-	c.insert(&entry[K, V]{key: key, val: val, size: size})
+	evicted := c.insert(&entry[K, V]{key: key, val: val, size: size})
+	c.mu.Unlock()
+	c.notify(evicted)
 }
 
 // Remove drops key from the cache and reports whether it was present.
@@ -140,8 +154,9 @@ func (c *Cache[K, V]) Fill(ctx context.Context, key K, build func() (V, error)) 
 	}
 	c.misses++
 	e := &entry[K, V]{key: key, building: true, ready: make(chan struct{})}
-	c.insert(e)
+	evicted := c.insert(e)
 	c.mu.Unlock()
+	c.notify(evicted)
 
 	val, err = build()
 	c.mu.Lock()
@@ -187,8 +202,9 @@ func (c *Cache[K, V]) Keys() []K {
 }
 
 // insert links e as the most recently used entry and evicts past the
-// budgets. Callers hold c.mu.
-func (c *Cache[K, V]) insert(e *entry[K, V]) {
+// budgets, returning the evicted entries when there is a hook to hand them
+// to. Callers hold c.mu.
+func (c *Cache[K, V]) insert(e *entry[K, V]) (evicted []*entry[K, V]) {
 	c.items[e.key] = e
 	c.bytes += e.size
 	c.pushFront(e)
@@ -198,10 +214,23 @@ func (c *Cache[K, V]) insert(e *entry[K, V]) {
 			victim = victim.prev
 		}
 		if victim == e || victim == &c.root {
-			return
+			return evicted
 		}
 		c.drop(victim)
 		c.evictions++
+		if c.onEvict != nil {
+			evicted = append(evicted, victim)
+		}
+	}
+	return evicted
+}
+
+// notify hands evicted entries to the hook. Callers do not hold c.mu; an
+// evicted entry is unlinked and finished, so its key and value no longer
+// change.
+func (c *Cache[K, V]) notify(evicted []*entry[K, V]) {
+	for _, e := range evicted {
+		c.onEvict(e.key, e.val)
 	}
 }
 

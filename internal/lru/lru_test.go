@@ -46,6 +46,25 @@ func TestBudgets(t *testing.T) {
 	}
 }
 
+// TestEvictHook: NewEvict's hook sees exactly the entries the budgets
+// drop, with their values, and not those that Add replaces or Remove drops.
+func TestEvictHook(t *testing.T) {
+	var evicted []string
+	c := NewEvict[string, int](2, math.MaxInt64, func(k string, v int) {
+		evicted = append(evicted, fmt.Sprintf("%s=%d", k, v))
+	})
+	c.Add("a", 1, 0)
+	c.Add("b", 2, 0)
+	c.Add("b", 3, 0) // replaced, not evicted
+	c.Add("c", 4, 0) // evicts a
+	c.Remove("b")    // removed, not evicted
+	c.Add("d", 5, 0)
+	c.Add("e", 6, 0) // evicts c
+	if want := []string{"a=1", "c=4"}; !reflect.DeepEqual(evicted, want) {
+		t.Fatalf("hook saw %v, want %v", evicted, want)
+	}
+}
+
 // TestFillSingleflight: concurrent fills of one key run build once; every
 // caller gets the builder's value, and all but the builder count as hits.
 func TestFillSingleflight(t *testing.T) {

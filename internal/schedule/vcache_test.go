@@ -17,7 +17,8 @@ func TestVerifyCacheGridTier(t *testing.T) {
 	s, powers := randInstance(2000, 4, 200000, 2000, 21)
 	p := sinr.DefaultParams()
 	pf := FixedPower(powers)
-	vc := NewVerifyCache(p)
+	pool := NewVerifyPool(DefaultVerifyCacheBytes)
+	vc := pool.Cache(p)
 
 	cold, st, err := s.VerifySINRDelta(context.Background(), p, pf, vc)
 	if err != nil {
@@ -30,8 +31,8 @@ func TestVerifyCacheGridTier(t *testing.T) {
 		t.Fatalf("cold cache: %d margins, %d grids, want %d of each",
 			vc.Len(), vc.GridLen(), len(s.Slots))
 	}
-	if vc.Bytes() <= 0 {
-		t.Fatalf("cache reports %d bytes after retaining grids", vc.Bytes())
+	if pool.Bytes() <= 0 {
+		t.Fatalf("pool reports %d bytes after retaining grids", pool.Bytes())
 	}
 
 	vc.InvalidateMargins()
@@ -82,19 +83,21 @@ func TestVerifyCacheByteBudget(t *testing.T) {
 	p := sinr.DefaultParams()
 	pf := FixedPower(powers)
 
-	big := NewVerifyCacheBytes(p, 1<<30)
+	bigPool := NewVerifyPool(1 << 30)
+	big := bigPool.Cache(p)
 	cold, _, err := s.VerifySINRDelta(context.Background(), p, pf, big)
 	if err != nil {
 		t.Fatalf("cold verify: %v", err)
 	}
-	full := big.Bytes()
+	full := bigPool.Bytes()
 	if full <= 0 || big.GridLen() != len(s.Slots) {
 		t.Fatalf("generous budget: %d bytes, %d grids", full, big.GridLen())
 	}
 
 	// A budget sized for roughly half the retained state forces eviction.
 	budget := full / 2
-	small := NewVerifyCacheBytes(p, budget)
+	smallPool := NewVerifyPool(budget)
+	small := smallPool.Cache(p)
 	m, _, err := s.VerifySINRDelta(context.Background(), p, pf, small)
 	if err != nil {
 		t.Fatalf("tight-budget verify: %v", err)
@@ -102,8 +105,8 @@ func TestVerifyCacheByteBudget(t *testing.T) {
 	if m != cold {
 		t.Fatalf("tight-budget margin %.17g != cold %.17g", m, cold)
 	}
-	if small.Bytes() > budget {
-		t.Fatalf("cache holds %d bytes over its %d budget", small.Bytes(), budget)
+	if smallPool.Bytes() > budget {
+		t.Fatalf("cache holds %d bytes over its %d budget", smallPool.Bytes(), budget)
 	}
 	if small.GridLen() >= len(s.Slots) {
 		t.Fatalf("tight budget evicted nothing: %d grids of %d slots",
@@ -122,7 +125,7 @@ func TestVerifyCacheByteBudget(t *testing.T) {
 
 	// Degenerate budget: a single retained grid may exceed it; the cache
 	// must keep serving (head entry is never evicted) and stay tiny.
-	tiny := NewVerifyCacheBytes(p, 1)
+	tiny := NewVerifyPool(1).Cache(p)
 	if m3, _, err := s.VerifySINRDelta(context.Background(), p, pf, tiny); err != nil || m3 != cold {
 		t.Fatalf("tiny-budget verify: m=%v err=%v", m3, err)
 	}

@@ -105,15 +105,18 @@ func hashSlotMembers(slot []int) slotKey {
 	return k
 }
 
-// DefaultVerifyCacheBytes is the byte budget NewVerifyCache installs:
-// generous enough to hold the margins plus the built slot grids of an
-// n=1e6 schedule, small enough that a long-lived service process cannot
-// grow without bound across escalation chains.
+// DefaultVerifyCacheBytes is the byte budget of NewVerifyCache's private
+// pool and of the pool an experiment.DeployCache shares among its
+// deployments: generous enough to hold the margins plus the built slot
+// grids of an n=1e6 schedule, small enough that a long-lived service
+// process cannot grow without bound across escalation chains.
 const DefaultVerifyCacheBytes = 256 << 20
 
-// vcKey tags a slot key with its tier: a margin (keyed by slot content,
-// membership + powers) or a built slot grid (keyed by membership alone).
+// vcKey tags a slot key with its cache's namespace and its tier: a margin
+// (keyed by slot content, membership + powers) or a built slot grid (keyed
+// by membership alone).
 type vcKey struct {
+	ns uint64
 	slotKey
 	grid bool
 }
@@ -124,18 +127,44 @@ type vcEntry struct {
 	g      *sinr.SlotGrid
 }
 
+// VerifyPool is one byte budget shared by several VerifyCaches. A single
+// LRU holds the lines of every cache drawn from the pool, each cache under
+// its own namespace, so once the budget is exceeded the least-recently-used
+// lines of any of them are evicted. Safe for concurrent use.
+type VerifyPool struct {
+	lines *lru.Cache[vcKey, vcEntry]
+	ns    atomic.Uint64
+}
+
+// NewVerifyPool returns an empty pool with the given byte budget. A budget
+// ≤ 0 disables grid retention and keeps only the line most recently
+// inserted — still correct, just cold.
+func NewVerifyPool(budget int64) *VerifyPool {
+	return &VerifyPool{lines: lru.New[vcKey, vcEntry](math.MaxInt, budget)}
+}
+
+// Cache returns an empty cache bound to p that draws from the pool, under a
+// namespace no other cache of the pool shares.
+func (vp *VerifyPool) Cache(p sinr.Params) *VerifyCache {
+	return &VerifyCache{p: p, lines: vp.lines, ns: vp.ns.Add(1)}
+}
+
+// Bytes reports the pool's current charge against its byte budget, summed
+// over every cache drawn from it.
+func (vp *VerifyPool) Bytes() int64 { return vp.lines.Bytes() }
+
 // VerifyCache memoizes slot verification work by content key, enabling the
 // incremental VerifySINRDelta path: re-verifying a schedule that shares
-// slots with a previously verified one (γ-escalation retries, the service's
-// re-verify hook, delta re-checks after slot edits) recomputes only the
-// slots whose membership or powers actually changed. It holds two tiers:
-// exact margins keyed by full slot content (membership + powers), and built
-// sender grids + pyramids keyed by membership alone — so a slot that kept
-// its links but changed powers skips the grid build and only refreshes the
-// masses. Both tiers share one LRU bounded by a byte budget; margins are
-// charged vcMarginSize bytes each, grids their measured SizeBytes on top,
-// and the least-recently-used entries of either kind are evicted once the
-// budget is exceeded.
+// slots with a previously verified one (γ-escalation retries, another spec
+// of the same deployment, the service's re-verify hook, delta re-checks
+// after slot edits) recomputes only the slots whose membership or powers
+// actually changed. It holds two tiers: exact margins keyed by full slot
+// content (membership + powers), and built sender grids + pyramids keyed by
+// membership alone — so a slot that kept its links but changed powers skips
+// the grid build and only refreshes the masses. Both tiers live in its
+// pool's LRU; margins are charged vcMarginSize bytes each, grids their
+// measured SizeBytes on top, and the least-recently-used lines of either
+// kind are evicted once the pool's budget is exceeded.
 //
 // A cache is only meaningful across verifications over the same link set
 // and SINR params it was created for; VerifySINRDelta falls back to a full
@@ -143,54 +172,42 @@ type vcEntry struct {
 // must not reuse a cache across different link sets — keys are global link
 // indices, so equal keys would alias different geometry. Cached grids are
 // immutable: the engine refreshes into a fresh grid rather than mutating a
-// cached one, so read-only concurrent lookups during a fan-out are safe.
+// cached one. One cache may serve concurrent verifications; see
+// VerifySINRDelta for why that is safe.
 type VerifyCache struct {
 	p     sinr.Params
 	lines *lru.Cache[vcKey, vcEntry]
+	ns    uint64
 }
 
 // vcMarginSize approximates the resident cost of one margin entry (struct,
 // map bucket share, pointer overhead) against the byte budget.
 const vcMarginSize = 112
 
-// NewVerifyCache returns an empty cache bound to the given params, with the
-// default byte budget.
+// NewVerifyCache returns an empty cache bound to the given params, with a
+// private pool of the default byte budget.
 func NewVerifyCache(p sinr.Params) *VerifyCache {
-	return NewVerifyCacheBytes(p, DefaultVerifyCacheBytes)
-}
-
-// NewVerifyCacheBytes returns an empty cache bound to the given params with
-// an explicit byte budget. A budget ≤ 0 disables grid retention and keeps
-// only the margin most recently inserted — still correct, just cold.
-func NewVerifyCacheBytes(p sinr.Params, budget int64) *VerifyCache {
-	return &VerifyCache{p: p, lines: lru.New[vcKey, vcEntry](math.MaxInt, budget)}
+	return NewVerifyPool(DefaultVerifyCacheBytes).Cache(p)
 }
 
 // Len reports the number of cached slot margins.
-func (vc *VerifyCache) Len() int { return vc.count(false) }
+func (vc *VerifyCache) Len() int { return len(vc.keys(false)) }
 
 // GridLen reports the number of cached built slot grids.
-func (vc *VerifyCache) GridLen() int { return vc.count(true) }
+func (vc *VerifyCache) GridLen() int { return len(vc.keys(true)) }
 
-func (vc *VerifyCache) count(grid bool) int {
+// keys returns the cache's own keys of one tier.
+func (vc *VerifyCache) keys(grid bool) []vcKey {
 	if vc == nil {
-		return 0
+		return nil
 	}
-	n := 0
+	var out []vcKey
 	for _, k := range vc.lines.Keys() {
-		if k.grid == grid {
-			n++
+		if k.ns == vc.ns && k.grid == grid {
+			out = append(out, k)
 		}
 	}
-	return n
-}
-
-// Bytes reports the cache's current charge against its byte budget.
-func (vc *VerifyCache) Bytes() int64 {
-	if vc == nil {
-		return 0
-	}
-	return vc.lines.Bytes()
+	return out
 }
 
 // InvalidateMargins drops every cached margin while keeping the built slot
@@ -200,11 +217,20 @@ func (vc *VerifyCache) Bytes() int64 {
 // re-verification sweeps, the warm-verify benchmark and the pipeline's
 // work-counter test.
 func (vc *VerifyCache) InvalidateMargins() {
+	for _, k := range vc.keys(false) {
+		vc.lines.Remove(k)
+	}
+}
+
+// Release drops every line of the cache, margins and grids, returning their
+// bytes to the pool. Verifying through the cache afterwards is correct but
+// starts cold.
+func (vc *VerifyCache) Release() {
 	if vc == nil {
 		return
 	}
 	for _, k := range vc.lines.Keys() {
-		if !k.grid {
+		if k.ns == vc.ns {
 			vc.lines.Remove(k)
 		}
 	}
@@ -225,7 +251,27 @@ func (vc *VerifyCache) InvalidateMargins() {
 // so the next γ-escalation attempt reuses every slot it kept. A nil vc, or
 // one bound to other params, means a full recompute. Results are identical
 // with and without a cache, because cached values are the engine's own
-// exact margins. vc must not be shared between concurrent verifications.
+// exact margins.
+//
+// vc may be shared between concurrent verifications of schedules over the
+// same link set (the experiment layer shares one across every spec of a
+// deployment). That is safe, and every margin, verdict and error message
+// is the one a private or absent cache gives, because:
+//   - during the fan-out the cache is only peeked, under the LRU's lock, so
+//     a verification sees each line whole or not at all;
+//   - lines are written only after the fan-out, and a write replaces a line
+//     whole, so a concurrent peek sees the old line or the new one;
+//   - equal margin keys carry equal margins: the key is the slot's content
+//     (members and power bits) and the engine's margin is exact and
+//     deterministic in that content, so whichever writer wins, the line
+//     holds the value either would have computed;
+//   - grids are immutable once retained and every grid of a membership
+//     yields bit-identical margins (sinr.Engine.MarginSlotGrid), so a
+//     verification holding a grid that another one has since replaced or
+//     evicted still computes the same margin.
+//
+// What does depend on the interleaving is the work: which slots a
+// verification finds cached, and so its VerifyStats counters.
 func (s *Schedule) VerifySINRDelta(ctx context.Context, p sinr.Params, pf PowerFunc, vc *VerifyCache) (float64, VerifyStats, error) {
 	var st VerifyStats
 	if vc != nil && vc.p != p {
@@ -281,7 +327,7 @@ func (s *Schedule) VerifySINRDelta(ctx context.Context, p sinr.Params, pf PowerF
 					// The cache is only peeked during the fan-out (recency
 					// updates and inserts happen after it, in slot order).
 					o.key = hashSlot(slot, powers)
-					if e, ok := vc.lines.Peek(vcKey{o.key, false}); ok {
+					if e, ok := vc.lines.Peek(vcKey{vc.ns, o.key, false}); ok {
 						o.margin, o.reused = e.margin, true
 						if o.margin < 1 {
 							lowerCut(&failCut, int64(k))
@@ -292,7 +338,7 @@ func (s *Schedule) VerifySINRDelta(ctx context.Context, p sinr.Params, pf PowerF
 					// membership key and verify grid-warm, retaining the
 					// built/refreshed grid for insertion after the fan-out.
 					o.gkey = hashSlotMembers(slot)
-					cached, _ := vc.lines.Peek(vcKey{o.gkey, true})
+					cached, _ := vc.lines.Peek(vcKey{vc.ns, o.gkey, true})
 					cg := cached.g
 					t0 = time.Now()
 					o.margin, o.grid, o.gridReused, o.mErr =
@@ -325,14 +371,14 @@ func (s *Schedule) VerifySINRDelta(ctx context.Context, p sinr.Params, pf PowerF
 				continue
 			}
 			if o.reused {
-				vc.lines.Get(vcKey{o.key, false})
+				vc.lines.Get(vcKey{vc.ns, o.key, false})
 				continue
 			}
 			if o.mErr == nil {
-				vc.lines.Add(vcKey{o.key, false}, vcEntry{margin: o.margin}, vcMarginSize)
+				vc.lines.Add(vcKey{vc.ns, o.key, false}, vcEntry{margin: o.margin}, vcMarginSize)
 			}
 			if o.grid != nil {
-				vc.lines.Add(vcKey{o.gkey, true}, vcEntry{g: o.grid}, o.grid.SizeBytes()+vcMarginSize)
+				vc.lines.Add(vcKey{vc.ns, o.gkey, true}, vcEntry{g: o.grid}, o.grid.SizeBytes()+vcMarginSize)
 			}
 		}
 	}

@@ -95,7 +95,8 @@ func (c Config) ConflictFamily() (conflict.Family, error) {
 	case GraphArbitrary:
 		return conflict.LogThresholdFamily(c.SINR.Alpha), nil
 	default:
-		return conflict.Family{}, fmt.Errorf("scheduler: unknown graph kind %q", c.Graph)
+		return conflict.Family{}, fmt.Errorf("scheduler: unknown graph kind %q (have %v)", c.Graph,
+			[]string{GraphGamma, GraphOblivious, GraphArbitrary})
 	}
 }
 

@@ -3,6 +3,7 @@ package scheduler
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"aggrate/internal/conflict"
@@ -66,6 +67,10 @@ func TestUnknownGraphKindRejectedByEveryStrategy(t *testing.T) {
 		if _, _, err := s.Schedule(context.Background(), links, cfg); err == nil {
 			t.Fatalf("%s: bogus graph kind did not error", s.Name())
 		}
+	}
+	// The error tells the user what to type instead.
+	if _, err := cfg.ConflictFamily(); err == nil || !strings.Contains(err.Error(), `"bogus" (have [gamma obl arb])`) {
+		t.Fatalf("unknown graph kind error %v does not list the valid kinds", err)
 	}
 }
 

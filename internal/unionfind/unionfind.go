@@ -1,6 +1,6 @@
 // Package unionfind implements a disjoint-set-union structure with path
-// compression and union by rank. It backs Kruskal's MST algorithm and the
-// connectivity assertions in the schedule verifier.
+// compression and union by rank. It backs Kruskal's MST algorithm in
+// internal/mst.
 package unionfind
 
 // DSU is a disjoint-set-union over the integers [0, n). Construct with New.
@@ -20,9 +20,6 @@ func New(n int) *DSU {
 	}
 	return d
 }
-
-// Len returns n, the size of the ground set.
-func (d *DSU) Len() int { return len(d.parent) }
 
 // Find returns the canonical representative of x's set.
 func (d *DSU) Find(x int) int {

@@ -4,8 +4,10 @@ import "testing"
 
 func TestUnionFind(t *testing.T) {
 	d := New(6)
-	if d.Len() != 6 {
-		t.Fatalf("fresh DSU: len=%d", d.Len())
+	for i := 0; i < 6; i++ {
+		if d.Find(i) != i {
+			t.Fatalf("fresh DSU: Find(%d)=%d", i, d.Find(i))
+		}
 	}
 	if !d.Union(0, 1) || !d.Union(1, 2) {
 		t.Fatal("Union of disjoint sets returned false")
