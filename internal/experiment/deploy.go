@@ -9,13 +9,17 @@
 // params), and one slot-margin cache per SINR params, instead of
 // recomputing them per spec. A γ=3 spec whose γ=2 twin already escalated
 // through γ=3 therefore certifies from its twin's exact margins, and power
-// variants of one schedule reuse its built slot grids. Results are
-// bit-identical to cold runs: the cached artifacts are the exact objects a
-// cold run would have built (generation and EMST are deterministic in the
-// prefix, the shared conflict.Lookahead serves bit-identical graphs by its
-// own parity contract, power suppliers are deterministic in the links and
-// the scheme, and cached margins are the engine's own exact values), and
-// every cached object is treated as immutable downstream. The margin caches
+// variants of one schedule reuse its built slot grids. An entry keeps only
+// what a later spec reads: the tree (its links and the pointset), the
+// annotated lookahead builds, and per stage the schedule skeleton and scalar
+// diagnostics; the conflict graph a stage colored and its coloring die with
+// the stage. Results are bit-identical to cold runs: the cached artifacts
+// are the exact objects a cold run would have built (generation and EMST are
+// deterministic in the prefix, the shared conflict.Lookahead serves
+// bit-identical graphs by its own parity contract, power suppliers are
+// deterministic in the links and the scheme, and cached margins are the
+// engine's own exact values), and every cached object is treated as
+// immutable downstream. The margin caches
 // of every deployment draw on one schedule.VerifyPool owned by the
 // DeployCache, so retained grids are bounded by one budget for the whole
 // cache, and an evicted deployment returns its lines to the pool.
@@ -32,7 +36,6 @@ import (
 	"time"
 
 	"aggrate/internal/conflict"
-	"aggrate/internal/geom"
 	"aggrate/internal/lru"
 	"aggrate/internal/mst"
 	"aggrate/internal/schedule"
@@ -82,7 +85,8 @@ func schedGammaKey(schedKey string, gamma float64) string {
 // Once built, the artifact fields are immutable and safe to share across
 // instances.
 type deployEntry struct {
-	pts  []geom.Point
+	// tree is the deployment's convergecast tree; tree.Points is its
+	// generated pointset.
 	tree *mst.Tree
 
 	// las shares one conflict.Lookahead per γ ceiling across the specs of
@@ -93,8 +97,9 @@ type deployEntry struct {
 	las *lru.Cache[float64, *conflict.Lookahead]
 
 	// scheds shares the pre-power stage product — the schedule skeleton and
-	// its strategy diagnostics — across the specs of this deployment, keyed
-	// by schedGammaKey (SchedKey + the attempt's concrete γ). Strategies are
+	// its scalar strategy diagnostics, never the conflict graph or the
+	// coloring — across the specs of this deployment, keyed by
+	// schedGammaKey (SchedKey + the attempt's concrete γ). Strategies are
 	// deterministic in (links, Config) and the cached *schedule.Schedule and
 	// Diag are immutable after publish, so a reused stage is bit-identical
 	// to the build a cold run would have done. It is unbounded: it lives
@@ -124,7 +129,8 @@ type powerKey struct {
 }
 
 // schedStage is one cached pre-power stage product: the schedule skeleton
-// (ordering+coloring) of one (SchedKey, γ) under a deployment.
+// (ordering+coloring) of one (SchedKey, γ) under a deployment and the
+// strategy's Diag, which holds no per-link or per-edge data.
 type schedStage struct {
 	sched *schedule.Schedule
 	diag  scheduler.Diag
@@ -291,14 +297,14 @@ func buildDeploy(ctx context.Context, spec Spec, pool *schedule.VerifyPool, t *T
 		pool:   pool,
 	}
 	t0 := time.Now()
-	e.pts = spec.Scenario.Generate(spec.N, spec.Seed)
+	pts := spec.Scenario.Generate(spec.N, spec.Seed)
 	t.GenerateSec = time.Since(t0).Seconds()
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	t0 = time.Now()
-	tree, err := mst.NewMSTTreeCtx(ctx, e.pts, spec.Sink)
+	tree, err := mst.NewMSTTreeCtx(ctx, pts, spec.Sink)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: mst: %w", err)
 	}

@@ -312,20 +312,19 @@ func (s Spec) powerFunc(links []geom.Link) (schedule.PowerFunc, error) {
 	return schedule.FixedPower(perLink), nil
 }
 
-// Instance is one fully-materialized pipeline run: the artifacts of every
-// stage, kept for inspection, plotting, and tests.
+// Instance is one pipeline run: the artifacts a later step or a test reads,
+// kept for inspection and tests. Conflict graphs and colorings are not among
+// them; a coloring schedule's slots are its color classes.
 type Instance struct {
-	Spec   Spec
-	Points []geom.Point
-	Tree   *mst.Tree
-	// Graph is the strategy's global conflict graph; nil for strategies
-	// that only build per-class graphs (lengthclass).
-	Graph *conflict.Graph
-	// Colors is the per-link coloring when the schedule is a proper
-	// coloring; nil for interleaved schedules (lengthclass).
-	Colors   []int
+	Spec Spec
+	// Tree is the deployment's convergecast tree; Tree.Points is the
+	// generated pointset. Both are shared with every instance of the
+	// deployment.
+	Tree *mst.Tree
+	// Schedule is the final attempt's schedule skeleton, shared with the
+	// deployment's other specs at the same (SchedKey, γ).
 	Schedule *schedule.Schedule
-	// Diag is the strategy's full diagnostic record.
+	// Diag is the final attempt's strategy diagnostics.
 	Diag scheduler.Diag
 	// RefineSets is the Theorem-2 partition, nil unless Spec.Refine.
 	RefineSets [][]int
@@ -399,7 +398,8 @@ type Timings struct {
 	// of the deployment, so work another spec already did shows up here as
 	// reuse, not as engine work; which spec of a concurrent batch does the
 	// work first depends on scheduling, so these counters (unlike margins
-	// and verdicts) can differ between runs of the same batch.
+	// and verdicts) can differ between runs of a batch on several workers.
+	// At one worker they repeat exactly (TestVerifyCountersRepeat).
 	//
 	// VerifyExactLinks counts link-slot pairs the fast engine resolved via
 	// its exact pairwise fallback.
@@ -594,8 +594,7 @@ func newInstance(ctx context.Context, spec Spec, ws *Workspace, dc *DeployCache)
 	if err != nil {
 		return nil, res, err
 	}
-	pts, tree := dep.pts, dep.tree
-
+	tree := dep.tree
 	links := tree.Links
 	res.Links = len(links)
 	div, err := geom.LinkDiversity(links)
@@ -620,7 +619,7 @@ func newInstance(ctx context.Context, spec Spec, ws *Workspace, dc *DeployCache)
 		return nil, res, err
 	}
 
-	inst := &Instance{Spec: spec, Points: pts, Tree: tree, pf: pf}
+	inst := &Instance{Spec: spec, Tree: tree, pf: pf}
 	if spec.Verify && !spec.NoIncrementalVerify {
 		// One cache across all γ-escalation attempts and every spec of the
 		// deployment: any slot an attempt's schedule shares with one
@@ -710,7 +709,7 @@ func newInstance(ctx context.Context, spec Spec, ws *Workspace, dc *DeployCache)
 			res.Timings.BuildCandAccepted += diag.BuildStats.CandAccepted
 		}
 
-		inst.Graph, inst.Colors, inst.Schedule, inst.Diag = diag.Graph, diag.Colors, sched, diag
+		inst.Schedule, inst.Diag = sched, diag
 		inst.GammaUsed, inst.GammaRetries = gamma, attempt
 		res.Edges = diag.Edges
 		res.MaxDegree = diag.MaxDegree

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"aggrate/internal/coloring"
+	"aggrate/internal/conflict"
 	"aggrate/internal/geom"
 	"aggrate/internal/scenario"
 	"aggrate/internal/schedule"
@@ -28,22 +29,39 @@ func uniformScenario(t *testing.T) Scenario {
 }
 
 // TestPipelineEndToEnd runs one full instance and checks every artifact
-// against its own verifier: tree invariants, proper coloring, schedule
-// structure, and the SINR condition.
+// against its own verifier: tree invariants, schedule structure, every slot
+// independent in the conflict graph rebuilt at the γ that verified, and the
+// SINR condition.
 func TestPipelineEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	spec := NewSpec(uniformScenario(t), 500, 1)
-	inst, res, err := NewInstance(context.Background(), spec)
+	inst, res, err := NewInstance(ctx, spec)
 	if err != nil {
 		t.Fatalf("NewInstance: %v", err)
 	}
 	if err := inst.Tree.Validate(); err != nil {
 		t.Fatalf("tree invalid: %v", err)
 	}
-	if err := coloring.Verify(inst.Graph, inst.Colors); err != nil {
-		t.Fatalf("coloring invalid: %v", err)
-	}
 	if err := inst.Schedule.Validate(); err != nil {
 		t.Fatalf("schedule invalid: %v", err)
+	}
+	fam, err := inst.Spec.config(res.GammaUsed).ConflictFamily()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := conflict.BuildLookaheadCtx(ctx, inst.Tree.Links, fam, res.GammaUsed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Slots are independent sets iff the slot index is a proper coloring.
+	slotOf := make([]int, len(inst.Tree.Links))
+	for k, slot := range inst.Schedule.Slots {
+		for _, i := range slot {
+			slotOf[i] = k
+		}
+	}
+	if err := coloring.Verify(g, slotOf); err != nil {
+		t.Fatalf("slots not independent at γ=%g: %v", res.GammaUsed, err)
 	}
 	if !res.Verified || res.Margin < 1 {
 		t.Fatalf("schedule not SINR-verified: verified=%v margin=%g", res.Verified, res.Margin)

@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -60,8 +61,8 @@ func TestEscalationLookaheadReuse(t *testing.T) {
 // TestLookaheadMatchesDirectRun is the end-to-end parity half: the lookahead
 // run and a NoLookahead run must land on the identical schedule — same
 // escalation count, same final γ, same palette, same conflict-graph size,
-// same worst margin — because filtered graphs are bit-identical to direct
-// builds.
+// same slots, same worst margin — because filtered graphs are bit-identical
+// to direct builds.
 func TestLookaheadMatchesDirectRun(t *testing.T) {
 	withLA, resLA, err := NewInstance(context.Background(), escalatingSpec(t))
 	if err != nil {
@@ -91,13 +92,9 @@ func TestLookaheadMatchesDirectRun(t *testing.T) {
 	if resLA.Margin != resDirect.Margin {
 		t.Fatalf("margin differs: lookahead %g vs direct %g", resLA.Margin, resDirect.Margin)
 	}
-	if len(withLA.Colors) != len(withoutLA.Colors) {
-		t.Fatal("coloring lengths differ")
-	}
-	for i := range withLA.Colors {
-		if withLA.Colors[i] != withoutLA.Colors[i] {
-			t.Fatalf("coloring differs at link %d: %d vs %d", i, withLA.Colors[i], withoutLA.Colors[i])
-		}
+	// The slots are the coloring (slot k = color k).
+	if !slices.EqualFunc(withLA.Schedule.Slots, withoutLA.Schedule.Slots, slices.Equal[[]int]) {
+		t.Fatal("schedules differ between the lookahead and direct runs")
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"aggrate/internal/scheduler"
 )
 
 // Candidate counts of the greedy conflict builds at the probe instance
@@ -143,4 +145,50 @@ func TestSharedVerifyWorkCounters(t *testing.T) {
 			shared, private, 100*cut)
 	}
 	t.Logf("exact link pairs shared %d, private %d (%.1f%% less); %d escalated twins", shared, private, 100*cut, checked)
+}
+
+// TestVerifyCountersRepeat: at one Runner worker the verify work counters
+// are a function of the spec sequence alone. A sweep-style grid (every
+// strategy under three oblivious powers at γ 2 and 3, over two deployments)
+// runs twice in process, each time through a fresh DeployCache, and every
+// spec's counters must repeat exactly — slot verifications still fan out
+// over the par pool inside each spec, so this holds only if what a
+// verification leaves in the shared margin cache does not depend on which
+// slots past the first infeasible one a worker happened to claim.
+func TestVerifyCountersRepeat(t *testing.T) {
+	sc := uniformScenario(t)
+	var specs []Spec
+	for _, seed := range []uint64{1, 2} {
+		for _, gamma := range []float64{2, 3} {
+			for _, pw := range []string{PowerUniform, PowerMean, PowerLinear} {
+				for _, algo := range scheduler.Names() {
+					sp := NewSpec(sc, 1000, seed)
+					sp.Gamma, sp.Power, sp.Algo = gamma, pw, algo
+					specs = append(specs, sp)
+				}
+			}
+		}
+	}
+	counters := func(tm Timings) [4]int64 {
+		return [4]int64{tm.VerifyExactLinks, tm.VerifyReusedSlots, tm.VerifyGridReused, tm.VerifyRefinedCells}
+	}
+	var first [][4]int64
+	for run := 0; run < 2; run++ {
+		out, err := (&Runner{Workers: 1}).Run(context.Background(), specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range out {
+			if r.Err != "" {
+				t.Fatalf("spec %d: %s", i, r.Err)
+			}
+			got := counters(r.Timings)
+			if run == 0 {
+				first = append(first, got)
+			} else if got != first[i] {
+				t.Errorf("spec %d (%s/%s/γ=%g seed %d): counters [exact reused grids refined] %v, then %v",
+					i, specs[i].Algo, specs[i].Power, specs[i].Gamma, specs[i].Seed, first[i], got)
+			}
+		}
+	}
 }

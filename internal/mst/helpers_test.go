@@ -40,21 +40,49 @@ func TotalWeight(edges []Edge) float64 {
 	return s
 }
 
+// parent returns v's parent, or -1 for the sink.
+func (t *Tree) parent(v int) int {
+	if v == t.Sink {
+		return -1
+	}
+	if v > t.Sink {
+		v--
+	}
+	return t.Links[v].Receiver
+}
+
+// bfs walks the tree down from the sink over the children lists the links
+// imply, returning the nodes in visit order and each node's hop distance to
+// the sink.
+func (t *Tree) bfs() (order, depth []int) {
+	n := t.N()
+	children := make([][]int, n)
+	for _, l := range t.Links {
+		children[l.Receiver] = append(children[l.Receiver], l.Sender)
+	}
+	depth = make([]int, n)
+	order = append(make([]int, 0, n), t.Sink)
+	for i := 0; i < len(order); i++ {
+		v := order[i]
+		for _, c := range children[v] {
+			depth[c] = depth[v] + 1
+			order = append(order, c)
+		}
+	}
+	return order, depth
+}
+
 // SubtreeSizes returns, for each node, the number of nodes in its subtree
 // (including itself). The sink's entry equals n.
 func (t *Tree) SubtreeSizes() []int {
-	n := t.N()
-	size := make([]int, n)
-	// Process nodes in decreasing depth so children are done before parents.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return t.Depth[order[a]] > t.Depth[order[b]] })
-	for _, v := range order {
-		size[v] = 1
-		for _, c := range t.Children[v] {
-			size[v] += size[c]
+	order, _ := t.bfs()
+	size := make([]int, t.N())
+	// Reverse visit order finishes every child before its parent.
+	for i := len(order) - 1; i >= 0; i-- {
+		v := order[i]
+		size[v]++
+		if p := t.parent(v); p >= 0 {
+			size[p] += size[v]
 		}
 	}
 	return size
@@ -63,9 +91,8 @@ func (t *Tree) SubtreeSizes() []int {
 // PathToSink returns the node sequence from v up to the sink, inclusive.
 func (t *Tree) PathToSink(v int) []int {
 	path := []int{v}
-	for t.Parent[v] != -1 {
-		v = t.Parent[v]
-		path = append(path, v)
+	for p := t.parent(v); p != -1; p = t.parent(p) {
+		path = append(path, p)
 	}
 	return path
 }

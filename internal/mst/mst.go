@@ -556,22 +556,16 @@ func (b *boruvka) scanLeaf(q *kdQuery, leaf int) {
 }
 
 // Tree is a convergecast tree: an MST rooted at a sink, with every non-sink
-// node owning exactly one directed link toward its parent.
+// node owning exactly one directed link toward its parent. The links are the
+// whole tree: node v's uplink is Links[v - [v > Sink]], its Sender is v and
+// its Receiver is v's parent.
 type Tree struct {
 	// Points is the node set; Sink indexes the root.
 	Points []geom.Point
 	Sink   int
-	// Parent[v] is v's parent, or -1 for the sink.
-	Parent []int
-	// Children[v] lists v's children.
-	Children [][]int
-	// Depth[v] is the hop distance from v to the sink (0 at the sink).
-	Depth []int
-	// Links[k] is the directed link of edge k, from child to parent. There
-	// is exactly one link per non-sink node; LinkOf maps nodes to links.
+	// Links[k] is the directed link of edge k, from child to parent: one
+	// link per non-sink node, in node order.
 	Links []geom.Link
-	// LinkOf[v] is the index into Links of node v's uplink, -1 for the sink.
-	LinkOf []int
 }
 
 // Build orients the given spanning edges toward the sink and assembles the
@@ -606,75 +600,42 @@ func Build(pts []geom.Point, edges []Edge, sink int) (*Tree, error) {
 		adjFlat[fill[e.V]] = int32(e.U)
 		fill[e.V]++
 	}
-	t := &Tree{
-		Points:   pts,
-		Sink:     sink,
-		Parent:   make([]int, n),
-		Children: make([][]int, n),
-		Depth:    make([]int, n),
-		LinkOf:   make([]int, n),
-	}
-	for i := range t.Parent {
-		t.Parent[i] = -1
-		t.LinkOf[i] = -1
-	}
 	// BFS from the sink to orient edges. Connectivity doubles as the
 	// spanning-tree check: n-1 edges that reach every node cannot contain a
-	// cycle, so no separate union-find pass is needed.
+	// cycle, so no separate union-find pass is needed. parent[v] is -1 until
+	// v is reached (the sink marks itself).
+	parent := make([]int32, n)
+	for i := range parent {
+		parent[i] = -1
+	}
+	parent[sink] = int32(sink)
 	queue := make([]int32, 1, n)
 	queue[0] = int32(sink)
-	visited := make([]bool, n)
-	visited[sink] = true
 	for qi := 0; qi < len(queue); qi++ {
 		v := queue[qi]
 		for _, w := range adjFlat[rowPtr[v]:rowPtr[v+1]] {
-			if visited[w] {
+			if parent[w] >= 0 {
 				continue
 			}
-			visited[w] = true
-			t.Parent[w] = int(v)
-			t.Depth[w] = t.Depth[v] + 1
+			parent[w] = v
 			queue = append(queue, w)
 		}
 	}
-	for v, ok := range visited {
-		if !ok {
+	for v, p := range parent {
+		if p < 0 {
 			return nil, fmt.Errorf("mst: node %d not reachable from sink (edges do not form a spanning tree)", v)
 		}
 	}
-	// Children, carved from one flat backing array in BFS discovery order —
-	// per parent that is its adjacency order, as the row-by-row BFS visits.
-	childPtr := make([]int32, n+1)
-	for _, w := range queue[1:] {
-		childPtr[t.Parent[w]+1]++
-	}
-	for i := 0; i < n; i++ {
-		childPtr[i+1] += childPtr[i]
-	}
-	childFlat := make([]int, n-1)
-	cfill := append([]int32(nil), childPtr[:n]...)
-	for _, w := range queue[1:] {
-		p := t.Parent[w]
-		childFlat[cfill[p]] = int(w)
-		cfill[p]++
-	}
-	for v := 0; v < n; v++ {
-		s, e := childPtr[v], childPtr[v+1]
-		if s < e {
-			t.Children[v] = childFlat[s:e:e]
-		}
-	}
 	// One uplink per non-sink node, ordered by node index for determinism.
-	t.Links = make([]geom.Link, 0, n-1)
+	links := make([]geom.Link, 0, n-1)
 	for v := 0; v < n; v++ {
 		if v == sink {
 			continue
 		}
-		p := t.Parent[v]
-		t.LinkOf[v] = len(t.Links)
-		t.Links = append(t.Links, geom.NewLink(v, p, pts[v], pts[p]))
+		p := int(parent[v])
+		links = append(links, geom.NewLink(v, p, pts[v], pts[p]))
 	}
-	return t, nil
+	return &Tree{Points: pts, Sink: sink, Links: links}, nil
 }
 
 // NewMSTTree is the one-call constructor used by the public planner: it
@@ -698,37 +659,49 @@ func NewMSTTreeCtx(ctx context.Context, pts []geom.Point, sink int) (*Tree, erro
 // N returns the number of nodes.
 func (t *Tree) N() int { return len(t.Points) }
 
-// Validate re-checks the structural invariants (acyclic, spanning, depths
-// consistent, one uplink per non-sink node). It is cheap and called by the
-// end-to-end plan verifier.
+// Validate re-checks the structural invariants on Links: one uplink per
+// non-sink node in node order, parents in range, and every node reaching the
+// sink (so the links form a spanning tree oriented toward it).
 func (t *Tree) Validate() error {
 	n := t.N()
 	if t.Sink < 0 || t.Sink >= n {
 		return fmt.Errorf("mst: invalid sink %d", t.Sink)
 	}
-	if t.Parent[t.Sink] != -1 {
-		return fmt.Errorf("mst: sink has parent %d", t.Parent[t.Sink])
-	}
 	if len(t.Links) != n-1 {
 		return fmt.Errorf("mst: %d links for %d nodes", len(t.Links), n)
 	}
+	for k, l := range t.Links {
+		v := k
+		if k >= t.Sink {
+			v++
+		}
+		if l.Sender != v {
+			return fmt.Errorf("mst: link %d has sender %d, want node %d", k, l.Sender, v)
+		}
+		if l.Receiver < 0 || l.Receiver >= n {
+			return fmt.Errorf("mst: node %d has invalid parent %d", v, l.Receiver)
+		}
+	}
+	// Walk each node up toward the sink; state 1 marks a node on the current
+	// walk (a cycle if met again), state 2 one known to reach the sink.
+	state := make([]uint8, n)
+	state[t.Sink] = 2
+	var path []int
 	for v := 0; v < n; v++ {
-		if v == t.Sink {
-			continue
+		path = path[:0]
+		for u := v; state[u] != 2; {
+			if state[u] == 1 {
+				return fmt.Errorf("mst: node %d does not reach the sink (cycle at %d)", v, u)
+			}
+			state[u] = 1
+			path = append(path, u)
+			if u > t.Sink {
+				u--
+			}
+			u = t.Links[u].Receiver
 		}
-		p := t.Parent[v]
-		if p < 0 || p >= n {
-			return fmt.Errorf("mst: node %d has invalid parent %d", v, p)
-		}
-		if t.Depth[v] != t.Depth[p]+1 {
-			return fmt.Errorf("mst: depth invariant broken at node %d", v)
-		}
-		k := t.LinkOf[v]
-		if k < 0 || k >= len(t.Links) {
-			return fmt.Errorf("mst: node %d has invalid uplink index %d", v, k)
-		}
-		if l := t.Links[k]; l.Sender != v || l.Receiver != p {
-			return fmt.Errorf("mst: uplink of node %d is %v", v, l)
+		for _, u := range path {
+			state[u] = 2
 		}
 	}
 	return nil

@@ -4,8 +4,10 @@ import (
 	"cmp"
 	"context"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"aggrate/internal/geom"
 	"aggrate/internal/rng"
@@ -74,13 +76,17 @@ func TestTreeStructure(t *testing.T) {
 	if sizes[tree.Sink] != tree.N() {
 		t.Fatalf("sink subtree size %d != n %d", sizes[tree.Sink], tree.N())
 	}
+	order, depth := tree.bfs()
+	if len(order) != tree.N() {
+		t.Fatalf("BFS from the sink reached %d of %d nodes", len(order), tree.N())
+	}
 	for v := 0; v < tree.N(); v++ {
 		path := tree.PathToSink(v)
 		if path[len(path)-1] != tree.Sink {
 			t.Fatalf("PathToSink(%d) does not end at sink", v)
 		}
-		if len(path)-1 != tree.Depth[v] {
-			t.Fatalf("PathToSink(%d) length %d inconsistent with depth %d", v, len(path)-1, tree.Depth[v])
+		if len(path)-1 != depth[v] {
+			t.Fatalf("PathToSink(%d) length %d inconsistent with depth %d", v, len(path)-1, depth[v])
 		}
 	}
 }
@@ -98,6 +104,62 @@ func TestBuildRejectsBadEdges(t *testing.T) {
 	if _, err := Build(pts, Prim(pts), 99); err == nil {
 		t.Fatal("Build accepted an out-of-range sink")
 	}
+}
+
+// TestValidateRejectsBrokenLinks: Validate reads the whole tree from Links,
+// so a wrong sender, an out-of-range parent and a cycle that cuts nodes off
+// from the sink must each be caught.
+func TestValidateRejectsBrokenLinks(t *testing.T) {
+	pts := randomPoints(40, 3, 100)
+	for _, tc := range []struct {
+		name   string
+		mutate func(tr *Tree)
+	}{
+		{"missing link", func(tr *Tree) { tr.Links = tr.Links[1:] }},
+		{"wrong sender", func(tr *Tree) { tr.Links[4].Sender = 9 }},
+		{"parent out of range", func(tr *Tree) { tr.Links[7].Receiver = 40 }},
+		// Node 1's parent becomes node 2 and node 2's parent node 1.
+		{"cycle", func(tr *Tree) { tr.Links[0].Receiver, tr.Links[1].Receiver = 2, 1 }},
+	} {
+		tree, err := NewMSTTree(pts, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree.Links = slices.Clone(tree.Links)
+		tc.mutate(tree)
+		if err := tree.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted a broken tree", tc.name)
+		}
+	}
+}
+
+// TestTreeRetainedBytes: a Tree keeps only its links (the pointset is the
+// caller's slice), so holding one costs the links alone: at n=1e5 the heap
+// it retains is at most 15% over len(Links)·sizeof(Link).
+func TestTreeRetainedBytes(t *testing.T) {
+	pts := randomPoints(100_000, 1, 1000)
+	edges, err := EMSTCtx(context.Background(), pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	without := ms.HeapAlloc
+	tree, err := Build(pts, edges, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	with := ms.HeapAlloc
+	runtime.KeepAlive(tree)
+	runtime.KeepAlive(edges)
+	perLink := (float64(with) - float64(without)) / float64(len(tree.Links))
+	if limit := 1.15 * float64(unsafe.Sizeof(geom.Link{})); perLink > limit {
+		t.Errorf("a tree retains %.1f B per link, want <= %.1f (its links alone)", perLink, limit)
+	}
+	t.Logf("%.1f B retained per link", perLink)
 }
 
 // edgeKey normalizes an edge to its sorted endpoint pair.

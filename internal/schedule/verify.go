@@ -247,8 +247,9 @@ func (vc *VerifyCache) Release() {
 //
 // vc makes re-verification incremental: slots whose content key
 // (membership + powers) is in vc reuse the cached exact margin and skip the
-// engine; fresh margins are added afterwards, also on infeasible schedules,
-// so the next γ-escalation attempt reuses every slot it kept. A nil vc, or
+// engine; fresh margins of the slots up to the first infeasible one are
+// added afterwards, also on infeasible schedules, so the next γ-escalation
+// attempt reuses every slot it kept. A nil vc, or
 // one bound to other params, means a full recompute. Results are identical
 // with and without a cache, because cached values are the engine's own
 // exact margins.
@@ -363,11 +364,16 @@ func (s *Schedule) VerifySINRDelta(ctx context.Context, p sinr.Params, pf PowerF
 	// path, in slot order (deterministic LRU recency). Caching the feasible
 	// slots of an infeasible schedule is the point of the γ-escalation
 	// reuse: the next attempt skips every slot it kept. Reused entries are
-	// touched so eviction tracks actual access order.
+	// touched so eviction tracks actual access order. Only slots up to the
+	// final cut are recorded: those are the slots the reduction reads, and
+	// every one of them ran, so what the cache holds afterwards (and so the
+	// work later verifications find done) does not depend on which slots
+	// past the cut a worker claimed before the cut moved.
 	if vc != nil {
+		cut := failCut.Load()
 		for k := range outs {
 			o := &outs[k]
-			if !o.ran || o.pfErr != nil {
+			if !o.ran || o.pfErr != nil || int64(k) > cut {
 				continue
 			}
 			if o.reused {

@@ -110,19 +110,16 @@ func (c Config) ConflictFunc() (conflict.Func, error) {
 	return fam.At(c.Gamma), nil
 }
 
-// Diag reports what a strategy did, for metrics and invariant checks.
+// Diag reports what a strategy did, for metrics and invariant checks. It
+// holds no per-link or per-edge data: the conflict graph and the coloring
+// die with the Schedule call (a coloring schedule's slot k is color k), so a
+// cached stage product retains nothing but the schedule skeleton.
 type Diag struct {
 	// Func is the conflict-threshold function whose graph every slot of the
 	// returned schedule is an independent set of. For graph-coloring
 	// strategies it is the Config's function; for naive it is the
 	// protocol-model threshold.
 	Func conflict.Func
-	// Graph is the global conflict graph, when the strategy built one
-	// (nil for lengthclass, which only builds per-class graphs).
-	Graph *conflict.Graph
-	// Colors is the per-link coloring when the schedule is a proper
-	// coloring (slot k = color k); nil for interleaved schedules.
-	Colors []int
 	// NumColors is the schedule period (total distinct slots).
 	NumColors int
 	// Classes is the number of non-empty dyadic length classes
@@ -248,7 +245,6 @@ func colorWith(ctx context.Context, links []geom.Link, fam conflict.Family, cfg 
 	if err != nil {
 		return nil, d, err
 	}
-	d.Graph = g
 
 	ws := cfg.WS
 	t0 := time.Now()
@@ -262,7 +258,7 @@ func colorWith(ctx context.Context, links []geom.Link, fam conflict.Family, cfg 
 	if err != nil {
 		return nil, d, err
 	}
-	d.Colors, d.NumColors = colors, numColors
+	d.NumColors = numColors
 	d.Edges, d.MaxDegree, d.AvgDegree = g.Edges(), g.MaxDegree(), g.AverageDegree()
 	return sched, d, nil
 }
