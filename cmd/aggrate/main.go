@@ -468,7 +468,7 @@ func (e *orderedEmitter) pendingHas(i int) bool {
 func csvHeader() []string {
 	return []string{
 		"scenario", "n", "seed", "power", "graph", "algo", "links", "diversity",
-		"logstar", "edges", "max_degree", "colors", "schedule_length",
+		"logstar", "edges", "max_degree", "colors", "max_back_degree", "schedule_length",
 		"rate", "colors_per_logstar", "length_classes", "gamma_used",
 		"gamma_retries", "margin", "verified", "refine_sets", "build_sec",
 		"build_filter_sec", "build_reused",
@@ -482,7 +482,7 @@ func csvRow(r *experiment.Result) []string {
 		r.Scenario, strconv.Itoa(r.N), strconv.FormatUint(r.Seed, 10),
 		r.Power, r.Graph, r.Algo, strconv.Itoa(r.Links), f(r.Diversity),
 		strconv.Itoa(r.LogStar), strconv.Itoa(r.Edges),
-		strconv.Itoa(r.MaxDegree), strconv.Itoa(r.Colors),
+		strconv.Itoa(r.MaxDegree), strconv.Itoa(r.Colors), strconv.Itoa(r.MaxBackDegree),
 		strconv.Itoa(r.ScheduleLength), f(r.Rate), f(r.ColorsPerLogStar),
 		strconv.Itoa(r.Classes),
 		f(r.GammaUsed), strconv.Itoa(r.GammaRetries), f(r.Margin),

@@ -5,10 +5,15 @@
 // refinement of Theorem 2 that splits an MST's links into a constant number
 // of sets S with I(i, S⁺ᵢ) < 1.
 //
-// All colorings walk the conflict graph's CSR rows. The Workspace variants
-// are the production hot path: every scratch buffer is owned by the
-// Workspace and reused across calls, so steady-state coloring performs zero
-// allocations per vertex (see the AllocsPerRun guards in the tests).
+// All colorings walk the conflict graph's CSR rows. Those rows are
+// one-sided: row v holds only v's neighbors that come before it in the
+// length order (see conflict.Graph), which is exactly what first-fit in that
+// order reads, so FirstFit walks them as they are. DSatur, JP and
+// FirstFitAnyOrder need both directions of every edge and rebuild them with
+// one O(E) transpose per call into Workspace buffers. The Workspace
+// variants are the production hot path: every scratch buffer is owned by
+// the Workspace and reused across calls, so steady-state coloring performs
+// zero allocations per vertex (see the AllocsPerRun guards in the tests).
 package coloring
 
 import (
@@ -39,6 +44,9 @@ type Workspace struct {
 	rk, rkTmp []uint64
 	orderTmp  []int
 
+	// Both-direction rows rebuilt from a one-sided graph (see symmetric).
+	symPtr, symNbr []int32
+
 	// DSATUR state.
 	heap    []satEntry // indexed max-heap of the uncolored vertices
 	pos     []int32    // pos[v] = heap index of uncolored vertex v
@@ -64,7 +72,11 @@ func grow[T any](buf []T, n int) []T {
 
 // FirstFit colors the conflict graph by first-fit along the given vertex
 // order: each vertex gets the smallest color not used by an already-colored
-// neighbor. order must be a permutation of [0, g.N()). colors must have
+// neighbor. order must be a permutation of [0, g.N()) that visits every
+// entry of a row before the row's owner — LengthOrder(g) does, since the
+// graph is one-sided in that order — and then reading only the rows is
+// exact. An order that reaches a vertex before one of its row entries is a
+// misuse and panics; FirstFitAnyOrder takes any order. colors must have
 // length g.N(); it is overwritten with one color per vertex, colors
 // numbered from 0. Returns the number of colors used.
 //
@@ -72,7 +84,22 @@ func grow[T any](buf []T, n int) []T {
 // tracked by stamping usedBy[c] with v's position in the order, so there is
 // no per-vertex clearing and no map.
 func (ws *Workspace) FirstFit(g *conflict.Graph, order []int, colors []int) int {
-	n := g.N()
+	return ws.firstFit(g.N(), g.RowPtr, g.Neighbors, order, colors, true)
+}
+
+// FirstFitAnyOrder is FirstFit along any permutation of [0, g.N()), such as
+// IndexOrder: it reads both directions of every edge, rebuilt from the
+// one-sided rows by one O(E) transpose (see symmetric), and skips the
+// neighbors not yet colored.
+func (ws *Workspace) FirstFitAnyOrder(g *conflict.Graph, order []int, colors []int) int {
+	rowPtr, nbr := ws.symmetric(g)
+	return ws.firstFit(g.N(), rowPtr, nbr, order, colors, false)
+}
+
+// firstFit is the first-fit sweep over n vertices with rows
+// nbr[rowPtr[v]:rowPtr[v+1]]. With oneSided set, every row entry must be
+// colored before the row's owner, and an uncolored one panics.
+func (ws *Workspace) firstFit(n int, rowPtr, nbr []int32, order []int, colors []int, oneSided bool) int {
 	// The sweep tracks colors in an int32 shadow and copies out once at the
 	// end: colors[w] is the one random-access load per neighbor visit, and
 	// halving its width halves the cache footprint of the hottest loop of
@@ -87,13 +114,18 @@ func (ws *Workspace) FirstFit(g *conflict.Graph, order []int, colors []int) int 
 		ws.usedBy[i] = -1
 	}
 	usedBy := ws.usedBy
-	rowPtr, nbr := g.RowPtr, g.Neighbors
 	numColors := int32(0)
 	for t, v := range order {
 		for _, w := range nbr[rowPtr[v]:rowPtr[v+1]] {
-			if c := c32[w]; c >= 0 {
-				usedBy[c] = int32(t)
+			c := c32[w]
+			if c < 0 {
+				if oneSided {
+					panic(fmt.Sprintf("coloring: FirstFit reached vertex %d before its row entry %d: "+
+						"the order breaks the one-sided graph's orientation (use FirstFitAnyOrder)", v, w))
+				}
+				continue
 			}
+			usedBy[c] = int32(t)
 		}
 		c := int32(0)
 		for usedBy[c] == int32(t) {
@@ -110,8 +142,45 @@ func (ws *Workspace) FirstFit(g *conflict.Graph, order []int, colors []int) int 
 	return int(numColors)
 }
 
+// symmetric returns the rows of g with both directions of every edge,
+// rebuilt by one O(E) transpose into Workspace buffers: v's row gets its
+// own one-sided row plus v itself appended to the row of each of its
+// entries. Nothing is cached, and once the buffers have grown the
+// transpose allocates nothing. The order within a rebuilt row differs from
+// ascending; DSatur, JP and FirstFitAnyOrder do not depend on it.
+func (ws *Workspace) symmetric(g *conflict.Graph) (rowPtr, nbr []int32) {
+	n := g.N()
+	ws.symPtr = grow(ws.symPtr, n+2)
+	ws.symNbr = grow(ws.symNbr, 2*g.Edges())
+	ptr, out := ws.symPtr, ws.symNbr
+	clear(ptr)
+	// Degrees land one slot to the right of their row start, so that after
+	// the prefix sum ptr[v+1] is the start of row v; it then serves as v's
+	// fill cursor and ends at the end of row v, which leaves ptr[:n+1] the
+	// row offsets.
+	for v := 0; v < n; v++ {
+		row := g.Row(v)
+		ptr[v+2] += int32(len(row))
+		for _, w := range row {
+			ptr[w+2]++
+		}
+	}
+	for v := 2; v < n+2; v++ {
+		ptr[v] += ptr[v-1]
+	}
+	for v := 0; v < n; v++ {
+		row := g.Row(v)
+		ptr[v+1] += int32(copy(out[ptr[v+1]:], row))
+		for _, w := range row {
+			out[ptr[w+1]] = int32(v)
+			ptr[w+1]++
+		}
+	}
+	return ptr[:n+1], out
+}
+
 // IndexOrder returns the identity order 0, 1, …, n-1: first-fit in input
-// order, the length-oblivious baseline.
+// order, the length-oblivious baseline (color it with FirstFitAnyOrder).
 func IndexOrder(n int) []int {
 	order := make([]int, n)
 	for i := range order {
@@ -296,14 +365,20 @@ func (ws *Workspace) satDown(i int) {
 // place, and the loop pops exactly n times, so the cost is O((V+E) log V)
 // with no stale entries however dense the graph. Neighbor-color sets are
 // flat per-vertex bitsets (stride ⌈(Δ+1)/64⌉ words) carved from one
-// Workspace arena — no per-vertex maps.
+// Workspace arena — no per-vertex maps. The saturation updates need every
+// neighbor of a vertex, so the rows are rebuilt in both directions first
+// (see symmetric).
 func (ws *Workspace) DSatur(g *conflict.Graph, colors []int) int {
 	n := g.N()
 	for i := range colors {
 		colors[i] = -1
 	}
-	maxDeg := g.MaxDegree()
-	stride := (maxDeg + 1 + 63) / 64
+	rowPtr, nbr := ws.symmetric(g)
+	maxDeg := int32(0)
+	for v := 0; v < n; v++ {
+		maxDeg = max(maxDeg, rowPtr[v+1]-rowPtr[v])
+	}
+	stride := (int(maxDeg) + 1 + 63) / 64
 	if stride == 0 {
 		stride = 1
 	}
@@ -315,7 +390,6 @@ func (ws *Workspace) DSatur(g *conflict.Graph, colors []int) int {
 	}
 	ws.heap = grow(ws.heap, n)
 	ws.pos = grow(ws.pos, n)
-	rowPtr, nbr := g.RowPtr, g.Neighbors
 	for v := 0; v < n; v++ {
 		ws.heap[v] = satEntry{v: int32(v), deg: rowPtr[v+1] - rowPtr[v]}
 		ws.pos[v] = int32(v)
@@ -393,6 +467,8 @@ func jpHigher(prio []uint64, a, b int32) bool {
 // This is the shared-memory form of the distributed coloring the paper's
 // line of work builds on: each round colors an independent set (the local
 // priority maxima), and O(log n) rounds suffice with high probability.
+// Priorities ignore the length order, so JP reads both directions of every
+// edge (see symmetric).
 func (ws *Workspace) JP(g *conflict.Graph, seed uint64, colors []int) int {
 	n := g.N()
 	for i := range colors {
@@ -403,7 +479,7 @@ func (ws *Workspace) JP(g *conflict.Graph, seed uint64, colors []int) int {
 	ws.active = grow(ws.active, n)
 	ws.winner = ws.winner[:0]
 	prio, wait := ws.prio, ws.wait
-	rowPtr, nbr := g.RowPtr, g.Neighbors
+	rowPtr, nbr := ws.symmetric(g)
 	// Two passes: every priority must exist before any wait count reads it.
 	par.For(n, func(v int) {
 		prio[v] = splitmix64(seed ^ uint64(v))
@@ -480,7 +556,8 @@ func (ws *Workspace) JP(g *conflict.Graph, seed uint64, colors []int) int {
 }
 
 // Verify checks that colors is a proper coloring of g: every vertex colored
-// with a value in [0, numColors) and no edge monochromatic.
+// with a value in [0, numColors) and no edge monochromatic (each edge is
+// one row entry).
 func Verify(g *conflict.Graph, colors []int) error {
 	if len(colors) != g.N() {
 		return fmt.Errorf("coloring: %d colors for %d vertices", len(colors), g.N())

@@ -188,7 +188,8 @@ func TestFirstFitOrders(t *testing.T) {
 			t.Fatalf("vertex %d: FirstFit(ByLengthOrder)=%d, GreedyByLength=%d", v, ffLen[v], byLen[v])
 		}
 	}
-	idx, _ := FirstFit(g, IndexOrder(g.N()))
+	idx := make([]int, g.N())
+	NewWorkspace().FirstFitAnyOrder(g, IndexOrder(g.N()), idx)
 	if err := Verify(g, idx); err != nil {
 		t.Fatalf("index-order first-fit improper: %v", err)
 	}

@@ -2,9 +2,12 @@ package coloring
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"aggrate/internal/conflict"
@@ -19,14 +22,41 @@ import (
 // lists. Any divergence — a different palette, a different vertex order, a
 // different tie-break — fails the property tests.
 
-// adjacency expands the graph's CSR rows back into per-vertex slices for
-// the oracles.
+// adjacency expands the graph's one-sided CSR rows back into symmetric
+// per-vertex slices for the oracles: every entry w of row v makes w a
+// neighbor of v and v a neighbor of w. Each slice is sorted ascending.
 func adjacency(g *conflict.Graph) [][]int32 {
 	adj := make([][]int32, g.N())
-	for i := range adj {
-		adj[i] = append([]int32(nil), g.Row(i)...)
+	for v := range adj {
+		for _, w := range g.Row(v) {
+			adj[v] = append(adj[v], w)
+			adj[w] = append(adj[w], int32(v))
+		}
+	}
+	for _, row := range adj {
+		slices.Sort(row)
 	}
 	return adj
+}
+
+// jpOrderOracle is the order in which JP's rounds color the vertices: a
+// vertex waits for every neighbor of higher priority and no lower one
+// colors before it, so JP is first-fit along descending priority, ties
+// broken by descending index.
+func jpOrderOracle(n int, seed uint64) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	prio := func(v int) uint64 { return splitmix64(seed ^ uint64(v)) }
+	sort.Slice(order, func(a, b int) bool {
+		pa, pb := prio(order[a]), prio(order[b])
+		if pa != pb {
+			return pa > pb
+		}
+		return order[a] > order[b]
+	})
+	return order
 }
 
 // firstFitOracle is the pre-CSR FirstFit: clear-a-palette per vertex.
@@ -206,14 +236,14 @@ func parityInstances(t *testing.T) map[string][]geom.Link {
 
 // TestDenseInstanceIsDense keeps the dense parity instance honest: under
 // every flavor of the suite its mean degree is at least 200 and its longest
-// row is well past the 32-entry long-row cutoff of the conflict builder's
-// row sort.
+// one-sided row is well past the 32-entry long-row cutoff of the conflict
+// builder's row sort.
 func TestDenseInstanceIsDense(t *testing.T) {
 	links := parityInstances(t)["dense/7x1"]
 	for _, f := range testFlavors() {
 		g := buildGraph(t, links, f.fam, f.gamma)
-		if d := g.AverageDegree(); d < 200 || g.MaxDegree() < 64 {
-			t.Fatalf("%s: mean degree %.1f, max %d; want >= 200 and >= 64", f.Name, d, g.MaxDegree())
+		if d := g.AverageDegree(); d < 200 || g.MaxBackDegree() < 64 {
+			t.Fatalf("%s: mean degree %.1f, longest row %d; want >= 200 and >= 64", f.Name, d, g.MaxBackDegree())
 		}
 	}
 }
@@ -222,7 +252,7 @@ func TestDenseInstanceIsDense(t *testing.T) {
 // lazy-heap slice oracle on random graphs: n ≤ 300 vertices, each pair an
 // edge with probability density ∈ [0, 0.6], so the graphs range from
 // edgeless to rows far longer than the bitset word and the sort cutoff.
-// FirstFit in index order is checked alongside it.
+// First-fit in index order is checked alongside it.
 func FuzzDSaturMatchesOracle(f *testing.F) {
 	f.Add(uint16(0), uint8(0), uint64(1))
 	f.Add(uint16(1), uint8(60), uint64(2))
@@ -249,10 +279,99 @@ func FuzzDSaturMatchesOracle(f *testing.F) {
 		wc, wk := dsaturOracle(adjacency(g))
 		sameColoring(t, "dsatur", colors, k, wc, wk)
 		order := IndexOrder(n)
-		k = ws.FirstFit(g, order, colors)
+		k = ws.FirstFitAnyOrder(g, order, colors)
 		wc, wk = firstFitOracle(adjacency(g), order)
 		sameColoring(t, "firstfit", colors, k, wc, wk)
 	})
+}
+
+// FuzzOrientedMatchesSymmetric checks every coloring of a one-sided graph
+// against the symmetric slice oracles, color for color: a random
+// symmetric graph (n ≤ 300, edge probability ≤ 0.6) over links whose
+// lengths are drawn from at most eight values, so most of the orientation
+// rests on the index tie-break. FromAdj orients the graph by those
+// lengths; its rows must transpose back to the input, and FirstFit in
+// LengthOrder, first-fit in index order, DSatur and JP must reproduce the
+// oracles run on the symmetric adjacency.
+func FuzzOrientedMatchesSymmetric(f *testing.F) {
+	f.Add(uint16(0), uint8(0), uint8(0), uint64(1))
+	f.Add(uint16(2), uint8(60), uint8(0), uint64(2))
+	f.Add(uint16(50), uint8(20), uint8(1), uint64(3))
+	f.Add(uint16(300), uint8(45), uint8(7), uint64(4))
+	f.Add(uint16(150), uint8(5), uint8(3), uint64(5))
+	f.Fuzz(func(t *testing.T, nRaw uint16, densityRaw, kindsRaw uint8, seed uint64) {
+		n := int(nRaw) % 301
+		p := float64(densityRaw%61) / 100
+		kinds := int(kindsRaw%8) + 1
+		r := rng.New(seed)
+		links := make([]geom.Link, n)
+		for i := range links {
+			s := geom.Point{X: float64(10 * i)}
+			links[i] = geom.NewLink(2*i, 2*i+1, s, geom.Point{X: s.X + float64(1+r.Intn(kinds))})
+		}
+		adj := make([][]int32, n)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if r.Float64() < p {
+					adj[i] = append(adj[i], int32(j))
+					adj[j] = append(adj[j], int32(i))
+				}
+			}
+		}
+		g := conflict.FromAdj(links, conflict.Gamma(1), adj)
+		got := adjacency(g)
+		for v := range adj {
+			if !slices.Equal(adj[v], got[v]) {
+				t.Fatalf("vertex %d: one-sided rows transpose to %v, input %v", v, got[v], adj[v])
+			}
+			for _, w := range g.Row(v) {
+				lv, lw := links[v].Length(), links[w].Length()
+				if !(lw > lv || (lw == lv && int(w) < v)) {
+					t.Fatalf("row %d holds %d, which comes after it (lengths %g, %g)", v, w, lv, lw)
+				}
+			}
+		}
+		ws := NewWorkspace()
+		colors := make([]int, n)
+		k := ws.FirstFit(g, ws.LengthOrder(g), colors)
+		wc, wk := firstFitOracle(adj, byLengthOrderOracle(links))
+		sameColoring(t, "firstfit-length", colors, k, wc, wk)
+		k = ws.FirstFitAnyOrder(g, IndexOrder(n), colors)
+		wc, wk = firstFitOracle(adj, IndexOrder(n))
+		sameColoring(t, "firstfit-index", colors, k, wc, wk)
+		k = ws.DSatur(g, colors)
+		wc, wk = dsaturOracle(adj)
+		sameColoring(t, "dsatur", colors, k, wc, wk)
+		k = ws.JP(g, seed, colors)
+		wc, wk = firstFitOracle(adj, jpOrderOracle(n, seed))
+		sameColoring(t, "jp", colors, k, wc, wk)
+	})
+}
+
+// TestFirstFitRejectsBrokenOrder: FirstFit reads only the one-sided rows,
+// so an order that reaches a vertex before one of its row entries would
+// color wrongly; it must panic instead, while FirstFitAnyOrder colors the
+// same order properly.
+func TestFirstFitRejectsBrokenOrder(t *testing.T) {
+	g := buildGraph(t, testLinks(t, 300, 11), conflict.PowerLawFamily(0.5), 2)
+	ws := NewWorkspace()
+	reversed := slices.Clone(ws.LengthOrder(g))
+	slices.Reverse(reversed)
+	for _, order := range [][]int{reversed, IndexOrder(g.N())} {
+		colors := make([]int, g.N())
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			ws.FirstFit(g, order, colors)
+			return ""
+		}()
+		if !strings.Contains(msg, "orientation") {
+			t.Fatalf("FirstFit on an order against the orientation: recovered %q, want the orientation panic", msg)
+		}
+		ws.FirstFitAnyOrder(g, order, colors)
+		if err := Verify(g, colors); err != nil {
+			t.Fatalf("FirstFitAnyOrder: %v", err)
+		}
+	}
 }
 
 func sameColoring(t *testing.T, label string, got []int, kGot int, want []int, kWant int) {
@@ -294,7 +413,8 @@ func TestCSRMatchesSliceOracles(t *testing.T) {
 
 			idx := IndexOrder(g.N())
 			wc, wk = firstFitOracle(adj, idx)
-			gc, gk = FirstFit(g, idx)
+			gc = make([]int, g.N())
+			gk = NewWorkspace().FirstFitAnyOrder(g, idx, gc)
 			sameColoring(t, label+"/firstfit-index", gc, gk, wc, wk)
 
 			wc, wk = dsaturOracle(adj)
@@ -333,18 +453,26 @@ func TestWorkspaceReuseAcrossGraphs(t *testing.T) {
 
 // TestFirstFitZeroAllocs is the hot-loop guard: once the Workspace buffers
 // are warm, a FirstFit pass over a 20k-edge graph performs zero allocations
-// — not "zero per vertex", zero total.
+// — not "zero per vertex", zero total — and so do the colorings that
+// rebuild both directions of every edge first.
 func TestFirstFitZeroAllocs(t *testing.T) {
 	links := testLinks(t, 2000, 9)
 	g := buildGraph(t, links, conflict.PowerLawFamily(0.5), 2)
 	ws := NewWorkspace()
 	colors := make([]int, g.N())
-	order := IndexOrder(g.N())
+	order := slices.Clone(ws.LengthOrder(g))
 	ws.FirstFit(g, order, colors) // warm the scratch buffers
 	if allocs := testing.AllocsPerRun(10, func() {
 		ws.FirstFit(g, order, colors)
 	}); allocs != 0 {
 		t.Fatalf("FirstFit allocated %.0f times per run on warm buffers, want 0", allocs)
+	}
+	index := IndexOrder(g.N())
+	ws.FirstFitAnyOrder(g, index, colors)
+	if allocs := testing.AllocsPerRun(10, func() {
+		ws.FirstFitAnyOrder(g, index, colors)
+	}); allocs != 0 {
+		t.Fatalf("FirstFitAnyOrder allocated %.0f times per run on warm buffers, want 0", allocs)
 	}
 	ws.GreedyByLength(g, colors)
 	if allocs := testing.AllocsPerRun(10, func() {

@@ -18,26 +18,32 @@ import (
 // rows run past the long-row sort cutoff.
 const denseGamma = 16
 
-// oracleEdges lists the undirected edges of an oracle graph with their
-// strengths, each edge once as (i, j) with i < j.
-func oracleEdges(g *Graph) ([]edge, []float32) {
+// oracleEdges lists the edges of a symmetric oracle graph with their
+// strengths, each edge once, oriented as the builder emits it: (i, j) with
+// j before i in first-fit order. It also returns the longest oriented row.
+func oracleEdges(g *Graph) ([]edge, []float32, int) {
 	var edges []edge
 	var qs []float32
+	longest := 0
 	for i := 0; i < g.N(); i++ {
+		row := 0
 		for k := g.RowPtr[i]; k < g.RowPtr[i+1]; k++ {
-			if j := g.Neighbors[k]; int32(i) < j {
+			if j := g.Neighbors[k]; before(g.Links, j, int32(i)) {
 				edges = append(edges, edge{int32(i), j})
 				qs = append(qs, g.Strengths[k])
+				row++
 			}
 		}
+		longest = max(longest, row)
 	}
-	return edges, qs
+	return edges, qs, longest
 }
 
-// TestAssembleMatchesOracle: however the edges are shuffled and dealt into
-// buffers — one buffer, fewer buffers than scatter groups allow, or more —
-// the assembled CSR equals the oracle's, strengths included, on a sparse
-// and a dense instance (rows past the long-row sort cutoff).
+// TestAssembleMatchesOracle: however the oriented edges are shuffled and
+// dealt into buffers — one buffer, fewer buffers than scatter groups allow,
+// or more — the assembled CSR equals the oracle's earlier neighbors,
+// strengths included, on a sparse and a dense instance (rows past the
+// long-row sort cutoff).
 func TestAssembleMatchesOracle(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -50,21 +56,17 @@ func TestAssembleMatchesOracle(t *testing.T) {
 	r := rng.New(53)
 	for _, tc := range cases {
 		want := buildNaiveLookahead(tc.links, tc.fg.fam, tc.fg.gamma)
-		if tc.name == "dense-800" && want.MaxDegree() < 4*longRow {
-			t.Fatalf("%s: max degree %d does not exercise the long-row sort", tc.name, want.MaxDegree())
+		edges, qs, longest := oracleEdges(want)
+		if tc.name == "dense-800" && longest < 4*longRow {
+			t.Fatalf("%s: longest row %d does not exercise the long-row sort", tc.name, longest)
 		}
-		edges, qs := oracleEdges(want)
 		for _, nbufs := range []int{1, 2, 3, 5, 16} {
 			perm := r.Perm(len(edges))
 			bufs := make([][]edge, nbufs)
 			qbufs := make([][]float32, nbufs)
 			for k, p := range perm {
 				b := k % nbufs
-				e := edges[p]
-				if r.Intn(2) == 0 {
-					e.i, e.j = e.j, e.i // either endpoint may own an edge
-				}
-				bufs[b] = append(bufs[b], e)
+				bufs[b] = append(bufs[b], edges[p])
 				qbufs[b] = append(qbufs[b], qs[p])
 			}
 			got, err := assemble(tc.links, tc.fg.fam.At(tc.fg.gamma), bufs, qbufs)
@@ -99,10 +101,9 @@ func TestScatterGroupsBounded(t *testing.T) {
 	}
 }
 
-// TestEdgeCountGuard: an edge total whose 2·edges CSR entries overflow the
-// int32 index is refused with a wrapped ErrTooManyEdges (checked on the
-// count, not by allocating 2³⁰ edges), and the largest total that fits is
-// accepted.
+// TestEdgeCountGuard: an edge total past the size cap of MaxInt32/2 edges
+// is refused with a wrapped ErrTooManyEdges (checked on the count, not by
+// allocating 2³⁰ edges), and the largest total under the cap is accepted.
 func TestEdgeCountGuard(t *testing.T) {
 	if err := checkEdgeCount(math.MaxInt32 / 2); err != nil {
 		t.Fatalf("largest fitting edge count refused: %v", err)
@@ -223,14 +224,17 @@ func (cg *classGrid) tableBytes() int {
 // TestBuildBytesPerEdge gates the build's memory in hardware-independent
 // units on uniform n=100k MST links under G_obl(γ=3, δ=½) at GOMAXPROCS 1:
 // the bytes one BuildLookaheadCtx allocates (runtime.MemStats.TotalAlloc,
-// with the edge-buffer pools emptied first) per accepted edge, and the bytes
-// its cell tables hold per occupied cell. Worker buffers take 12 B per edge
-// and the CSR 16 B; the tables, sized by occupied cells, take 4 B per slot
-// at load ≤ ½ plus 20 B of keys and offsets per cell. Each bound is 1.15×
-// the value measured when it was set.
+// with the edge-buffer pools emptied first) per accepted edge, the bytes
+// the finished graph keeps live, and the bytes its cell tables hold per
+// occupied cell. Worker buffers take 12 B per edge and the one-sided CSR
+// 8 B (one int32 neighbor and one float32 strength); the tables, sized by
+// occupied cells, take 4 B per slot at load ≤ ½ plus 20 B of keys and
+// offsets per cell. The allocation bounds are 1.15× the values measured
+// when they were set. The graph must keep no more than its CSR: 8 B per
+// edge plus 4 B per row offset, within 1% for the runtime's own churn.
 func TestBuildBytesPerEdge(t *testing.T) {
 	const (
-		maxBytesPerEdge = 1.15 * 54.9
+		maxBytesPerEdge = 1.15 * 46.9
 		maxBytesPerCell = 1.15 * 34.6
 	)
 	// One worker: with more, how blocks split between the workers' edge
@@ -242,11 +246,26 @@ func TestBuildBytesPerEdge(t *testing.T) {
 	// the pools, so the build below allocates all of its buffers.
 	runtime.GC()
 	runtime.GC()
-	var m0, m1 runtime.MemStats
+	var m0, m1, m2 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	g := build(t, links, fam, 3)
 	runtime.ReadMemStats(&m1)
 	perEdge := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(g.Stats.CandAccepted)
+	// Two collections free the worker buffers the pools still hold.
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m2)
+	retained := int64(m2.HeapAlloc) - int64(m0.HeapAlloc)
+	csr := int64(8*g.Edges() + 4*(g.N()+1))
+	t.Logf("graph keeps %d B live, its CSR %d B (%d edges, %d links)", retained, csr, g.Edges(), g.N())
+	if cap(g.Neighbors) != g.Edges() || cap(g.Strengths) != g.Edges() || cap(g.RowPtr) != g.N()+1 {
+		t.Errorf("CSR capacities %d/%d/%d, want %d/%d/%d", cap(g.Neighbors), cap(g.Strengths), cap(g.RowPtr),
+			g.Edges(), g.Edges(), g.N()+1)
+	}
+	if float64(retained) > 1.01*float64(csr) {
+		t.Errorf("graph keeps %d B live, more than its %d B CSR", retained, csr)
+	}
+	runtime.KeepAlive(g)
 
 	lens, sx, sy, rx, ry := make([]float64, len(links)), make([]float64, len(links)),
 		make([]float64, len(links)), make([]float64, len(links)), make([]float64, len(links))

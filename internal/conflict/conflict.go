@@ -21,7 +21,11 @@
 // The adjacency is stored in CSR (compressed sparse row) form — one flat
 // RowPtr offset array plus one flat Neighbors array — so the coloring hot
 // loops walk contiguous memory and the build allocates O(1) slices instead
-// of one per vertex.
+// of one per vertex. Graphs are one-sided: each edge is stored once, in the
+// row of its endpoint that comes later in first-fit order (length
+// non-increasing, index ascending; see Graph). That is all first-fit in
+// that order reads, and it is the back-neighbourhood the inductive
+// independence of Appendix A is defined on.
 //
 // BuildLookaheadCtx is the one constructor: it buckets links into dyadic
 // length classes, indexes endpoints in one uniform hash grid per class,
@@ -29,13 +33,13 @@
 // conflict strength, and scatters the workers' edge buffers straight into
 // the CSR arrays, so 10⁵-link instances build in seconds and one build
 // serves a whole γ-escalation ladder (see Lookahead). Inputs the grid cannot
-// index are refused with ErrDegenerate, and graphs too large for the int32
-// CSR index with ErrTooManyEdges. The exact O(n²) pairwise scan lives in the
-// package tests as the oracle.
+// index are refused with ErrDegenerate, and graphs past the edge cap with
+// ErrTooManyEdges. The exact O(n²) pairwise scan lives in the package tests
+// as the oracle.
 //
 // Strengths are stored as float32: each is the smallest float32 at or
 // above the exact float64 strength (roundUp32). The annotation costs 4
-// bytes per directed entry, and no output bit depends on the rounding:
+// bytes per edge, and no output bit depends on the rounding:
 // FilterCtx decides every γ that is a float32 (every rung of the escalation
 // ladder) by the float32 compare alone, and re-decides the rare entry whose
 // rounded strength brackets any other γ with the build's own pair
@@ -137,10 +141,17 @@ func Conflicting(f Func, i, j geom.Link) bool {
 }
 
 // Graph is a concrete conflict graph over an indexed link set, with the
-// adjacency in CSR form: the neighbors of vertex i are
-// Neighbors[RowPtr[i]:RowPtr[i+1]], sorted ascending. Row(i) returns that
-// slice. The layout is two flat allocations regardless of the vertex count,
-// and a row walk is one contiguous scan.
+// adjacency in one-sided CSR form. Link j comes before link i in first-fit
+// order when l_j > l_i, or l_j == l_i and j < i, with the lengths those of
+// Link.Length() — the order coloring's LengthOrder produces. Row i,
+// Neighbors[RowPtr[i]:RowPtr[i+1]], lists the neighbors of i that come
+// before it, sorted ascending by index; Row(i) returns that slice. Every
+// edge is stored exactly once, in the row of its later endpoint, so
+// first-fit along the length order reads each row only after every entry
+// in it is colored, and the longest row is the largest back-degree
+// (MaxBackDegree). Edges, MaxDegree and AverageDegree still describe the
+// undirected graph. The layout is two flat allocations regardless of the
+// vertex count, and a row walk is one contiguous scan.
 type Graph struct {
 	// Links is the caller's link slice, stored without a copy and shared by
 	// every graph filtered from this one. It is immutable: neither the
@@ -149,15 +160,15 @@ type Graph struct {
 	F     Func
 	// RowPtr has length N()+1; RowPtr[0] == 0.
 	RowPtr []int32
-	// Neighbors holds all adjacency rows back to back (2·Edges entries).
+	// Neighbors holds all adjacency rows back to back (Edges entries).
 	Neighbors []int32
 	// Strengths, when non-nil, parallels Neighbors: Strengths[k] is the
-	// conflict strength of the pair (i, Neighbors[k]) — the smallest float64
-	// γ at which the two links f_γ-conflict under the threshold family the
-	// graph was built for (see Family and strengthOf) — rounded up to the
-	// next float32 (roundUp32). Rounding up keeps "Strengths[k] ≤ γ" exact
-	// for every float32 γ; FilterCtx rechecks the pairs the rounding leaves
-	// undecided at any other γ. Every built or filtered graph carries it;
+	// conflict strength of the edge (i, Neighbors[k]) of row i — the
+	// smallest float64 γ at which the two links f_γ-conflict under the
+	// threshold family the graph was built for (see Family and strengthOf)
+	// — rounded up to the next float32 (roundUp32). Rounding up keeps
+	// "Strengths[k] ≤ γ" exact for every float32 γ; FilterCtx rechecks the
+	// pairs the rounding leaves undecided at any other γ. Every built or filtered graph carries it;
 	// only FromAdj leaves it nil.
 	Strengths []float32
 	// Stats counts the candidate-pruning work of the bucketed build that
@@ -194,8 +205,19 @@ func (s *BuildStats) Add(o BuildStats) {
 	s.CandAccepted += o.CandAccepted
 }
 
-// edge is one undirected edge, owned by the discovering endpoint.
+// edge is one undirected edge in the orientation the graph stores it: j
+// comes before i in first-fit order, so the edge lives in row i.
 type edge struct{ i, j int32 }
+
+// oriented returns the edge between links a and b, of lengths la and lb, as
+// the graph stores it: in the row of whichever comes later in first-fit
+// order (length non-increasing, index ascending).
+func oriented(a, b int32, la, lb float64) edge {
+	if la > lb || (la == lb && a < b) {
+		return edge{b, a}
+	}
+	return edge{a, b}
+}
 
 // roundUp32 returns the smallest float32 at or above q ≥ 0 (+Inf past
 // math.MaxFloat32): the stored form of a conflict strength. For
@@ -208,14 +230,17 @@ func roundUp32(q float64) float32 {
 	return r
 }
 
-// ErrTooManyEdges reports a conflict graph whose directed adjacency entries
-// (2·edges) overflow the int32 CSR index. The edge count is driven by the
-// input: a large enough γ makes G_γ complete, so a few tens of thousands of
-// links can reach it. Builders wrap it with the count; test with errors.Is.
-var ErrTooManyEdges = errors.New("conflict: edge count overflows the int32 CSR index")
+// ErrTooManyEdges reports a conflict graph past the size cap of MaxInt32/2
+// edges (8 GiB of CSR and strengths, or 12 GiB of edge buffers during the
+// build). The edge count is driven by the input: a large enough γ makes G_γ
+// complete, so a few tens of thousands of links can reach it. Builders wrap
+// it with the count; test with errors.Is.
+var ErrTooManyEdges = errors.New("conflict: edge count exceeds the graph size cap")
 
-// checkEdgeCount refuses an edge total whose 2·edges CSR entries do not fit
-// the int32 RowPtr/Neighbors index.
+// checkEdgeCount refuses an edge total past the size cap. The cap keeps the
+// value it had when every edge took two CSR entries, so no input is
+// admitted that was refused before; it also keeps every int32 index well
+// in range.
 func checkEdgeCount(edges int) error {
 	if edges > math.MaxInt32/2 {
 		return fmt.Errorf("%w: %d edges", ErrTooManyEdges, edges)
@@ -237,18 +262,18 @@ func scatterGroups(nbufs, n, total, entryBytes int) int {
 	return max(k, 1)
 }
 
-// assemble builds the CSR adjacency straight from edge buffers, with no
-// merged copy: bufs[b] holds undirected edges and qs[b], when qs is non-nil,
-// their conflict strengths entry for entry, which land in Graph.Strengths
-// alongside the neighbor entries. The buffers are dealt round-robin into
-// scatterGroups groups that run in parallel, each owning one segment of
-// every row, so no two groups write the same slot and no atomics are
-// needed. Each group counts its entries per row and then fills its
+// assemble builds the one-sided CSR adjacency straight from edge buffers,
+// with no merged copy: bufs[b] holds oriented edges, each scattered into row
+// e.i only, and qs[b], when qs is non-nil, their conflict strengths entry
+// for entry, which land in Graph.Strengths alongside the neighbor entries.
+// The buffers are dealt round-robin into scatterGroups groups that run in
+// parallel, each owning one segment of every row, so no two groups write
+// the same slot and no atomics are needed. Each group counts its entries per row and then fills its
 // segments downward from their ends; group 0 counts and moves through
 // RowPtr itself, which therefore ends at the row starts, and every other
 // group through its own cursor array. Rows are then sorted
 // (sortRows), so the result does not depend on how edges are spread over
-// buffers or on their order. An edge total past the int32 index is refused
+// buffers or on their order. An edge total past the size cap is refused
 // with a wrapped ErrTooManyEdges before anything is allocated.
 func assemble(links []geom.Link, f Func, bufs [][]edge, qs [][]float32) (*Graph, error) {
 	n := len(links)
@@ -263,11 +288,11 @@ func assemble(links []geom.Link, f Func, bufs [][]edge, qs [][]float32) (*Graph,
 		Links:     links,
 		F:         f,
 		RowPtr:    make([]int32, n+1),
-		Neighbors: make([]int32, 2*total),
+		Neighbors: make([]int32, total),
 	}
 	entryBytes := 8
 	if qs != nil {
-		g.Strengths = make([]float32, 2*total)
+		g.Strengths = make([]float32, total)
 		entryBytes += 4
 	}
 	k := scatterGroups(len(bufs), n, total, entryBytes)
@@ -281,7 +306,6 @@ func assemble(links []geom.Link, f Func, bufs [][]edge, qs [][]float32) (*Graph,
 		for b := c; b < len(bufs); b += k {
 			for _, e := range bufs[b] {
 				cnt[e.i]++
-				cnt[e.j]++
 			}
 		}
 	})
@@ -304,12 +328,11 @@ func assemble(links []geom.Link, f Func, bufs [][]edge, qs [][]float32) (*Graph,
 		at := cur[c]
 		for b := c; b < len(bufs); b += k {
 			for t, e := range bufs[b] {
-				pi, pj := at[e.i]-1, at[e.j]-1
-				at[e.i], at[e.j] = pi, pj
-				g.Neighbors[pi], g.Neighbors[pj] = e.j, e.i
+				p := at[e.i] - 1
+				at[e.i] = p
+				g.Neighbors[p] = e.j
 				if qs != nil {
-					q := qs[b][t]
-					g.Strengths[pi], g.Strengths[pj] = q, q
+					g.Strengths[p] = qs[b][t]
 				}
 			}
 		}
@@ -374,10 +397,10 @@ func sortRows(g *Graph) {
 
 // FromAdj assembles a Graph from explicit adjacency lists — the test-side
 // constructor for synthetic graphs and slice-form oracles. adj must be
-// symmetric (j in adj[i] ⟺ i in adj[j]); rows are copied, deduplicated,
-// and sorted into CSR form. The result carries no Strengths. It panics on
-// an edge count past the int32 CSR index, which only a caller-built
-// adjacency of 2³⁰ entries can reach.
+// symmetric (j in adj[i] ⟺ i in adj[j]); every edge is deduplicated and
+// stored once, oriented by the lengths of links like a built graph. The
+// result carries no Strengths. It panics on an edge count past the size
+// cap, which only a caller-built adjacency of 2³⁰ edges can reach.
 func FromAdj(links []geom.Link, f Func, adj [][]int32) *Graph {
 	var edges []edge
 	for i, row := range adj {
@@ -393,7 +416,11 @@ func FromAdj(links []geom.Link, f Func, adj [][]int32) *Graph {
 		}
 		return cmp.Compare(a.j, b.j)
 	})
-	g, err := assemble(links, f, [][]edge{slices.Compact(edges)}, nil)
+	edges = slices.Compact(edges)
+	for k, e := range edges {
+		edges[k] = oriented(e.i, e.j, links[e.i].Length(), links[e.j].Length())
+	}
+	g, err := assemble(links, f, [][]edge{edges}, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -656,13 +683,13 @@ func interleave16(v uint64) uint64 {
 var ErrDegenerate = errors.New("conflict: degenerate input")
 
 // BuildLookaheadCtx constructs G_f(links) for f = fam.At(gm) with
-// Graph.Strengths populated: CSR arrays with rows sorted ascending, plus one
-// conflict strength per directed entry, so FilterCtx can materialize the
-// graph at any smaller γ without another build. It is the package's only
-// builder: a grid-bucketed parallel search for every input size. A
-// degenerate input gets a wrapped ErrDegenerate, and an edge count whose
-// directed entries overflow the int32 CSR index a wrapped ErrTooManyEdges
-// (a large γ makes G_γ complete). The candidate search
+// Graph.Strengths populated: one-sided CSR arrays with rows sorted
+// ascending, plus one conflict strength per edge, so FilterCtx can
+// materialize the graph at any smaller γ without another build. It is the
+// package's only builder: a grid-bucketed parallel search for every input
+// size. A degenerate input gets a wrapped ErrDegenerate, and an edge count
+// past the size cap a wrapped ErrTooManyEdges (a large γ makes G_γ
+// complete). The candidate search
 // checks ctx at block boundaries, so a cancel or deadline stops a large
 // build mid-flight with (nil, ctx.Err()) — a partial edge set is never
 // assembled into a Graph.
@@ -682,7 +709,8 @@ var ErrDegenerate = errors.New("conflict: degenerate input")
 // around both endpoints of i therefore yields a candidate superset; the
 // exact pair test then reproduces the pairwise edge set. Each edge is
 // discovered exactly once, owned by the lower-class (ties: lower-index)
-// endpoint, and collected into per-worker flat edge buffers, which assemble
+// endpoint, oriented on the spot from the two lengths the pair test already
+// holds, and collected into per-worker flat edge buffers, which assemble
 // scatters into the CSR arrays without merging them first — no per-vertex
 // slices and no merged copy anywhere.
 func BuildLookaheadCtx(ctx context.Context, links []geom.Link, fam Family, gm float64) (*Graph, error) {
@@ -1022,8 +1050,9 @@ func cellNear(cx, cy int64, s, rp2, sx, sy, rx, ry float64) bool {
 	return dx*dx+dy*dy <= rp2
 }
 
-// searchLink appends to *out every edge (i, j) that link i owns, and each
-// edge's conflict strength to *qout in lockstep.
+// searchLink appends to *out every edge that link i owns, oriented and
+// under original indices, and each edge's conflict strength to *qout in
+// lockstep.
 // st accumulates the worker's pruning counters.
 func (b *bucketedSearch) searchLink(i int32, stamp []int32, out *[]edge, qout *[]float32, st *BuildStats) {
 	li := b.lens[i]
@@ -1161,8 +1190,9 @@ func (b *bucketedSearch) scanCandCell(i int32, sameClass bool, li float64, cg *c
 // distances against (l_min·(γ·h(l_max/l_min)))², the floating-point
 // expression f.Eval computes by Family.At's contract — is
 // expression-identical to Conflicting, so the edge set matches the exact
-// pairwise scan bit-for-bit. Each accepted edge's strength, rounded up to
-// float32, is appended to *qout.
+// pairwise scan bit-for-bit. Each accepted edge is appended oriented by the
+// two lengths in hand (see oriented), and its strength, rounded up to
+// float32, to *qout.
 //
 // The loop is ordered cheapest-reject-first: the squared distance (pure SoA
 // loads and arithmetic) is compared against rr — the squared padded
@@ -1225,7 +1255,7 @@ func (b *bucketedSearch) scanCell(i int32, sameClass bool, rr float64,
 			}
 			stamp[j] = i
 			st.CandAccepted++
-			*out = append(*out, edge{b.orig[i], b.orig[j]})
+			*out = append(*out, oriented(b.orig[i], b.orig[j], li, mlen[k]))
 			*qout = append(*qout, roundUp32(strengthOf(d, lmin, hx, b.gm)))
 		}
 	}
@@ -1234,23 +1264,44 @@ func (b *bucketedSearch) scanCell(i int32, sameClass bool, rr float64,
 // N returns the number of vertices (links).
 func (g *Graph) N() int { return len(g.Links) }
 
-// Edges returns the number of undirected edges.
-func (g *Graph) Edges() int { return len(g.Neighbors) / 2 }
+// Edges returns the number of undirected edges: one row entry each.
+func (g *Graph) Edges() int { return len(g.Neighbors) }
 
-// Row returns the sorted neighbor row of vertex i. The slice aliases the
-// graph's CSR storage; callers must not modify it (test constructors like
-// FromAdj excepted).
+// Row returns the sorted neighbors of vertex i that come before it in
+// first-fit order (see Graph); i's later neighbors are in their own rows.
+// The slice aliases the graph's CSR storage; callers must not modify it
+// (test constructors like FromAdj excepted).
 func (g *Graph) Row(i int) []int32 {
 	return g.Neighbors[g.RowPtr[i]:g.RowPtr[i+1]]
 }
 
-// MaxDegree returns the maximum vertex degree (0 for an empty graph).
-func (g *Graph) MaxDegree() int {
+// MaxBackDegree returns the longest row: the largest number of neighbors
+// any vertex has before it in first-fit order (0 for an empty graph).
+// First-fit in that order never uses more than MaxBackDegree()+1 colors.
+func (g *Graph) MaxBackDegree() int {
 	d := int32(0)
 	for i := 0; i < len(g.RowPtr)-1; i++ {
 		if w := g.RowPtr[i+1] - g.RowPtr[i]; w > d {
 			d = w
 		}
+	}
+	return int(d)
+}
+
+// MaxDegree returns the maximum undirected vertex degree (0 for an empty
+// graph): a vertex's row length plus the number of rows it appears in,
+// counted in one pass over the entries.
+func (g *Graph) MaxDegree() int {
+	deg := make([]int32, g.N())
+	for i := range deg {
+		deg[i] = g.RowPtr[i+1] - g.RowPtr[i]
+	}
+	for _, j := range g.Neighbors {
+		deg[j]++
+	}
+	d := int32(0)
+	for _, w := range deg {
+		d = max(d, w)
 	}
 	return int(d)
 }

@@ -88,31 +88,58 @@ func testFamilies() []famGamma {
 	}
 }
 
-// graphsEqual asserts got matches the oracle want bit for bit: the same
-// RowPtr and Neighbors, and — when want carries them — the same Strengths.
+// before reports whether link j comes before link i in first-fit order —
+// longer first, equal lengths by lower index — restated from the Graph
+// doc rather than borrowed from the builder.
+func before(links []geom.Link, j, i int32) bool {
+	lj, li := links[j].Length(), links[i].Length()
+	return lj > li || (lj == li && j < i)
+}
+
+// graphsEqual asserts that the one-sided graph got matches want bit for
+// bit once each row of want is cut to the neighbors that come before the
+// row's owner: the same rows in the same order, and — when want carries
+// them — the same Strengths. want is either a symmetric oracle (BuildNaive,
+// buildNaiveLookahead), whose rows hold both directions of every edge, or
+// another one-sided graph, whose rows the cut leaves whole. Since got must
+// equal the cut rows, every entry of got comes before its row's owner.
 func graphsEqual(t *testing.T, want, got *Graph, label string) {
 	t.Helper()
-	if want.Edges() != got.Edges() {
-		t.Fatalf("%s: edge count mismatch: oracle=%d got=%d", label, want.Edges(), got.Edges())
+	n := want.N()
+	if got.N() != n || len(got.RowPtr) != n+1 || got.RowPtr[0] != 0 {
+		t.Fatalf("%s: %d vertices and %d row offsets, oracle %d vertices", label, got.N(), len(got.RowPtr), n)
 	}
-	if !slices.Equal(want.RowPtr, got.RowPtr) {
-		t.Fatalf("%s: RowPtr differs", label)
-	}
-	for i := 0; i < want.N(); i++ {
-		if wa, ga := want.Row(i), got.Row(i); !slices.Equal(wa, ga) {
-			t.Fatalf("%s: adjacency of vertex %d differs: oracle=%v got=%v", label, i, wa, ga)
-		}
-	}
-	if want.Strengths == nil {
-		return
-	}
-	if got.Strengths == nil {
+	if want.Strengths != nil && got.Strengths == nil {
 		t.Fatalf("%s: Strengths missing", label)
 	}
-	for k, q := range want.Strengths {
-		if math.Float32bits(q) != math.Float32bits(got.Strengths[k]) {
-			t.Fatalf("%s: strength of entry %d: oracle=%g got=%g", label, k, q, got.Strengths[k])
+	edges := 0
+	var row []int32
+	var qs []float32
+	for i := 0; i < n; i++ {
+		row, qs = row[:0], qs[:0]
+		for k := want.RowPtr[i]; k < want.RowPtr[i+1]; k++ {
+			if j := want.Neighbors[k]; before(want.Links, j, int32(i)) {
+				row = append(row, j)
+				if want.Strengths != nil {
+					qs = append(qs, want.Strengths[k])
+				}
+			}
 		}
+		if ga := got.Row(i); !slices.Equal(row, ga) {
+			t.Fatalf("%s: earlier neighbors of vertex %d differ: oracle=%v got=%v", label, i, row, ga)
+		}
+		edges += len(row)
+		if want.Strengths == nil {
+			continue
+		}
+		for k, q := range got.Strengths[got.RowPtr[i]:got.RowPtr[i+1]] {
+			if math.Float32bits(q) != math.Float32bits(qs[k]) {
+				t.Fatalf("%s: strength of edge (%d,%d): oracle=%g got=%g", label, i, row[k], qs[k], q)
+			}
+		}
+	}
+	if got.Edges() != edges {
+		t.Fatalf("%s: edge count mismatch: oracle=%d got=%d", label, edges, got.Edges())
 	}
 }
 
@@ -164,8 +191,11 @@ func TestZeroLengthRejected(t *testing.T) {
 // TestDegenerateIsBounded proves no quadratic path is left: each kind of
 // degenerate 10⁵-link input — a zero-length link at the end, a NaN δ, an
 // infinite length, an overflowing f(2), an overflowing cell side and a cell
-// side too small for int64 cell indices — is refused with ErrDegenerate in
-// well under a second. A pairwise scan would test 5·10⁹ pairs.
+// side too small for int64 cell indices — is refused with ErrDegenerate
+// before the candidate search starts. A counting context shows it: the
+// build checks ctx once on entry and the search polls it once per block of
+// 64 links, so a refusal after exactly one check never reached the search
+// (a pairwise scan would test 5·10⁹ pairs).
 func TestDegenerateIsBounded(t *testing.T) {
 	const n = 100_000
 	r := rng.New(35)
@@ -195,16 +225,27 @@ func TestDegenerateIsBounded(t *testing.T) {
 		if !degenerate(tc.links, tc.fg.fam.At(tc.fg.gamma)) {
 			t.Fatalf("%s: fixture is not degenerate", tc.name)
 		}
-		start := time.Now()
-		g, err := BuildLookaheadCtx(context.Background(), tc.links, tc.fg.fam, tc.fg.gamma)
-		el := time.Since(start)
+		ctx := &cancelAfterCtx{Context: context.Background()}
+		ctx.limit.Store(math.MaxInt64)
+		g, err := BuildLookaheadCtx(ctx, tc.links, tc.fg.fam, tc.fg.gamma)
 		if !errors.Is(err, ErrDegenerate) || g != nil {
 			t.Fatalf("%s: got (%v, %v), want (nil, ErrDegenerate)", tc.name, g, err)
 		}
-		if el > time.Second {
-			t.Fatalf("%s: refusal took %v, want < 1s", tc.name, el)
+		if calls := ctx.calls.Load(); calls != 1 {
+			t.Fatalf("%s: ctx checked %d times before the refusal, want 1 (the entry check): the search ran", tc.name, calls)
 		}
-		t.Logf("%s: %v in %v", tc.name, err, el)
+		t.Logf("%s: %v", tc.name, err)
+	}
+	// The counter does see the search: a sound build polls ctx at least
+	// once per block.
+	ctx := &cancelAfterCtx{Context: context.Background()}
+	ctx.limit.Store(math.MaxInt64)
+	const sound = 10_000
+	if _, err := BuildLookaheadCtx(ctx, links[:sound], GammaFamily(), 2); err != nil {
+		t.Fatal(err)
+	}
+	if calls := ctx.calls.Load(); calls < sound/64 {
+		t.Fatalf("sound build checked ctx %d times, want at least one per block (%d)", calls, sound/64)
 	}
 }
 
@@ -262,29 +303,29 @@ func TestHugeRadiusTerminates(t *testing.T) {
 }
 
 // TestBucketedFasterAt10k is the performance half of the acceptance
-// criterion. Wall-clock assertions are kept loose (2×) to stay robust on
-// loaded CI machines; the real margin is one to two orders of magnitude.
+// criterion, in hardware-independent work: at n=10⁴ the bucketed build
+// distance-tests CandScanned candidates where the pairwise oracle tests
+// all n(n−1)/2 = 5·10⁷ pairs. The gate is 1.15× the count measured when it
+// was set (a deterministic counter: scan order does not change it), and
+// the graph must still equal the oracle's.
 func TestBucketedFasterAt10k(t *testing.T) {
 	if testing.Short() {
-		t.Skip("timing test skipped in -short mode")
+		t.Skip("the O(n²) oracle is skipped in -short mode")
 	}
+	const maxCandScanned = 1.15 * 215_850
 	links := mstLinks(t, 10_000, 9, 10_000)
 	fam := PowerLawFamily(0.5)
-
-	start := time.Now()
 	bucketed := build(t, links, fam, 2)
-	bucketedSec := time.Since(start).Seconds()
+	graphsEqual(t, buildNaiveLookahead(links, fam, 2), bucketed, "10k")
 
-	start = time.Now()
-	naive := buildNaiveLookahead(links, fam, 2)
-	naiveSec := time.Since(start).Seconds()
-
-	graphsEqual(t, naive, bucketed, "10k")
-	if bucketedSec*2 >= naiveSec {
-		t.Errorf("bucketed build not measurably faster at n=10k: bucketed=%.3fs naive=%.3fs",
-			bucketedSec, naiveSec)
+	n := int64(len(links))
+	pairs := n * (n - 1) / 2
+	scanned := bucketed.Stats.CandScanned
+	t.Logf("n=10k: %d candidates tested (bound %.0f) against %d oracle pair tests: %.0fx fewer",
+		scanned, maxCandScanned, pairs, float64(pairs)/float64(scanned))
+	if float64(scanned) > maxCandScanned {
+		t.Errorf("bucketed build tested %d candidates, bound %.0f", scanned, maxCandScanned)
 	}
-	t.Logf("n=10k: bucketed=%.3fs naive=%.3fs speedup=%.1fx", bucketedSec, naiveSec, naiveSec/bucketedSec)
 }
 
 func BenchmarkBuildBucketed10k(b *testing.B) {

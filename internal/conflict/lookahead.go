@@ -148,8 +148,9 @@ func strengthOf(d2, lmin, h, buildGamma float64) float64 {
 
 // FilterCtx materializes the conflict graph at a smaller γ from a
 // strength-annotated graph: one linear scan over the CSR arrays keeping the
-// directed entries whose exact strength is ≤ gamma. Row order is preserved
-// (a subsequence of sorted rows stays sorted), so the result is
+// entries (one per edge) whose exact strength is ≤ gamma. Row membership
+// and row order are preserved (the orientation depends on lengths alone,
+// and a subsequence of a sorted row stays sorted), so the result is
 // bit-identical — edges, CSR row order, Strengths annotation — to
 // BuildLookaheadCtx at gamma. f must be the family's Func at gamma: it
 // becomes the result's F and decides the entries the float32 strengths

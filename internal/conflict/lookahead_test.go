@@ -111,9 +111,6 @@ func TestStrengthIsExactBoundary(t *testing.T) {
 			row := full.Row(i)
 			qs := full.Strengths[full.RowPtr[i]:full.RowPtr[i+1]]
 			for k, j := range row {
-				if int32(i) > j {
-					continue // each undirected edge once
-				}
 				q := pairStrength(fam, links[i], links[j], 8)
 				if q < 0 || q > 8 {
 					t.Fatalf("%s: edge (%d,%d) strength %g outside [0, γmax]", fam.Name, i, j, q)
@@ -361,9 +358,7 @@ func strengthNeighborhood(g *Graph, fam Family, ceiling float64, pick int) []flo
 	var edges []edge
 	for i := 0; i < g.N(); i++ {
 		for _, j := range g.Row(i) {
-			if int32(i) < j {
-				edges = append(edges, edge{int32(i), j})
-			}
+			edges = append(edges, edge{int32(i), j})
 		}
 	}
 	e := edges[pick%len(edges)]

@@ -477,7 +477,12 @@ type Result struct {
 	MaxDegree int     `json:"max_degree"`
 	AvgDegree float64 `json:"avg_degree"`
 
-	Colors         int     `json:"colors"`
+	Colors int `json:"colors"`
+	// MaxBackDegree is the longest row of the one-sided conflict graph:
+	// the most conflicting links any link has before it in the length
+	// order (see scheduler.Diag). First-fit in that order, the greedy
+	// strategy, uses at most MaxBackDegree+1 colors.
+	MaxBackDegree  int     `json:"max_back_degree"`
 	ScheduleLength int     `json:"schedule_length"`
 	Rate           float64 `json:"rate"`
 	// Classes counts the dyadic length classes the lengthclass strategy
@@ -715,6 +720,7 @@ func newInstance(ctx context.Context, spec Spec, ws *Workspace, dc *DeployCache)
 		res.MaxDegree = diag.MaxDegree
 		res.AvgDegree = diag.AvgDegree
 		res.Colors = diag.NumColors
+		res.MaxBackDegree = diag.MaxBackDegree
 		res.Classes = diag.Classes
 		// The lengthclass strategy's per-class Theorem-2 split; the explicit
 		// Spec.Refine diagnostic below overwrites this with the global

@@ -4,15 +4,19 @@
 // runner fan out over algorithms the same way they fan out over scenarios,
 // sizes, seeds and power schemes.
 //
-// Four strategies implement the interface:
+// Five strategies implement the interface:
 //
 //   - greedy      — one conflict graph over all links, first-fit colored in
-//     non-increasing length order (Sec. 3 / Theorem 2's coloring half);
-//   - lengthclass — the paper's constructive algorithm: partition the links
-//     into dyadic length classes, color each class's conflict graph
-//     separately (splitting slots by the Theorem-2 refinement on the G_arb
-//     graph), and round-robin interleave the per-class schedules
-//     (Theorems 1 and 3);
+//     non-increasing length order (Sec. 3 / Theorem 2's coloring half). It
+//     is the schedule whose rate the repository measures: links of every
+//     length class share slots, which only one graph over all links allows;
+//   - lengthclass — the per-class baseline: partition the links into dyadic
+//     length classes, color each class's conflict graph separately
+//     (splitting slots by the Theorem-2 refinement on the G_arb graph), and
+//     round-robin interleave the per-class schedules. Classes never share a
+//     slot, so its period is the sum of the per-class color counts, Θ(log Δ)
+//     by construction — the contrast that shows what cross-class slot reuse
+//     buys;
 //   - dsatur      — DSATUR over the same global conflict graph, a stronger
 //     pure graph-coloring baseline;
 //   - jp          — parallel Jones–Plassmann random-priority coloring of
@@ -23,6 +27,10 @@
 //     they are within γ times the longer length of each other, colored
 //     first-fit in input order with no SINR or length awareness — the
 //     Sec. 6 strawman.
+//
+// dsatur, jp and naive visit vertices in an order other than the length
+// order, so they read both directions of the one-sided conflict graph,
+// which the coloring package rebuilds per call.
 //
 // Strategies are deterministic in (links, Config), so batch results stay
 // reproducible regardless of worker scheduling.
@@ -134,6 +142,12 @@ type Diag struct {
 	Edges     int
 	MaxDegree int
 	AvgDegree float64
+	// MaxBackDegree is the largest number of conflicting links any link has
+	// before it in first-fit order (length non-increasing): the longest row
+	// of the one-sided conflict graph, the maximum over the per-class
+	// graphs for lengthclass. First-fit in length order uses at most
+	// MaxBackDegree+1 colors.
+	MaxBackDegree int
 	// BuildSec, OrderSec and ColorSec split the strategy's wall-clock
 	// between graph construction, vertex-order computation (the length sort
 	// of greedy/lengthclass; zero for orderless colorings), and the
@@ -260,6 +274,7 @@ func colorWith(ctx context.Context, links []geom.Link, fam conflict.Family, cfg 
 	}
 	d.NumColors = numColors
 	d.Edges, d.MaxDegree, d.AvgDegree = g.Edges(), g.MaxDegree(), g.AverageDegree()
+	d.MaxBackDegree = g.MaxBackDegree()
 	return sched, d, nil
 }
 
@@ -352,15 +367,17 @@ func (naiveStrategy) Schedule(ctx context.Context, links []geom.Link, cfg Config
 		return nil, Diag{}, err // reject bogus graph kinds uniformly
 	}
 	return colorWith(ctx, links, NaiveFamily(), cfg, func(g *conflict.Graph, ws *coloring.Workspace, colors []int, _ *Diag) int {
-		return ws.FirstFit(g, coloring.IndexOrder(g.N()), colors)
+		return ws.FirstFitAnyOrder(g, coloring.IndexOrder(g.N()), colors)
 	})
 }
 
-// lengthClassStrategy is the paper's constructive algorithm (Theorems 1
-// and 3): partition the links into dyadic length classes — within a class
-// lengths differ by less than a factor 2, so the class's conflict graph is
-// near-uniform — color each class separately, and round-robin interleave the
-// per-class schedules. On G_arb the Theorem-2 refinement additionally splits
+// lengthClassStrategy is the per-class baseline: partition the links into
+// dyadic length classes — within a class lengths differ by less than a
+// factor 2, so the class's conflict graph is near-uniform — color each
+// class separately, and round-robin interleave the per-class schedules.
+// No slot holds links of two classes, so the period is Σ_c χ_c = Θ(log Δ);
+// the greedy strategy's one graph over all links is what lets classes
+// share slots. On G_arb the Theorem-2 refinement additionally splits
 // each color class into sets with I(i, S⁺ᵢ) < 1, the feasibility device of
 // Theorem 3's global-power schedule.
 //
@@ -415,9 +432,8 @@ func (lengthClassStrategy) Schedule(ctx context.Context, links []geom.Link, cfg 
 			return nil, d, err
 		}
 		d.Edges += g.Edges()
-		if md := g.MaxDegree(); md > d.MaxDegree {
-			d.MaxDegree = md
-		}
+		d.MaxDegree = max(d.MaxDegree, g.MaxDegree())
+		d.MaxBackDegree = max(d.MaxBackDegree, g.MaxBackDegree())
 
 		t0 := time.Now()
 		order := ws.LengthOrder(g)

@@ -229,6 +229,20 @@ func TestScheduleInvariants(t *testing.T) {
 							in.preset, gk, s.Name(), k, diag.Func.Name)
 					}
 				}
+				// The degree diagnostics describe that graph (lengthclass
+				// colors per-class graphs instead), and first-fit in length
+				// order needs at most MaxBackDegree+1 colors.
+				if s.Name() != LengthClass && (diag.MaxDegree != g.MaxDegree() || diag.MaxBackDegree != g.MaxBackDegree()) {
+					t.Fatalf("%s/%s/%s: Diag degrees %d/%d, graph %d/%d", in.preset, gk, s.Name(),
+						diag.MaxDegree, diag.MaxBackDegree, g.MaxDegree(), g.MaxBackDegree())
+				}
+				if diag.MaxBackDegree > diag.MaxDegree {
+					t.Fatalf("%s/%s/%s: back-degree %d above degree %d", in.preset, gk, s.Name(), diag.MaxBackDegree, diag.MaxDegree)
+				}
+				if s.Name() == Greedy && diag.NumColors > diag.MaxBackDegree+1 {
+					t.Fatalf("%s/%s/%s: %d colors, above MaxBackDegree+1 = %d", in.preset, gk, s.Name(),
+						diag.NumColors, diag.MaxBackDegree+1)
+				}
 				// (3) rate semantics: exactly min-occurrences over period.
 				occ := sched.Occurrences()
 				minOcc := math.MaxInt
