@@ -48,6 +48,16 @@ func TestSurfacesRejectAlike(t *testing.T) {
 		{"beta=0", []string{"--beta", "0"}, "", "beta must be positive", ""},
 		{"beta<0", []string{"--beta", "-1"}, `{"scenarios":["uniform"],"beta":-1}`, "beta must be positive", ""},
 		{"negative noise", []string{"--noise", "-1"}, `{"scenarios":["uniform"],"noise":-1}`, "noise must be non-negative", ""},
+		// Zero γ or δ means the default; every other out-of-range value is
+		// refused instead of silently running the default.
+		{"gamma<0", []string{"--gamma", "-3"}, `{"scenarios":["uniform"],"gamma":-3}`,
+			"gamma is -3, want a positive value", ""},
+		{"delta<0", []string{"--delta", "-0.5"}, `{"scenarios":["uniform"],"delta":-0.5}`,
+			"delta is -0.5, want a value in (0, 1)", ""},
+		{"delta=1", []string{"--delta", "1"}, `{"scenarios":["uniform"],"delta":1}`,
+			"delta is 1, want a value in (0, 1)", ""},
+		{"delta=1.5", []string{"--delta", "1.5"}, `{"scenarios":["uniform"],"delta":1.5}`,
+			"delta is 1.5, want a value in (0, 1)", ""},
 		{"removed engine option", []string{"--verify-engine", "naive"}, `{"scenarios":["uniform"],"verify_engine":"naive"}`,
 			"flag provided but not defined: -verify-engine", `unknown field \"verify_engine\"`},
 	}

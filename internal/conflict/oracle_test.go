@@ -70,11 +70,17 @@ func oracleCSR(links []geom.Link, f Func, edges []edge, qs []float64) *Graph {
 func buildNaiveLookahead(links []geom.Link, fam Family, gamma float64) *Graph {
 	n := len(links)
 	f := fam.At(gamma)
+	// Each link's length once, instead of twice per pair: the same float64
+	// values geom.MinMaxLen would compute, ordered the same way.
+	lens := geom.Lengths(links)
 	var edges []edge
 	qs := []float64{} // non-nil even when edgeless: marks the graph filterable
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			lmin, lmax := geom.MinMaxLen(links[i], links[j])
+			lmin, lmax := lens[j], lens[i]
+			if lens[i] < lens[j] {
+				lmin, lmax = lens[i], lens[j]
+			}
 			if lmin <= 0 {
 				edges = append(edges, edge{int32(i), int32(j)})
 				qs = append(qs, 0)

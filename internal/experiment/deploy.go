@@ -19,10 +19,12 @@
 // bit-identical graphs by its own parity contract, power suppliers are
 // deterministic in the links and the scheme, and cached margins are the
 // engine's own exact values), and every cached object is treated as
-// immutable downstream. The margin caches
-// of every deployment draw on one schedule.VerifyPool owned by the
-// DeployCache, so retained grids are bounded by one budget for the whole
-// cache, and an evicted deployment returns its lines to the pool.
+// immutable downstream. A run without a shared cache (Run, NewInstance, a
+// spec with NoInstanceCache) goes through a private, empty DeployCache: the
+// same path, with nothing to find. The margin caches of every deployment
+// draw on one schedule.VerifyPool owned by the DeployCache, so retained
+// grids are bounded by one budget for the whole cache, and an evicted
+// deployment returns its lines to the pool.
 package experiment
 
 import (
@@ -116,8 +118,8 @@ type deployEntry struct {
 	// vcs shares one slot-margin cache per SINR params across the specs of
 	// this deployment. Every schedule of the entry is over tree.Links, so
 	// the caches' keys (global link indices plus power bits) mean the same
-	// slot for every spec. The caches draw on pool: the DeployCache's
-	// shared pool, or a private one for an uncached entry.
+	// slot for every spec. The caches draw on pool, the DeployCache's
+	// shared pool.
 	vcs  *lru.Cache[sinr.Params, *schedule.VerifyCache]
 	pool *schedule.VerifyPool
 }
@@ -242,9 +244,9 @@ func (dc *DeployCache) SchedStats() (hits, misses int64) {
 }
 
 // schedFor resolves one escalation attempt's pre-power stage product through
-// dep's stage cache, running build (the cold path's strategy invocation) on
-// a miss. reused reports that build did not run here, so the caller can
-// skip stamping stage timings for work that never ran in this instance.
+// dep's stage cache, running build (the strategy invocation) on a miss.
+// reused reports that build did not run here, so the caller can skip
+// stamping stage timings for work that never ran in this instance.
 func (dc *DeployCache) schedFor(ctx context.Context, dep *deployEntry, key string,
 	build func() (*schedule.Schedule, scheduler.Diag, error)) (sched *schedule.Schedule, diag scheduler.Diag, reused bool, err error) {
 	built := false
@@ -266,14 +268,14 @@ func (dc *DeployCache) schedFor(ctx context.Context, dep *deployEntry, key strin
 
 // deployFor resolves the deployment artifacts for spec through the cache:
 // a hit shares the cached pointset/tree (stamping Timings.DeployReused), a
-// miss builds them exactly as the cold path would, stamping the same stage
-// timings. As in every lru fill, a waiter whose builder failed builds cold
-// under its own context: the cache can delay an instance, never fail it.
+// miss builds them, stamping the generate and EMST timings. As in every lru
+// fill, a waiter whose builder failed builds under its own context: the
+// cache can delay an instance, never fail it.
 func deployFor(ctx context.Context, spec Spec, dc *DeployCache, t *Timings) (*deployEntry, error) {
 	built := false
 	e, _, err := dc.entries.Fill(ctx, DeployKey(spec), func() (*deployEntry, error) {
 		built = true
-		return buildDeploy(ctx, spec, dc.verify, t)
+		return dc.buildDeploy(ctx, spec, t)
 	})
 	if err != nil {
 		return nil, err
@@ -283,9 +285,9 @@ func deployFor(ctx context.Context, spec Spec, dc *DeployCache, t *Timings) (*de
 }
 
 // buildDeploy runs the deployment stages (generate, EMST) into a fresh
-// entry whose margin caches draw on pool, stamping the same per-stage
-// timings the cold pipeline records.
-func buildDeploy(ctx context.Context, spec Spec, pool *schedule.VerifyPool, t *Timings) (*deployEntry, error) {
+// entry whose margin caches draw on the cache's pool, stamping their
+// timings into t.
+func (dc *DeployCache) buildDeploy(ctx context.Context, spec Spec, t *Timings) (*deployEntry, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -294,7 +296,7 @@ func buildDeploy(ctx context.Context, spec Spec, pool *schedule.VerifyPool, t *T
 		scheds: lru.New[string, schedStage](math.MaxInt, math.MaxInt64),
 		pfs:    lru.New[powerKey, schedule.PowerFunc](math.MaxInt, math.MaxInt64),
 		vcs:    lru.New[sinr.Params, *schedule.VerifyCache](math.MaxInt, math.MaxInt64),
-		pool:   pool,
+		pool:   dc.verify,
 	}
 	t0 := time.Now()
 	pts := spec.Scenario.Generate(spec.N, spec.Seed)

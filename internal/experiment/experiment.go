@@ -87,13 +87,13 @@ type Spec struct {
 	MaxGammaRetries int
 	// GammaStep is the escalation factor (default 1.5).
 	GammaStep float64
-	// NoIncrementalVerify disables the slot-margin cache that carries exact
-	// verdicts across γ-escalation attempts and across the specs of one
-	// deployment (the VerifySINRDelta path), so every attempt recomputes
-	// every slot. Purely a performance knob — the cache replays the
-	// engine's own exact margins for content-identical slots, so margins,
-	// verdicts, and error messages are the same either way — hence it does
-	// not participate in SpecKey.
+	// NoIncrementalVerify gives every verification a private, empty
+	// slot-margin cache instead of the deployment's shared one, which
+	// carries exact verdicts across γ-escalation attempts and specs, so
+	// every attempt recomputes every slot. Purely a performance knob — the
+	// cache replays the engine's own exact margins for content-identical
+	// slots, so margins, verdicts, and error messages are the same either
+	// way — hence it does not participate in SpecKey.
 	NoIncrementalVerify bool
 	// NoLookahead disables the γ-lookahead conflict build, so every
 	// escalation attempt pays a full grid rebuild instead of filtering one
@@ -109,13 +109,13 @@ type Spec struct {
 	// Escalations past the window re-arm a fresh lookahead at the new γ.
 	// A performance knob like NoLookahead: excluded from SpecKey.
 	GammaLookahead int
-	// NoInstanceCache opts this spec out of the batch runner's stage-split
-	// instance cache (the DeployCache), so the deployment (pointset, EMST,
-	// lookahead builds, stages, power suppliers, slot margins) is built
-	// into a private entry even when a same-deployment spec already built
-	// it. Another pure performance knob: cached deployments are the exact
-	// artifacts a cold run builds, results are bit-identical either way —
-	// so it does not participate in SpecKey.
+	// NoInstanceCache runs this spec through a private, empty DeployCache
+	// instead of the batch runner's shared one, so the deployment
+	// (pointset, EMST, lookahead builds, stages, power suppliers, slot
+	// margins) is built again even when a same-deployment spec already
+	// built it. Another pure performance knob: cached deployments are the
+	// exact artifacts a cold run builds, results are bit-identical either
+	// way — so it does not participate in SpecKey.
 	NoInstanceCache bool
 }
 
@@ -187,16 +187,16 @@ func SpecKey(s Spec) string {
 var powerSchemes = []string{PowerUniform, PowerMean, PowerLinear, PowerGlobal}
 
 // Validate reports why the spec cannot run, before any stage starts: a
-// non-finite γ, δ or γ step; no scenario, n < 2 or a sink out of range;
-// invalid SINR constants; an unknown algorithm, graph kind or power scheme;
-// or a verify engine other than schedule.EngineFast. Zero values are
-// checked as the defaults Normalized gives them. The pipeline calls it
-// first, and so do the CLI and the HTTP API on every spec of a grid, so
-// this is the one place that says which specs are legal.
+// non-finite γ, δ or γ step; γ < 0, δ outside (0, 1), a γ step ≤ 1 or a
+// negative retry or lookahead count; no scenario, n < 2 or a sink out of
+// range; invalid SINR constants; an unknown algorithm, graph kind or power
+// scheme; or a verify engine other than schedule.EngineFast. A zero value
+// means the default Normalized gives it and is checked as that default.
+// The pipeline calls it first, and so do the CLI and the HTTP API on every
+// spec of a grid, so this is the one place that says which specs are legal.
 func (s Spec) Validate() error {
-	// The defaults of normalized only replace values that compare out of
-	// range, and NaN compares false against every bound, so finiteness is
-	// checked on the raw fields.
+	// NaN compares false against every bound below, so finiteness is
+	// checked first.
 	for _, p := range []struct {
 		name string
 		v    float64
@@ -204,6 +204,18 @@ func (s Spec) Validate() error {
 		if math.IsNaN(p.v) || math.IsInf(p.v, 0) {
 			return fmt.Errorf("experiment: %s is %g, want a finite value", p.name, p.v)
 		}
+	}
+	switch {
+	case s.Gamma < 0:
+		return fmt.Errorf("experiment: gamma is %g, want a positive value (0 for the default)", s.Gamma)
+	case s.Delta < 0 || s.Delta >= 1:
+		return fmt.Errorf("experiment: delta is %g, want a value in (0, 1) (0 for the default)", s.Delta)
+	case s.GammaStep != 0 && s.GammaStep <= 1:
+		return fmt.Errorf("experiment: gamma step is %g, want a value above 1 (0 for the default)", s.GammaStep)
+	case s.MaxGammaRetries < 0:
+		return fmt.Errorf("experiment: max gamma retries is %d, want a positive count (0 for the default)", s.MaxGammaRetries)
+	case s.GammaLookahead < 0:
+		return fmt.Errorf("experiment: gamma lookahead is %d, want a positive count (0 for the default)", s.GammaLookahead)
 	}
 	n := s.normalized()
 	switch {
@@ -242,10 +254,10 @@ func (s Spec) normalized() Spec {
 	if s.Algo == "" {
 		s.Algo = scheduler.Greedy
 	}
-	if s.Gamma <= 0 {
+	if s.Gamma == 0 {
 		s.Gamma = 2
 	}
-	if s.Delta <= 0 || s.Delta >= 1 {
+	if s.Delta == 0 {
 		s.Delta = 0.5
 	}
 	if s.SINR == (sinr.Params{}) {
@@ -254,13 +266,13 @@ func (s Spec) normalized() Spec {
 	if s.VerifyEngine == "" {
 		s.VerifyEngine = schedule.EngineFast
 	}
-	if s.MaxGammaRetries <= 0 {
+	if s.MaxGammaRetries == 0 {
 		s.MaxGammaRetries = 8
 	}
-	if s.GammaStep <= 1 {
+	if s.GammaStep == 0 {
 		s.GammaStep = 1.5
 	}
-	if s.GammaLookahead <= 0 {
+	if s.GammaLookahead == 0 {
 		s.GammaLookahead = 1
 	}
 	return s
@@ -517,10 +529,10 @@ func Run(ctx context.Context, spec Spec) *Result {
 	return res
 }
 
-// runWS is Run with an optional per-worker workspace and shared instance
-// cache, returning the raw pipeline error alongside (so batch runners can
-// distinguish a cancelled instance from a failed one).
-func runWS(ctx context.Context, spec Spec, ws *Workspace, dc *DeployCache) (*Result, error) {
+// runWS is Run with an optional per-worker coloring workspace and shared
+// instance cache, returning the raw pipeline error alongside (so batch
+// runners can distinguish a cancelled instance from a failed one).
+func runWS(ctx context.Context, spec Spec, ws *coloring.Workspace, dc *DeployCache) (*Result, error) {
 	_, res, err := newInstance(ctx, spec, ws, dc)
 	if err != nil {
 		if res == nil {
@@ -546,20 +558,11 @@ func NewInstance(ctx context.Context, spec Spec) (*Instance, *Result, error) {
 	return newInstance(ctx, spec, nil, nil)
 }
 
-// Workspace owns the per-worker scratch a batch runner reuses across
-// instances: the coloring workspace today (conflict edge buffers and verify
-// scratch recycle through package-level pools in their own layers). Not
-// safe for concurrent use.
-type Workspace struct {
-	coloring *coloring.Workspace
-}
-
-// NewWorkspace returns an empty Workspace; buffers grow on first use.
-func NewWorkspace() *Workspace {
-	return &Workspace{coloring: coloring.NewWorkspace()}
-}
-
-func newInstance(ctx context.Context, spec Spec, ws *Workspace, dc *DeployCache) (*Instance, *Result, error) {
+// newInstance runs the pipeline with an optional coloring workspace (nil
+// means the strategy allocates its own) through the instance cache dc. A
+// nil dc, or a spec that opts out with NoInstanceCache, runs through a
+// private, empty cache: the same path, with nothing to find.
+func newInstance(ctx context.Context, spec Spec, ws *coloring.Workspace, dc *DeployCache) (*Instance, *Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -585,17 +588,12 @@ func newInstance(ctx context.Context, spec Spec, ws *Workspace, dc *DeployCache)
 	// Stage-boundary cancellation points: the stages themselves (conflict
 	// build, verification) also check ctx at chunk/slot granularity, so a
 	// cancel stops an instance within one chunk of work.
-	// Deployment stages (generate, EMST), possibly shared: with an instance
-	// cache the deployment comes from (or is published to) the batch-wide
-	// DeployCache; cold runs build a private, uncached entry through the
-	// exact same path.
-	var dep *deployEntry
-	var err error
-	if dc != nil && !spec.NoInstanceCache {
-		dep, err = deployFor(ctx, spec, dc, &res.Timings)
-	} else {
-		dep, err = buildDeploy(ctx, spec, schedule.NewVerifyPool(schedule.DefaultVerifyCacheBytes), &res.Timings)
+	// Deployment stages (generate, EMST), possibly shared: the deployment
+	// comes from (or is published to) dc.
+	if dc == nil || spec.NoInstanceCache {
+		dc = NewDeployCache(1)
 	}
+	dep, err := deployFor(ctx, spec, dc, &res.Timings)
 	if err != nil {
 		return nil, res, err
 	}
@@ -634,29 +632,22 @@ func newInstance(ctx context.Context, spec Spec, ws *Workspace, dc *DeployCache)
 	}
 	gamma := spec.Gamma
 	var la *conflict.Lookahead
-	// Pre-power stage cache: with a shared deployment entry, the stage
-	// product of each attempt (conflict build + ordering + coloring — the
-	// schedule skeleton, everything before powers enter) is keyed under
-	// (SchedKey, concrete γ) in the entry, so power-scheme-only spec
-	// variants and γ-sweeps share one build per rung.
-	schedCached := dc != nil && !spec.NoInstanceCache
-	var skey string
-	if schedCached {
-		skey = SchedKey(spec)
-	}
+	// Pre-power stage cache: the stage product of each attempt (conflict
+	// build + ordering + coloring — the schedule skeleton, everything
+	// before powers enter) is keyed under (SchedKey, concrete γ) in the
+	// deployment entry, so power-scheme-only spec variants and γ-sweeps
+	// share one build per rung.
+	skey := SchedKey(spec)
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return inst, res, err
 		}
-		// buildStage is the cold stage body: arm the γ-lookahead and invoke
-		// the strategy. The stage cache calls it on a miss; the uncached
-		// path calls it directly — one code path either way, so cached
-		// products are the exact objects a cold run builds.
+		// buildStage is the stage body: arm the γ-lookahead and invoke the
+		// strategy. The stage cache calls it on a miss, so cached products
+		// are the exact objects a cold run builds.
 		buildStage := func() (*schedule.Schedule, scheduler.Diag, error) {
 			cfg := spec.config(gamma)
-			if ws != nil {
-				cfg.WS = ws.coloring
-			}
+			cfg.WS = ws
 			if !spec.NoLookahead {
 				// γ-lookahead: arm (or re-arm, when escalation left the
 				// window) a build ceiling Spec.GammaLookahead rungs above the
@@ -674,23 +665,14 @@ func newInstance(ctx context.Context, spec Spec, ws *Workspace, dc *DeployCache)
 						top *= spec.GammaStep
 					}
 					// The deployment entry shares one Lookahead per ceiling,
-					// so same-deployment specs pay the annotated build once; a
-					// cold (uncached) entry degenerates to a private
-					// Lookahead.
+					// so same-deployment specs pay the annotated build once.
 					la = dep.lookaheadFor(top)
 				}
 				cfg.Lookahead = la
 			}
 			return strat.Schedule(ctx, links, cfg)
 		}
-		var sched *schedule.Schedule
-		var diag scheduler.Diag
-		var reused bool
-		if schedCached {
-			sched, diag, reused, err = dc.schedFor(ctx, dep, schedGammaKey(skey, gamma), buildStage)
-		} else {
-			sched, diag, err = buildStage()
-		}
+		sched, diag, reused, err := dc.schedFor(ctx, dep, schedGammaKey(skey, gamma), buildStage)
 		if err != nil {
 			return nil, res, err
 		}
@@ -777,7 +759,7 @@ func newInstance(ctx context.Context, spec Spec, ws *Workspace, dc *DeployCache)
 }
 
 // Runner executes spec batches over a worker pool, emitting each Result to
-// the Sink as it completes. Each worker owns one reusable Workspace that
+// the Sink as it completes. Each worker owns one coloring.Workspace that
 // survives across the instances it runs, so batch throughput stops paying
 // the per-instance scratch allocation (coloring buffers here; conflict edge
 // buffers and verification scratch recycle through their packages' pools).
@@ -803,8 +785,9 @@ type Runner struct {
 	// generation + EMST + lookahead build, the pre-power stages, the power
 	// suppliers and the slot margins. Nil means Run creates a private
 	// cache per batch — the compare-grid case — so sharing is on by
-	// default; individual specs opt out via Spec.NoInstanceCache. The
-	// serving layer installs a server-wide cache here instead.
+	// default; a spec with Spec.NoInstanceCache runs through a private
+	// cache of its own. The serving layer installs a server-wide cache
+	// here instead.
 	Deploy *DeployCache
 }
 
@@ -828,7 +811,7 @@ func (r *Runner) Run(ctx context.Context, specs []Spec) ([]*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ws := NewWorkspace()
+			ws := coloring.NewWorkspace()
 			for ctx.Err() == nil {
 				if r.Drain != nil && r.Drain.Err() != nil {
 					return

@@ -324,6 +324,14 @@ func TestValidateBeforeGeneration(t *testing.T) {
 		{"alpha=2", "alpha", func(s *Spec) { s.SINR.Alpha = 2 }},
 		{"beta=0", "beta", func(s *Spec) { s.SINR.Beta = 0 }},
 		{"negative noise", "noise", func(s *Spec) { s.SINR.Noise = -1 }},
+		{"gamma<0", "gamma is -3, want a positive value", func(s *Spec) { s.Gamma = -3 }},
+		{"delta<0", "delta is -0.5, want a value in (0, 1)", func(s *Spec) { s.Delta = -0.5 }},
+		{"delta=1", "delta is 1, want a value in (0, 1)", func(s *Spec) { s.Delta = 1 }},
+		{"delta=1.5", "delta is 1.5, want a value in (0, 1)", func(s *Spec) { s.Delta = 1.5 }},
+		{"gamma step=1", "gamma step is 1, want a value above 1", func(s *Spec) { s.GammaStep = 1 }},
+		{"gamma step<0", "gamma step is -2, want a value above 1", func(s *Spec) { s.GammaStep = -2 }},
+		{"retries<0", "max gamma retries is -1", func(s *Spec) { s.MaxGammaRetries = -1 }},
+		{"lookahead<0", "gamma lookahead is -1", func(s *Spec) { s.GammaLookahead = -1 }},
 	} {
 		spec := NewSpec(sc, 60, 1)
 		tc.set(&spec)
@@ -343,6 +351,32 @@ func TestValidateBeforeGeneration(t *testing.T) {
 	}
 	if err := (Spec{Scenario: sc, N: 2}).Validate(); err != nil {
 		t.Fatalf("sparse spec rejected (zero values take their defaults): %v", err)
+	}
+}
+
+// TestSpecKeyPinned: the keys of valid specs, zero-valued and explicit,
+// stay the ones the result cache and the journal already hold. Rejecting
+// out-of-range values instead of defaulting them must not move a key that
+// a legal spec hashes to.
+func TestSpecKeyPinned(t *testing.T) {
+	sc := uniformScenario(t)
+	for _, tc := range []struct {
+		spec Spec
+		key  string
+	}{
+		{NewSpec(sc, 500, 3), "650035e420ad4c6a08e0bff82fdaa50f"},
+		{Spec{Scenario: sc, N: 500, Seed: 3, Verify: true}, "650035e420ad4c6a08e0bff82fdaa50f"},
+		{Spec{Scenario: sc, N: 2000, Seed: 7, Gamma: 3, Delta: 0.25, GammaStep: 2, MaxGammaRetries: 3,
+			Power: PowerGlobal, Graph: GraphArbitrary, Verify: true}, "1a2f95ae3c2b4629752bf05ff0a5dfc4"},
+		{Spec{Scenario: sc, N: 60, Seed: 1, Gamma: 0.5, Delta: 0.999, GammaStep: 1.01, MaxGammaRetries: 1,
+			GammaLookahead: 4, Algo: scheduler.DSatur}, "a41dd13b024827e299a68f3900b4eea0"},
+	} {
+		if err := tc.spec.Validate(); err != nil {
+			t.Fatalf("%+v: %v", tc.spec, err)
+		}
+		if got := SpecKey(tc.spec); got != tc.key {
+			t.Fatalf("%+v: key %s, want %s", tc.spec, got, tc.key)
+		}
 	}
 }
 

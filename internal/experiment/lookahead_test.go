@@ -178,3 +178,49 @@ func TestLookaheadTimingSplit(t *testing.T) {
 		t.Fatal("timings exceed wall clock")
 	}
 }
+
+// workCounters returns t with every wall-clock field zeroed, leaving the
+// reuse flags and the build and verify work counters.
+func workCounters(t Timings) Timings {
+	t.GenerateSec, t.MSTSec, t.BuildSec, t.BuildFilterSec = 0, 0, 0, 0
+	t.OrderSec, t.ColorSec, t.RefineSec, t.VerifySec = 0, 0, 0, 0
+	t.PowerSolveSec, t.TotalSec = 0, 0
+	return t
+}
+
+// TestUncachedRunsShareThePath: a run without a shared cache goes through a
+// private, empty one. On the escalating fixture, Run, a one-worker Runner
+// over a fresh DeployCache, and that Runner's NoInstanceCache and
+// NoIncrementalVerify variants agree on every non-timing Result field; Run,
+// the fresh-cache Runner and the NoInstanceCache variant also agree on
+// every Timings work counter, since each finds its cache empty.
+func TestUncachedRunsShareThePath(t *testing.T) {
+	ctx := context.Background()
+	spec := escalatingSpec(t)
+	noInst, noInc := spec, spec
+	noInst.NoInstanceCache = true
+	noInc.NoIncrementalVerify = true
+
+	run := Run(ctx, spec)
+	if run.Err != "" || !run.Verified || run.GammaRetries < 2 {
+		t.Fatalf("fixture regressed: err=%q verified=%v retries=%d", run.Err, run.Verified, run.GammaRetries)
+	}
+	out, err := (&Runner{Workers: 1, Deploy: NewDeployCache(0)}).Run(ctx, []Spec{spec, noInst, noInc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"runner", "no-instance-cache"} {
+		if got, want := workCounters(out[i].Timings), workCounters(run.Timings); got != want {
+			t.Fatalf("%s: work counters differ from Run:\n got  %+v\n want %+v", name, got, want)
+		}
+	}
+	want := *run
+	want.Timings = Timings{}
+	for i, name := range []string{"runner", "no-instance-cache", "no-incremental-verify"} {
+		got := *out[i]
+		got.Timings = Timings{}
+		if got != want {
+			t.Fatalf("%s: result differs from Run:\n got  %+v\n want %+v", name, got, want)
+		}
+	}
+}

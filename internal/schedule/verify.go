@@ -167,13 +167,13 @@ func (vp *VerifyPool) Bytes() int64 { return vp.lines.Bytes() }
 // kind are evicted once the pool's budget is exceeded.
 //
 // A cache is only meaningful across verifications over the same link set
-// and SINR params it was created for; VerifySINRDelta falls back to a full
-// recompute (never a wrong answer) when the params disagree. The caller
-// must not reuse a cache across different link sets — keys are global link
-// indices, so equal keys would alias different geometry. Cached grids are
-// immutable: the engine refreshes into a fresh grid rather than mutating a
-// cached one. One cache may serve concurrent verifications; see
-// VerifySINRDelta for why that is safe.
+// and SINR params it was created for; VerifySINRDelta verifies through a
+// private, empty cache instead (never a wrong answer) when the params
+// disagree. The caller must not reuse a cache across different link sets —
+// keys are global link indices, so equal keys would alias different
+// geometry. Cached grids are immutable: the engine refreshes into a fresh
+// grid rather than mutating a cached one. One cache may serve concurrent
+// verifications; see VerifySINRDelta for why that is safe.
 type VerifyCache struct {
 	p     sinr.Params
 	lines *lru.Cache[vcKey, vcEntry]
@@ -198,9 +198,6 @@ func (vc *VerifyCache) GridLen() int { return len(vc.keys(true)) }
 
 // keys returns the cache's own keys of one tier.
 func (vc *VerifyCache) keys(grid bool) []vcKey {
-	if vc == nil {
-		return nil
-	}
 	var out []vcKey
 	for _, k := range vc.lines.Keys() {
 		if k.ns == vc.ns && k.grid == grid {
@@ -226,9 +223,6 @@ func (vc *VerifyCache) InvalidateMargins() {
 // bytes to the pool. Verifying through the cache afterwards is correct but
 // starts cold.
 func (vc *VerifyCache) Release() {
-	if vc == nil {
-		return
-	}
 	for _, k := range vc.lines.Keys() {
 		if k.ns == vc.ns {
 			vc.lines.Remove(k)
@@ -249,10 +243,10 @@ func (vc *VerifyCache) Release() {
 // (membership + powers) is in vc reuse the cached exact margin and skip the
 // engine; fresh margins of the slots up to the first infeasible one are
 // added afterwards, also on infeasible schedules, so the next γ-escalation
-// attempt reuses every slot it kept. A nil vc, or
-// one bound to other params, means a full recompute. Results are identical
-// with and without a cache, because cached values are the engine's own
-// exact margins.
+// attempt reuses every slot it kept. A nil vc, or one bound to other
+// params, is replaced by a private, empty cache, so every slot is computed
+// on the same path. Results are identical with and without a shared cache,
+// because cached values are the engine's own exact margins.
 //
 // vc may be shared between concurrent verifications of schedules over the
 // same link set (the experiment layer shares one across every spec of a
@@ -275,8 +269,8 @@ func (vc *VerifyCache) Release() {
 // verification finds cached, and so its VerifyStats counters.
 func (s *Schedule) VerifySINRDelta(ctx context.Context, p sinr.Params, pf PowerFunc, vc *VerifyCache) (float64, VerifyStats, error) {
 	var st VerifyStats
-	if vc != nil && vc.p != p {
-		vc = nil
+	if vc == nil || vc.p != p {
+		vc = NewVerifyCache(p)
 	}
 	eng := sinr.NewEngine(p, s.Links)
 	type slotOut struct {
@@ -324,34 +318,24 @@ func (s *Schedule) VerifySINRDelta(ctx context.Context, p sinr.Params, pf PowerF
 					lowerCut(&failCut, int64(k))
 					continue
 				}
-				if vc != nil {
-					// The cache is only peeked during the fan-out (recency
-					// updates and inserts happen after it, in slot order).
-					o.key = hashSlot(slot, powers)
-					if e, ok := vc.lines.Peek(vcKey{vc.ns, o.key, false}); ok {
-						o.margin, o.reused = e.margin, true
-						if o.margin < 1 {
-							lowerCut(&failCut, int64(k))
-						}
-						continue
-					}
-					// Margin miss: look for a built grid under the slot's
-					// membership key and verify grid-warm, retaining the
-					// built/refreshed grid for insertion after the fan-out.
-					o.gkey = hashSlotMembers(slot)
-					cached, _ := vc.lines.Peek(vcKey{vc.ns, o.gkey, true})
-					cg := cached.g
-					t0 = time.Now()
-					o.margin, o.grid, o.gridReused, o.mErr =
-						eng.MarginSlotGrid(slot, powers, sc, &o.stats, cg, true)
-					o.marginSec = time.Since(t0).Seconds()
-					if o.mErr != nil || o.margin < 1 {
+				// The cache is only peeked during the fan-out (recency updates
+				// and inserts happen after it, in slot order).
+				o.key = hashSlot(slot, powers)
+				if e, ok := vc.lines.Peek(vcKey{vc.ns, o.key, false}); ok {
+					o.margin, o.reused = e.margin, true
+					if o.margin < 1 {
 						lowerCut(&failCut, int64(k))
 					}
 					continue
 				}
+				// Margin miss: look for a built grid under the slot's
+				// membership key and verify grid-warm, retaining the
+				// built/refreshed grid for insertion after the fan-out.
+				o.gkey = hashSlotMembers(slot)
+				cached, _ := vc.lines.Peek(vcKey{vc.ns, o.gkey, true})
 				t0 = time.Now()
-				o.margin, o.mErr = eng.MarginSlot(slot, powers, sc, &o.stats)
+				o.margin, o.grid, o.gridReused, o.mErr =
+					eng.MarginSlotGrid(slot, powers, sc, &o.stats, cached.g)
 				o.marginSec = time.Since(t0).Seconds()
 				if o.mErr != nil || o.margin < 1 {
 					lowerCut(&failCut, int64(k))
@@ -369,23 +353,21 @@ func (s *Schedule) VerifySINRDelta(ctx context.Context, p sinr.Params, pf PowerF
 	// every one of them ran, so what the cache holds afterwards (and so the
 	// work later verifications find done) does not depend on which slots
 	// past the cut a worker claimed before the cut moved.
-	if vc != nil {
-		cut := failCut.Load()
-		for k := range outs {
-			o := &outs[k]
-			if !o.ran || o.pfErr != nil || int64(k) > cut {
-				continue
-			}
-			if o.reused {
-				vc.lines.Get(vcKey{vc.ns, o.key, false})
-				continue
-			}
-			if o.mErr == nil {
-				vc.lines.Add(vcKey{vc.ns, o.key, false}, vcEntry{margin: o.margin}, vcMarginSize)
-			}
-			if o.grid != nil {
-				vc.lines.Add(vcKey{vc.ns, o.gkey, true}, vcEntry{g: o.grid}, o.grid.SizeBytes()+vcMarginSize)
-			}
+	cut := failCut.Load()
+	for k := range outs {
+		o := &outs[k]
+		if !o.ran || o.pfErr != nil || int64(k) > cut {
+			continue
+		}
+		if o.reused {
+			vc.lines.Get(vcKey{vc.ns, o.key, false})
+			continue
+		}
+		if o.mErr == nil {
+			vc.lines.Add(vcKey{vc.ns, o.key, false}, vcEntry{margin: o.margin}, vcMarginSize)
+		}
+		if o.grid != nil {
+			vc.lines.Add(vcKey{vc.ns, o.gkey, true}, vcEntry{g: o.grid}, o.grid.SizeBytes()+vcMarginSize)
 		}
 	}
 

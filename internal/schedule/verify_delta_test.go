@@ -170,7 +170,8 @@ func TestVerifyDeltaAfterMutations(t *testing.T) {
 }
 
 // TestVerifyDeltaParamsMismatch: a cache bound to different SINR params must
-// be ignored (full recompute, correct answer, no reuse reported).
+// be left alone (a private cache computes every slot, correct answer, no
+// reuse reported).
 func TestVerifyDeltaParamsMismatch(t *testing.T) {
 	p := sinr.DefaultParams()
 	s, powers := randInstance(200, 8, 50000, 400, 11)
@@ -188,6 +189,46 @@ func TestVerifyDeltaParamsMismatch(t *testing.T) {
 	m2, _, _ := s.VerifySINRDelta(context.Background(), p, pf, nil)
 	if m1 != m2 {
 		t.Fatalf("margin %g != scratch %g", m1, m2)
+	}
+}
+
+// TestVerifyNilCacheMatchesFresh: a nil cache is a private, empty one. The
+// margin, the error and every VerifyStats work counter equal those of a
+// fresh NewVerifyCache, on a feasible schedule with grid-tier slots and on
+// an infeasible one.
+func TestVerifyNilCacheMatchesFresh(t *testing.T) {
+	p := sinr.DefaultParams()
+	for _, tc := range []struct {
+		name         string
+		n, k         int
+		side, lenDiv float64
+		feasible     bool
+	}{
+		{"feasible", 1200, 4, 500000, 2000, true},
+		{"infeasible", 600, 2, 280, 30, false},
+	} {
+		s, powers := randInstance(tc.n, tc.k, tc.side, tc.lenDiv, 21)
+		pf := FixedPower(powers)
+		nm, nst, nerr := s.VerifySINRDelta(context.Background(), p, pf, nil)
+		fm, fst, ferr := s.VerifySINRDelta(context.Background(), p, pf, NewVerifyCache(p))
+		if (nerr == nil) != tc.feasible {
+			t.Fatalf("%s: nil cache err = %v", tc.name, nerr)
+		}
+		if (ferr == nil) != (nerr == nil) || (ferr != nil && ferr.Error() != nerr.Error()) {
+			t.Fatalf("%s: errors differ: nil=%v fresh=%v", tc.name, nerr, ferr)
+		}
+		if math.Float64bits(nm) != math.Float64bits(fm) {
+			t.Fatalf("%s: margin %.17g with a nil cache, %.17g with a fresh one", tc.name, nm, fm)
+		}
+		if len(s.Slots[0]) <= 256 {
+			t.Fatalf("%s: slot 0 has %d links, at or below the engine's exact-tier cutoff", tc.name, len(s.Slots[0]))
+		}
+		// Wall-clock splits aside, every counter must agree.
+		nst.PowerSec, nst.MarginSec = 0, 0
+		fst.PowerSec, fst.MarginSec = 0, 0
+		if nst != fst {
+			t.Fatalf("%s: stats differ:\nnil:   %+v\nfresh: %+v", tc.name, nst, fst)
+		}
 	}
 }
 

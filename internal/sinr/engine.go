@@ -42,16 +42,18 @@
 //     and exact arithmetic can never eject the true argmin from the
 //     candidate set — the returned margin is always an exactly-computed one.
 //
-// The grid pyramid of a slot lives in a SlotGrid, which MarginSlotGrid can
-// hand back to the caller for retention: verification caches keep built
-// grids keyed by slot membership so escalation retries, delta re-verifies
-// and warm re-runs skip buildGrid. A retained grid is immutable; reuse is
-// guarded by an order hash (grid layout is slot-order dependent) and a
-// power hash (masses are power sums — a membership match with different
-// powers is refreshed into a new grid, never mutated in place).
+// The grid pyramid of a slot lives in a SlotGrid, which MarginSlotGrid
+// always hands back to the caller: verification caches keep built grids
+// keyed by slot membership so escalation retries, delta re-verifies and
+// warm re-runs skip buildGrid, and a caller without a cache simply drops
+// it. A returned grid is immutable; reuse is guarded by an order hash (grid
+// layout is slot-order dependent) and a power hash (masses are power sums —
+// a membership match with different powers is refreshed into a new grid,
+// never mutated in place).
 //
-// Determinism: MarginSlot is a pure function of (params, links, slot,
-// powers); scratch and stats only carry reusable buffers and counters.
+// Determinism: MarginSlotGrid's margin is a pure function of (params,
+// links, slot, powers); scratch, stats and an offered grid only carry
+// reusable buffers, counters and structure.
 // Grid reuse returns bit-identical margins: the interval tiers may be
 // freely rescheduled (they only select candidates, and certification plus
 // padding keeps the true argmin in the set), while the exact rows that
@@ -128,9 +130,9 @@ const (
 )
 
 // Engine caches per-link gains for repeated slot verification over a fixed
-// link set. Create one per schedule with NewEngine; MarginSlot is then safe
-// for concurrent use as long as each goroutine owns its EngineScratch and
-// EngineStats.
+// link set. Create one per schedule with NewEngine; MarginSlotGrid is then
+// safe for concurrent use as long as each goroutine owns its EngineScratch
+// and EngineStats.
 type Engine struct {
 	p         Params
 	alphaHalf float64
@@ -440,12 +442,11 @@ type engineNode struct {
 // SlotGrid is the built spatial structure of one slot: the base-grid cell
 // tables, the cell-ordered SoA sender copies the near-field sums stream
 // over, and the bounding-box pyramid the descent walks. Building one is the
-// per-slot setup cost of MarginSlot; retaining one (MarginSlotGrid with
-// retain=true) lets verification caches skip that build when the same slot
-// membership comes back — across γ-escalation retries, delta re-verifies
-// and warm re-runs.
+// per-slot setup cost of MarginSlotGrid; retaining the one it returns lets
+// verification caches skip that build when the same slot membership comes
+// back — across γ-escalation retries, delta re-verifies and warm re-runs.
 //
-// A retained grid is immutable and safe for concurrent readers. Layout is
+// A returned grid is immutable and safe for concurrent readers. Layout is
 // slot-order dependent (cellOf/posOf use slot-local indices), so reuse is
 // guarded by orderHash; masses are power sums, so a membership match with
 // different powers is refreshed into a fresh grid via refreshFrom, never
@@ -553,8 +554,9 @@ func (g *SlotGrid) refreshFrom(src *SlotGrid, pw []float64, powHash uint64) {
 	}
 }
 
-// EngineScratch holds the reusable per-goroutine buffers of MarginSlot, so
-// steady-state verification allocates nothing per slot.
+// EngineScratch holds the reusable per-goroutine buffers of MarginSlotGrid,
+// so steady-state verification allocates nothing per slot beyond the grid
+// it hands back.
 type EngineScratch struct {
 	// Gathered per-slot-member data (slot-local indexing).
 	px, py []float64 // sender coordinates
@@ -585,10 +587,6 @@ type EngineScratch struct {
 	nearOrd        []int32
 	fpx, fpy, fpw  []float64 // flattened senders of a home cell's 3×3 block
 	outer          []int32   // the home cell's other near cells
-
-	// grid is the scratch-owned slot structure, rebuilt (or refreshed from
-	// a retained grid) when the caller is not caching grids.
-	grid SlotGrid
 }
 
 type nodeRef struct{ level, x, y int32 }
@@ -603,7 +601,7 @@ type frontierGroup struct {
 }
 
 // NewEngineScratch returns an empty scratch; buffers grow on demand and are
-// reused across MarginSlot calls.
+// reused across MarginSlotGrid calls.
 func NewEngineScratch() *EngineScratch { return &EngineScratch{} }
 
 // reserve sizes the per-member buffers for a slot of m links.
@@ -652,28 +650,22 @@ func slotHashes(idx []int, power []float64) (orderHash, powHash uint64) {
 	return oh, ph
 }
 
-// MarginSlot returns the exact worst-case SINR margin (min over the slot's
-// links of SINR_i/β) of one slot, given global link indices and their
-// transmit powers (power[k] belongs to idx[k]). It matches
+// MarginSlotGrid returns the exact worst-case SINR margin (min over the
+// slot's links of SINR_i/β) of one slot, given global link indices and
+// their transmit powers (power[k] belongs to idx[k]). It matches
 // Params.Margin on the corresponding link/power slices up to floating-point
 // accumulation order (≲1e-12 relative), with identical error conditions.
 // st accumulates work counters; both sc and st are caller-owned.
-func (e *Engine) MarginSlot(idx []int, power []float64, sc *EngineScratch, st *EngineStats) (float64, error) {
-	mg, _, _, err := e.MarginSlotGrid(idx, power, sc, st, nil, false)
-	return mg, err
-}
-
-// MarginSlotGrid is MarginSlot with persistent-grid plumbing. g, when
-// non-nil, is a grid previously returned by this method on the same Engine;
-// if its membership order matches the slot it is reused — directly when the
-// powers also match, via refreshFrom otherwise — skipping buildGrid. With
-// retain=true the grid used for this evaluation is returned for the caller
-// to cache: it is heap-owned, immutable from then on, and safe to share
-// across goroutines. With retain=false the returned grid is g itself on a
-// direct reuse and nil otherwise (the build lives in scratch). reused
+//
+// g, when non-nil, is a grid previously returned by this method on the same
+// Engine; if its membership order matches the slot it is reused — directly
+// when the powers also match, via refreshFrom into a fresh grid otherwise —
+// skipping buildGrid. The grid used for this evaluation is returned (nil
+// for slots small enough to take the exact tier): it is heap-owned,
+// immutable from then on, and safe to share across goroutines. reused
 // reports that buildGrid was skipped thanks to g. Margins are bit-identical
 // across every combination of reuse, refresh and cold build.
-func (e *Engine) MarginSlotGrid(idx []int, power []float64, sc *EngineScratch, st *EngineStats, g *SlotGrid, retain bool) (margin float64, grid *SlotGrid, reused bool, err error) {
+func (e *Engine) MarginSlotGrid(idx []int, power []float64, sc *EngineScratch, st *EngineStats, g *SlotGrid) (margin float64, grid *SlotGrid, reused bool, err error) {
 	m := len(idx)
 	if m != len(power) {
 		return 0, nil, false, fmt.Errorf("sinr: %d links but %d powers", m, len(power))
@@ -691,41 +683,26 @@ func (e *Engine) MarginSlotGrid(idx []int, power []float64, sc *EngineScratch, s
 	}
 
 	// Resolve the slot structure: reuse the offered grid when the guards
-	// match, otherwise build — into scratch normally, or into a fresh
-	// heap grid when the caller retains it.
-	var use *SlotGrid
+	// match, refresh it into a fresh grid when only the powers differ, and
+	// build one otherwise.
 	if g != nil && g.m() == m {
 		oh, ph := slotHashes(idx, power)
 		if g.orderHash == oh {
-			switch {
-			case g.powHash == ph:
-				use, grid, reused = g, g, true
-			case retain:
-				fresh := &SlotGrid{}
-				fresh.refreshFrom(g, sc.pw, ph)
-				use, grid, reused = fresh, fresh, true
-			default:
-				sc.grid.refreshFrom(g, sc.pw, ph)
-				use, reused = &sc.grid, true
+			grid, reused = g, true
+			if g.powHash != ph {
+				grid = &SlotGrid{}
+				grid.refreshFrom(g, sc.pw, ph)
 			}
 		}
 	}
-	if use == nil {
-		target := &sc.grid
-		if retain {
-			target = &SlotGrid{}
-		}
-		if !e.buildGrid(sc, target, m) {
+	if grid == nil {
+		grid = &SlotGrid{}
+		if !e.buildGrid(sc, grid, m) {
 			return e.exactAll(sc, m, st), nil, false, nil
 		}
-		target.orderHash, target.powHash = slotHashes(idx, power)
-		use = target
-		if retain {
-			grid = target
-		}
+		grid.orderHash, grid.powHash = slotHashes(idx, power)
 	}
-
-	return e.marginGrid(sc, use, m, st), grid, reused, nil
+	return e.marginGrid(sc, grid, m, st), grid, reused, nil
 }
 
 // gather validates the slot's powers and link indices and loads its members

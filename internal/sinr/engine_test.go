@@ -64,9 +64,9 @@ func checkParity(t *testing.T, p Params, links []geom.Link, idx []int, powers []
 	eng := NewEngine(p, links)
 	sc := NewEngineScratch()
 	var st EngineStats
-	got, err := eng.MarginSlot(idx, powers, sc, &st)
+	got, err := eng.marginSlot(idx, powers, sc, &st)
 	if err != nil {
-		t.Fatalf("MarginSlot: %v", err)
+		t.Fatalf("marginSlot: %v", err)
 	}
 	slotLinks := make([]geom.Link, len(idx))
 	for k, i := range idx {
@@ -147,9 +147,9 @@ func TestEngineSharedFrontierParity(t *testing.T) {
 		idx := fullSlot(m)
 		eng := NewEngine(p, links)
 		var st EngineStats
-		shared, err := eng.MarginSlot(idx, powers, NewEngineScratch(), &st)
+		shared, err := eng.marginSlot(idx, powers, NewEngineScratch(), &st)
 		if err != nil {
-			t.Fatalf("%s: MarginSlot: %v", name, err)
+			t.Fatalf("%s: marginSlot: %v", name, err)
 		}
 		if exact := exactSlotMargin(t, eng, idx, powers); shared != exact {
 			t.Fatalf("%s: shared margin %.17g != exact-tier margin %.17g", name, shared, exact)
@@ -173,7 +173,7 @@ func exactSlotMargin(t testing.TB, e *Engine, idx []int, powers []float64) float
 
 // FuzzMarginSlotMatchesExact pins the grid tier to the exact tier: on slots
 // from just below engineExactCutoff to 2¹⁴ links, uniform or clustered, at
-// α ∈ {2.1, 3, 4} with random powers and noise, MarginSlot returns the
+// α ∈ {2.1, 3, 4} with random powers and noise, MarginSlotGrid returns the
 // exact-all kernel's margin bit for bit (the returned margin always comes
 // from an order-pinned exact row), and on slots of up to 2000 links it is
 // within 1e-9 of Params.Margin. At α=2.1 every exact term is a math.Pow, so
@@ -207,9 +207,9 @@ func FuzzMarginSlotMatchesExact(f *testing.F) {
 		idx, powers := fullSlot(m), randPowers(m, seed^0x5bd1e995)
 		e := NewEngine(p, links)
 		var st EngineStats
-		got, err := e.MarginSlot(idx, powers, NewEngineScratch(), &st)
+		got, err := e.marginSlot(idx, powers, NewEngineScratch(), &st)
 		if err != nil {
-			t.Fatalf("m=%d: MarginSlot: %v", m, err)
+			t.Fatalf("m=%d: marginSlot: %v", m, err)
 		}
 		if want := exactSlotMargin(t, e, idx, powers); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("m=%d α=%g: margin %.17g, exact tier %.17g", m, p.Alpha, got, want)
@@ -263,7 +263,7 @@ func TestEngineDegenerate(t *testing.T) {
 	links2[1].S = links2[0].R
 	eng := NewEngine(p, links2)
 	var st EngineStats
-	got, err := eng.MarginSlot(fullSlot(80), randPowers(80, 33), NewEngineScratch(), &st)
+	got, err := eng.marginSlot(fullSlot(80), randPowers(80, 33), NewEngineScratch(), &st)
 	if err != nil || got != 0 {
 		t.Fatalf("coincident sender/receiver: margin=%g err=%v, want 0, nil", got, err)
 	}
@@ -279,7 +279,7 @@ func TestEngineHandComputed(t *testing.T) {
 	}
 	eng := NewEngine(p, links)
 	var st EngineStats
-	got, err := eng.MarginSlot([]int{0, 1}, []float64{1, 1}, NewEngineScratch(), &st)
+	got, err := eng.marginSlot([]int{0, 1}, []float64{1, 1}, NewEngineScratch(), &st)
 	if err != nil || math.Abs(got-364.5) > 1e-9 {
 		t.Fatalf("margin = %g err = %v, want 364.5, nil", got, err)
 	}
@@ -294,11 +294,11 @@ func TestEngineErrors(t *testing.T) {
 	sc := NewEngineScratch()
 	var st EngineStats
 
-	if _, err := eng.MarginSlot([]int{0, 1}, []float64{1}, sc, &st); err == nil ||
+	if _, err := eng.marginSlot([]int{0, 1}, []float64{1}, sc, &st); err == nil ||
 		!strings.Contains(err.Error(), "2 links but 1 powers") {
 		t.Fatalf("length mismatch: err = %v", err)
 	}
-	_, err := eng.MarginSlot([]int{0, 1, 2}, []float64{1, -1, 1}, sc, &st)
+	_, err := eng.marginSlot([]int{0, 1, 2}, []float64{1, -1, 1}, sc, &st)
 	if err == nil || !strings.Contains(err.Error(), "non-positive power -1 on link 1") {
 		t.Fatalf("bad power: err = %v", err)
 	}
@@ -306,7 +306,7 @@ func TestEngineErrors(t *testing.T) {
 	if werr == nil || want != 0 || err.Error() != werr.Error() {
 		t.Fatalf("error text diverges from naive: engine %q vs naive %q", err, werr)
 	}
-	if _, err := eng.MarginSlot([]int{0, 99}, []float64{1, 1}, sc, &st); err == nil {
+	if _, err := eng.marginSlot([]int{0, 99}, []float64{1, 1}, sc, &st); err == nil {
 		t.Fatal("out-of-range link index accepted")
 	}
 }
@@ -323,12 +323,12 @@ func TestEngineScratchReuse(t *testing.T) {
 	for trial, m := range sizes {
 		idx := fullSlot(m)
 		pw := randPowers(m, int64(trial))
-		got, err := eng.MarginSlot(idx, pw, sc, &st)
+		got, err := eng.marginSlot(idx, pw, sc, &st)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		var fresh EngineStats
-		want, err := eng.MarginSlot(idx, pw, NewEngineScratch(), &fresh)
+		want, err := eng.marginSlot(idx, pw, NewEngineScratch(), &fresh)
 		if err != nil || got != want {
 			t.Fatalf("trial %d: reused scratch margin %g != fresh %g (err %v)", trial, got, want, err)
 		}
@@ -367,7 +367,7 @@ func TestEngineStatsFracInvariant(t *testing.T) {
 		eng := NewEngine(p, links)
 		sc := NewEngineScratch()
 		var st EngineStats
-		if _, err := eng.MarginSlot(fullSlot(m), randPowers(m, int64(m)+5), sc, &st); err != nil {
+		if _, err := eng.marginSlot(fullSlot(m), randPowers(m, int64(m)+5), sc, &st); err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
 		if f := st.ExactPairsFrac(); f > 1 {
@@ -378,7 +378,7 @@ func TestEngineStatsFracInvariant(t *testing.T) {
 		}
 		acc.Add(st)
 		// A second pass over the same slot, accumulated like a γ retry.
-		if _, err := eng.MarginSlot(fullSlot(m), randPowers(m, int64(m)+5), sc, &st); err != nil {
+		if _, err := eng.marginSlot(fullSlot(m), randPowers(m, int64(m)+5), sc, &st); err != nil {
 			t.Fatalf("m=%d retry: %v", m, err)
 		}
 		acc.Add(st)
@@ -409,9 +409,9 @@ func TestEngineUnresolvedFallbackPairs(t *testing.T) {
 	idx, powers := fullSlot(m), randPowers(m, 62)
 	e := NewEngine(DefaultParams(), links)
 	var st EngineStats
-	got, err := e.MarginSlot(idx, powers, NewEngineScratch(), &st)
+	got, err := e.marginSlot(idx, powers, NewEngineScratch(), &st)
 	if err != nil {
-		t.Fatalf("MarginSlot: %v", err)
+		t.Fatalf("marginSlot: %v", err)
 	}
 	if want := exactSlotMargin(t, e, idx, powers); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("margin %v, exact tier %v", got, want)
@@ -467,11 +467,12 @@ func TestEngineFirstPassWorkBounded(t *testing.T) {
 			if err := e.gather(sc, fullSlot(m), randPowers(m, int64(m)+1)); err != nil {
 				t.Fatal(err)
 			}
-			if !e.buildGrid(sc, &sc.grid, m) {
+			var g SlotGrid
+			if !e.buildGrid(sc, &g, m) {
 				t.Fatalf("%s/%d: no grid", layout, m)
 			}
 			var st EngineStats
-			e.descendShared(sc, &sc.grid, engineThetaLadder2[0], &st)
+			e.descendShared(sc, &g, engineThetaLadder2[0], &st)
 			var near int64
 			for _, n := range sc.near[:m] {
 				near += int64(n)
@@ -503,15 +504,16 @@ func BenchmarkMarginSlotBySize(b *testing.B) {
 		for _, tier := range []string{"exact", "grid"} {
 			b.Run(fmt.Sprintf("%s/m=%d", tier, m), func(b *testing.B) {
 				sc := NewEngineScratch()
+				var g SlotGrid
 				var st EngineStats
 				for i := 0; i < b.N; i++ {
 					if err := e.gather(sc, idx, powers); err != nil {
 						b.Fatal(err)
 					}
-					if tier == "exact" || !e.buildGrid(sc, &sc.grid, m) {
+					if tier == "exact" || !e.buildGrid(sc, &g, m) {
 						marginSink = e.exactAll(sc, m, &st)
 					} else {
-						marginSink = e.marginGrid(sc, &sc.grid, m, &st)
+						marginSink = e.marginGrid(sc, &g, m, &st)
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(m)), "ns/link")
@@ -544,7 +546,7 @@ func BenchmarkMargin(b *testing.B) {
 		var st EngineStats
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.MarginSlot(idx, powers, sc, &st); err != nil {
+			if _, err := eng.marginSlot(idx, powers, sc, &st); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -19,7 +19,7 @@ func TestMarginSlotGridReuse(t *testing.T) {
 	powers := randPowers(m, 32)
 
 	var st EngineStats
-	cold, grid, reused, err := e.MarginSlotGrid(idx, powers, sc, &st, nil, true)
+	cold, grid, reused, err := e.MarginSlotGrid(idx, powers, sc, &st, nil)
 	if err != nil {
 		t.Fatalf("cold: %v", err)
 	}
@@ -28,7 +28,7 @@ func TestMarginSlotGridReuse(t *testing.T) {
 	}
 
 	// Direct reuse: same membership order, same powers.
-	warm, g2, reused, err := e.MarginSlotGrid(idx, powers, sc, &st, grid, true)
+	warm, g2, reused, err := e.MarginSlotGrid(idx, powers, sc, &st, grid)
 	if err != nil {
 		t.Fatalf("warm: %v", err)
 	}
@@ -46,14 +46,14 @@ func TestMarginSlotGridReuse(t *testing.T) {
 	for i := range powers2 {
 		powers2[i] *= 1.0625
 	}
-	refreshed, g3, reused, err := e.MarginSlotGrid(idx, powers2, sc, &st, grid, true)
+	refreshed, g3, reused, err := e.MarginSlotGrid(idx, powers2, sc, &st, grid)
 	if err != nil {
 		t.Fatalf("refresh: %v", err)
 	}
 	if !reused || g3 == grid || g3 == nil {
 		t.Fatalf("refresh reuse not taken: reused=%v fresh_grid=%v", reused, g3 != grid && g3 != nil)
 	}
-	scratch2, _, _, err := e.MarginSlotGrid(idx, powers2, NewEngineScratch(), &st, nil, false)
+	scratch2, err := e.marginSlot(idx, powers2, NewEngineScratch(), &st)
 	if err != nil {
 		t.Fatalf("scratch rebuild: %v", err)
 	}
@@ -67,30 +67,19 @@ func TestMarginSlotGridReuse(t *testing.T) {
 	permPow := append([]float64(nil), powers...)
 	perm[0], perm[1] = perm[1], perm[0]
 	permPow[0], permPow[1] = permPow[1], permPow[0]
-	pm, _, reused, err := e.MarginSlotGrid(perm, permPow, sc, &st, grid, true)
+	pm, _, reused, err := e.MarginSlotGrid(perm, permPow, sc, &st, grid)
 	if err != nil {
 		t.Fatalf("permuted: %v", err)
 	}
 	if reused {
 		t.Fatalf("permuted slot order reused a stale grid")
 	}
-	ps, _, _, err := e.MarginSlotGrid(perm, permPow, NewEngineScratch(), &st, nil, false)
+	ps, err := e.marginSlot(perm, permPow, NewEngineScratch(), &st)
 	if err != nil {
 		t.Fatalf("permuted scratch: %v", err)
 	}
 	if pm != ps {
 		t.Fatalf("permuted margin %.17g != scratch %.17g", pm, ps)
-	}
-
-	// retain=false with a matching grid: direct reuse returns g itself;
-	// refresh happens in scratch and returns no grid to keep.
-	_, g4, reused, err := e.MarginSlotGrid(idx, powers, sc, &st, grid, false)
-	if err != nil || !reused || g4 != grid {
-		t.Fatalf("retain=false direct reuse: err=%v reused=%v same=%v", err, reused, g4 == grid)
-	}
-	_, g5, reused, err := e.MarginSlotGrid(idx, powers2, sc, &st, grid, false)
-	if err != nil || !reused || g5 != nil {
-		t.Fatalf("retain=false refresh: err=%v reused=%v grid=%v", err, reused, g5)
 	}
 }
 
@@ -104,7 +93,7 @@ func TestSlotGridSizeBytes(t *testing.T) {
 		links := randLinks(m, 40000, 33)
 		e := NewEngine(p, links)
 		var st EngineStats
-		_, g, _, err := e.MarginSlotGrid(fullSlot(m), randPowers(m, 34), NewEngineScratch(), &st, nil, true)
+		_, g, _, err := e.MarginSlotGrid(fullSlot(m), randPowers(m, 34), NewEngineScratch(), &st, nil)
 		if err != nil || g == nil {
 			t.Fatalf("m=%d: grid=%v err=%v", m, g != nil, err)
 		}
@@ -174,19 +163,19 @@ func BenchmarkMarginSlotWarm(b *testing.B) {
 	var st EngineStats
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, _, err := e.MarginSlotGrid(idx, powers, sc, &st, nil, false); err != nil {
+			if _, _, _, err := e.MarginSlotGrid(idx, powers, sc, &st, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("grid-warm", func(b *testing.B) {
-		_, grid, _, err := e.MarginSlotGrid(idx, powers, sc, &st, nil, true)
+		_, grid, _, err := e.MarginSlotGrid(idx, powers, sc, &st, nil)
 		if err != nil || grid == nil {
 			b.Fatalf("prime: grid=%v err=%v", grid != nil, err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_, _, reused, err := e.MarginSlotGrid(idx, powers, sc, &st, grid, false)
+			_, _, reused, err := e.MarginSlotGrid(idx, powers, sc, &st, grid)
 			if err != nil {
 				b.Fatal(err)
 			}

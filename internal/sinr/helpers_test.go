@@ -6,6 +6,13 @@ import (
 	"aggrate/internal/geom"
 )
 
+// marginSlot is the cold evaluation of one slot: MarginSlotGrid with no
+// grid offered, the grid it returns dropped.
+func (e *Engine) marginSlot(idx []int, power []float64, sc *EngineScratch, st *EngineStats) (float64, error) {
+	mg, _, _, err := e.MarginSlotGrid(idx, power, sc, st, nil)
+	return mg, err
+}
+
 // MinPower returns β·N·l^α, the minimum power to decode over a link of
 // length l in the absence of interference, and zero when Noise is zero.
 func (p Params) MinPower(l float64) float64 {
