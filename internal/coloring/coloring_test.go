@@ -156,7 +156,7 @@ func TestDSaturKnownGraphs(t *testing.T) {
 			adj[i] = append(adj[i], int32(j))
 			adj[j] = append(adj[j], int32(i))
 		}
-		return conflict.FromAdj(make([]geom.Link, n), conflict.Func{}, adj)
+		return conflict.FromAdj(make([]geom.Link, n), adj)
 	}
 	if _, k := DSatur(cycle(5)); k != 3 {
 		t.Fatalf("DSATUR on C5 used %d colors, want 3", k)

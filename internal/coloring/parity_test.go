@@ -272,7 +272,7 @@ func FuzzDSaturMatchesOracle(f *testing.F) {
 				}
 			}
 		}
-		g := conflict.FromAdj(make([]geom.Link, n), conflict.Gamma(1), adj)
+		g := conflict.FromAdj(make([]geom.Link, n), adj)
 		ws := NewWorkspace()
 		colors := make([]int, n)
 		k := ws.DSatur(g, colors)
@@ -318,7 +318,7 @@ func FuzzOrientedMatchesSymmetric(f *testing.F) {
 				}
 			}
 		}
-		g := conflict.FromAdj(links, conflict.Gamma(1), adj)
+		g := conflict.FromAdj(links, adj)
 		got := adjacency(g)
 		for v := range adj {
 			if !slices.Equal(adj[v], got[v]) {

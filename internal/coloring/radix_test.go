@@ -37,7 +37,7 @@ func TestLengthOrderRadixTies(t *testing.T) {
 			}
 			// The order reads only link lengths, so an edgeless graph serves
 			// (zero-length links are not buildable).
-			g := conflict.FromAdj(links, conflict.Gamma(1), make([][]int32, n))
+			g := conflict.FromAdj(links, make([][]int32, n))
 			got := ByLengthOrder(g)
 
 			want := make([]int, n)

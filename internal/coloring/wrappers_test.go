@@ -10,7 +10,7 @@ import (
 )
 
 // flavor is one conflict-graph flavor the tests color: fam.At(gamma), named
-// like that Func.
+// by that Func's String.
 type flavor struct {
 	Name  string
 	fam   conflict.Family
@@ -26,7 +26,7 @@ func testFlavors() []flavor {
 		{fam: conflict.PowerLawFamily(0.5), gamma: 2},
 		{fam: conflict.LogThresholdFamily(3), gamma: 1.5},
 	} {
-		fl.Name = fl.fam.At(fl.gamma).Name
+		fl.Name = fl.fam.At(fl.gamma).String()
 		out = append(out, fl)
 	}
 	return out
@@ -119,7 +119,7 @@ func Classes(colors []int) [][]int {
 // proof: each refinement set must be an independent set of G₁ = G_γ with
 // γ = 1.
 func RefinementIndependentInG1(links []geom.Link, sets [][]int) error {
-	g1 := conflict.Gamma(1)
+	g1 := conflict.GammaFamily().At(1)
 	for k, set := range sets {
 		for a := 0; a < len(set); a++ {
 			for b := a + 1; b < len(set); b++ {

@@ -69,7 +69,7 @@ func TestAssembleMatchesOracle(t *testing.T) {
 				bufs[b] = append(bufs[b], edges[p])
 				qbufs[b] = append(qbufs[b], qs[p])
 			}
-			got, err := assemble(tc.links, tc.fg.fam.At(tc.fg.gamma), bufs, qbufs)
+			got, err := assemble(tc.links, bufs, qbufs)
 			if err != nil {
 				t.Fatal(err)
 			}

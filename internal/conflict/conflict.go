@@ -10,13 +10,16 @@
 // minimum endpoint distance; otherwise they are f-conflicting. The conflict
 // graph G_f(L) has the links as vertices and f-conflicting pairs as edges.
 //
-// Three instantiations carry the paper's results:
+// Every threshold the paper uses factors as f_γ(x) = γ·h(x), a Family at
+// one γ (Family.At), and three families carry its results:
 //
-//   - G_γ     (f ≡ γ):            χ(G_γ(MST)) = O(1)   — Theorem 2;
-//   - G_{γlog} (f = γ·max{1, log^{2/(α-2)} x}): independent sets are
-//     feasible under global power control, χ = O(log*Δ)·χ(G_γ) — "G_arb";
-//   - G^δ_γ   (f = γ·x^δ, δ∈(0,1)): independent sets are feasible under an
-//     oblivious scheme P_τ, χ = O(log log Δ)·χ(G_γ) — "G_obl".
+//   - GammaFamily, G_γ (h ≡ 1): χ(G_γ(MST)) = O(1) — Theorem 2;
+//   - LogThresholdFamily, G_{γlog} (h = max{1, log^{2/(α-2)} x}):
+//     independent sets are feasible under global power control,
+//     χ = O(log*Δ)·χ(G_γ) — "G_arb";
+//   - PowerLawFamily, G^δ_γ (h = x^δ, δ∈(0,1)): independent sets are
+//     feasible under an oblivious scheme P_τ, χ = O(log log Δ)·χ(G_γ) —
+//     "G_obl".
 //
 // The adjacency is stored in CSR (compressed sparse row) form — one flat
 // RowPtr offset array plus one flat Neighbors array — so the coloring hot
@@ -64,68 +67,77 @@ import (
 	"aggrate/internal/par"
 )
 
-// Func is a conflict-threshold function f together with a display name.
-// Eval must be positive and non-decreasing on [1, ∞): the bucketed build
+// Family is one γ-indexed conflict-threshold family of Appendix A,
+// f_γ(x) = γ·h(x). The paper's three are GammaFamily (G_γ, h ≡ 1),
+// PowerLawFamily (G^δ_γ, h = x^δ) and LogThresholdFamily (G_{γlog},
+// h = max{1, log₂^{2/(α-2)} x}); the naive scheduling strategy adds the
+// protocol model, h = x.
+//
+// H must be positive and non-decreasing on [1, ∞): the bucketed build
 // relies on monotonicity to bound candidate-search radii, and a decreasing
-// Eval silently breaks its exactness guarantee. Sub-linearity is the
-// paper's additional requirement for constant inductive independence
-// (Appendix A) — it bounds coloring quality, not build correctness, so
-// super-linear thresholds (e.g. the protocol-model f(x) = k·x of the naive
-// scheduling strategy) still build exactly.
-type Func struct {
+// H silently breaks its exactness guarantee. Sub-linearity is the paper's
+// additional requirement for constant inductive independence (Appendix A)
+// — it bounds coloring quality, not build correctness, so super-linear
+// thresholds like the protocol model still build exactly.
+type Family struct {
+	// Name identifies the family across γ; the lookahead cache keys on it.
 	Name string
-	Eval func(x float64) float64
-	// Const, when positive, asserts that Eval is the constant function
-	// x ↦ Const. The bucketed build's innermost pair test then computes the
-	// threshold directly instead of calling a closure (Eval, or the family
-	// factor) per pair — the dominant per-candidate cost for G_γ builds. Constructors that set it
-	// (Gamma) guarantee agreement with Eval; leave it zero otherwise.
-	Const float64
+	// H is the γ-free factor h(x).
+	H func(x float64) float64
+	// Unit reports that H ≡ 1. The bucketed build's innermost pair test
+	// then computes the threshold as l_min·γ instead of calling H per pair
+	// — the dominant per-candidate cost for G_γ builds.
+	Unit bool
 }
 
-// Gamma returns the constant function f ≡ γ defining G_γ. The paper's G₁ is
-// Gamma(1).
-func Gamma(gamma float64) Func {
-	return Func{
-		Name:  fmt.Sprintf("G_gamma(%g)", gamma),
-		Eval:  func(x float64) float64 { return gamma },
-		Const: gamma,
-	}
+// At returns the family's threshold function at γ.
+func (fam Family) At(gamma float64) Func { return Func{fam, gamma} }
+
+// Func is a family's threshold function at one γ, f(x) = Gamma·H(x).
+type Func struct {
+	Family
+	Gamma float64
 }
 
-// PowerLaw returns f(x) = γ·x^δ defining G^δ_γ, the conflict graph whose
-// independent sets are feasible under an oblivious power scheme.
-func PowerLaw(gamma, delta float64) Func {
-	pw := powFunc(delta)
-	return Func{
-		Name: fmt.Sprintf("G_obl(%g,%g)", gamma, delta),
-		Eval: func(x float64) float64 { return gamma * pw(x) },
-	}
+// Eval computes f_γ(x) as the floating-point expression Gamma*H(x) — one
+// multiplication of γ against the exact value H returns. The build's pair
+// test, the conflict strengths and FilterCtx's recheck all compute this
+// same product, which is what makes lookahead filtering bit-exact.
+func (f Func) Eval(x float64) float64 { return f.Gamma * f.H(x) }
+
+// String names f by its family and γ, as error messages print it.
+func (f Func) String() string { return fmt.Sprintf("%s(γ=%g)", f.Name, f.Gamma) }
+
+// GammaFamily is G_γ: f_γ ≡ γ. The paper's G₁ is GammaFamily().At(1).
+func GammaFamily() Family {
+	return Family{Name: "G_gamma", H: func(float64) float64 { return 1 }, Unit: true}
 }
 
-// powFunc returns x ↦ x^δ, routed through math.Sqrt for δ = ½ — the default
-// oblivious-power exponent, evaluated once per candidate pair in the build's
-// innermost loop. math.Pow special-cases y == 0.5 to Sqrt(x), so the direct
-// call is bit-for-bit identical and only skips Pow's dispatch overhead.
-func powFunc(delta float64) func(float64) float64 {
+// PowerLawFamily is G^δ_γ, f_γ(x) = γ·x^δ: the conflict graph whose
+// independent sets are feasible under an oblivious power scheme. For
+// δ = ½, the default oblivious-power exponent, H is math.Sqrt: math.Pow
+// special-cases y == 0.5 to Sqrt(x), so the direct call is bit-for-bit
+// identical and only skips Pow's dispatch in the build's innermost loop.
+func PowerLawFamily(delta float64) Family {
+	h := func(x float64) float64 { return math.Pow(x, delta) }
 	if delta == 0.5 {
-		return math.Sqrt
+		h = math.Sqrt
 	}
-	return func(x float64) float64 { return math.Pow(x, delta) }
+	return Family{Name: fmt.Sprintf("G_obl(%g)", delta), H: h}
 }
 
-// LogThreshold returns f(x) = γ·max{1, log₂^{2/(α-2)} x} defining G_{γlog},
-// the conflict graph whose independent sets are feasible under global power
+// LogThresholdFamily is G_{γlog}, f_γ(x) = γ·max{1, log₂^{2/(α-2)} x}: the
+// conflict graph whose independent sets are feasible under global power
 // control. The exponent 2/(α-2) comes from [12, Cor. 1].
-func LogThreshold(gamma, alpha float64) Func {
+func LogThresholdFamily(alpha float64) Family {
 	exp := 2 / (alpha - 2)
-	return Func{
-		Name: fmt.Sprintf("G_arb(%g,alpha=%g)", gamma, alpha),
-		Eval: func(x float64) float64 {
+	return Family{
+		Name: fmt.Sprintf("G_arb(alpha=%g)", alpha),
+		H: func(x float64) float64 {
 			if x <= 2 {
-				return gamma
+				return 1
 			}
-			return gamma * math.Max(1, math.Pow(math.Log2(x), exp))
+			return math.Max(1, math.Pow(math.Log2(x), exp))
 		},
 	}
 }
@@ -157,7 +169,6 @@ type Graph struct {
 	// every graph filtered from this one. It is immutable: neither the
 	// package nor its callers write to it once the graph exists.
 	Links []geom.Link
-	F     Func
 	// RowPtr has length N()+1; RowPtr[0] == 0.
 	RowPtr []int32
 	// Neighbors holds all adjacency rows back to back (Edges entries).
@@ -275,7 +286,7 @@ func scatterGroups(nbufs, n, total, entryBytes int) int {
 // (sortRows), so the result does not depend on how edges are spread over
 // buffers or on their order. An edge total past the size cap is refused
 // with a wrapped ErrTooManyEdges before anything is allocated.
-func assemble(links []geom.Link, f Func, bufs [][]edge, qs [][]float32) (*Graph, error) {
+func assemble(links []geom.Link, bufs [][]edge, qs [][]float32) (*Graph, error) {
 	n := len(links)
 	total := 0
 	for _, b := range bufs {
@@ -286,7 +297,6 @@ func assemble(links []geom.Link, f Func, bufs [][]edge, qs [][]float32) (*Graph,
 	}
 	g := &Graph{
 		Links:     links,
-		F:         f,
 		RowPtr:    make([]int32, n+1),
 		Neighbors: make([]int32, total),
 	}
@@ -401,7 +411,7 @@ func sortRows(g *Graph) {
 // stored once, oriented by the lengths of links like a built graph. The
 // result carries no Strengths. It panics on an edge count past the size
 // cap, which only a caller-built adjacency of 2³⁰ edges can reach.
-func FromAdj(links []geom.Link, f Func, adj [][]int32) *Graph {
+func FromAdj(links []geom.Link, adj [][]int32) *Graph {
 	var edges []edge
 	for i, row := range adj {
 		for _, j := range row {
@@ -420,7 +430,7 @@ func FromAdj(links []geom.Link, f Func, adj [][]int32) *Graph {
 	for k, e := range edges {
 		edges[k] = oriented(e.i, e.j, links[e.i].Length(), links[e.j].Length())
 	}
-	g, err := assemble(links, f, [][]edge{edges}, nil)
+	g, err := assemble(links, [][]edge{edges}, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -446,7 +456,7 @@ type classGrid struct {
 	minL float64 // actual minimum link length in the class
 	// Bounding box of the occupied cells. Scan rectangles are clamped to
 	// it, so a search radius far larger than the class extent (possible for
-	// LogThreshold with α near 2) costs no more than the extent itself.
+	// LogThresholdFamily with α near 2) costs no more than the extent itself.
 	minCX, maxCX, minCY, maxCY int64
 	// Open-addressed table: slot s holds the compact index of its cell, -1
 	// when empty.
@@ -682,7 +692,7 @@ func interleave16(v uint64) uint64 {
 // then sees an infinite threshold.
 var ErrDegenerate = errors.New("conflict: degenerate input")
 
-// BuildLookaheadCtx constructs G_f(links) for f = fam.At(gm) with
+// BuildLookaheadCtx constructs G_f(links) for f = fam.At(gamma) with
 // Graph.Strengths populated: one-sided CSR arrays with rows sorted
 // ascending, plus one conflict strength per edge, so FilterCtx can
 // materialize the graph at any smaller γ without another build. It is the
@@ -694,10 +704,9 @@ var ErrDegenerate = errors.New("conflict: degenerate input")
 // build mid-flight with (nil, ctx.Err()) — a partial edge set is never
 // assembled into a Graph.
 //
-// The pair test computes the threshold as lmin·(gm·h(x)) with h = fam.H —
-// the exact expression Family.At's contract makes f.Eval compute — and
-// every accepted edge additionally gets its conflict strength (see
-// strengthOf).
+// The pair test computes the threshold as lmin·(γ·h(x)) with h = fam.H —
+// the expression Func.Eval computes — and every accepted edge additionally
+// gets its conflict strength (see strengthOf).
 //
 // Correctness sketch: links are partitioned into dyadic length classes
 // [b_c, b_{c+1}) by comparison against precomputed boundaries, so class
@@ -713,11 +722,11 @@ var ErrDegenerate = errors.New("conflict: degenerate input")
 // holds, and collected into per-worker flat edge buffers, which assemble
 // scatters into the CSR arrays without merging them first — no per-vertex
 // slices and no merged copy anywhere.
-func BuildLookaheadCtx(ctx context.Context, links []geom.Link, fam Family, gm float64) (*Graph, error) {
+func BuildLookaheadCtx(ctx context.Context, links []geom.Link, fam Family, gamma float64) (*Graph, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	f := fam.At(gm)
+	f := fam.At(gamma)
 	n := len(links)
 	lens := make([]float64, n)
 	lmin, lmax := math.Inf(1), 0.0
@@ -732,11 +741,11 @@ func BuildLookaheadCtx(ctx context.Context, links []geom.Link, fam Family, gm fl
 	}
 	f2 := f.Eval(2)
 	if !(f2 > 0) || math.IsInf(f2, 1) {
-		return nil, fmt.Errorf("%w: %s has f(2) = %g", ErrDegenerate, f.Name, f2)
+		return nil, fmt.Errorf("%w: %v has f(2) = %g", ErrDegenerate, f, f2)
 	}
 	// Every class cell side maxL·f(2) lies between these two products.
 	if lo, hi := lmin*f2, lmax*f2; !(lo > 0) || math.IsInf(hi, 1) {
-		return nil, fmt.Errorf("%w: %s cell sizes [%g, %g] out of range", ErrDegenerate, f.Name, lo, hi)
+		return nil, fmt.Errorf("%w: %v cell sizes [%g, %g] out of range", ErrDegenerate, f, lo, hi)
 	}
 
 	// Spatial relabeling: the build works in Morton (Z-order) indices of the
@@ -767,8 +776,7 @@ func BuildLookaheadCtx(ctx context.Context, links []geom.Link, fam Family, gm fl
 	}
 
 	bs := &bucketedSearch{
-		lens: lens, class: class, grids: grids, f: f, fConst: f.Const,
-		h: fam.H, gm: gm, orig: orig, maxAbs: maxAbs,
+		lens: lens, class: class, grids: grids, f: f, orig: orig, maxAbs: maxAbs,
 		sx: sxs, sy: sys, rx: rxs, ry: rys,
 	}
 
@@ -842,7 +850,7 @@ func BuildLookaheadCtx(ctx context.Context, links []geom.Link, fam Family, gm fl
 			qs = append(qs, *qbufs[k])
 		}
 	}
-	g, err := assemble(links, f, edges, qs)
+	g, err := assemble(links, edges, qs)
 	if err != nil {
 		return nil, err
 	}
@@ -898,7 +906,7 @@ func indexClasses(lens, sxs, sys, rxs, rys []float64, lmin, lmax float64, f Func
 		cg.size = cg.maxL * f2
 		// Cell indices floor(x/size) of the class must convert to int64.
 		if q := farC[c] / cg.size; !(q < 1<<62) {
-			return nil, nil, 0, fmt.Errorf("%w: %s cell index %g overflows int64", ErrDegenerate, f.Name, q)
+			return nil, nil, 0, fmt.Errorf("%w: %v cell index %g overflows int64", ErrDegenerate, f, q)
 		}
 		cg.grow()
 		cg.start = []int32{0}
@@ -1013,9 +1021,6 @@ type bucketedSearch struct {
 	class          []int
 	grids          []*classGrid
 	f              Func
-	fConst         float64                 // Func.Const: > 0 ⟹ skip the Eval and h closures
-	h              func(x float64) float64 // the family factor: f = γ·h
-	gm             float64                 // build γ
 	orig           []int32
 	maxAbs         float64 // largest coordinate magnitude; scales the prune slack
 	sx, sy, rx, ry []float64
@@ -1083,8 +1088,8 @@ func (b *bucketedSearch) searchLink(i int32, stamp []int32, out *[]edge, qout *[
 		rp2 := rp * rp
 		// One scan over the union rectangle of both endpoint disks, clamped
 		// to the class's occupied-cell bounding box (cells outside it are
-		// empty, and clamping keeps a huge r — e.g. LogThreshold with α near
-		// 2, where r/size can exceed 1e6 — from inflating the loop bounds).
+		// empty, and clamping keeps a huge r — e.g. LogThresholdFamily with α
+		// near 2, where r/size can exceed 1e6 — from inflating the loop bounds).
 		// The union costs no more than the former two per-endpoint passes:
 		// the disks overlap heavily whenever r ≥ |SR| = l_i, and cellNear
 		// prunes the cells that only the bounding rectangle (not either
@@ -1148,12 +1153,12 @@ func (b *bucketedSearch) scanCandCell(i int32, sameClass bool, li float64, cg *c
 	stamp []int32, out *[]edge, qout *[]float32, st *BuildStats) {
 	cmax := cg.cMaxL[ic]
 	var rc float64
-	if b.fConst > 0 {
+	if b.f.Unit {
 		m := li
 		if sameClass && cmax < li {
 			m = cmax
 		}
-		rc = m * b.fConst * (1 + 1e-9)
+		rc = m * b.f.Gamma * (1 + 1e-9)
 	} else if sameClass {
 		lo := math.Min(li, cg.cMinL[ic])
 		hi := math.Max(li, cmax)
@@ -1185,10 +1190,10 @@ func (b *bucketedSearch) scanCandCell(i int32, sameClass bool, li float64, cg *c
 // scanCell runs the exact conflict test against every candidate in one grid
 // cell, recording the edges link i owns. Candidate coordinates and lengths
 // stream from the cell-local SoA mirror (one contiguous block per cell — no
-// gather-loads through members), and for constant f (G_γ) the threshold
+// gather-loads through members), and for a Unit family (G_γ) the threshold
 // skips the factor h; the arithmetic — min over the four endpoint squared
 // distances against (l_min·(γ·h(l_max/l_min)))², the floating-point
-// expression f.Eval computes by Family.At's contract — is
+// expression Func.Eval computes — is
 // expression-identical to Conflicting, so the edge set matches the exact
 // pairwise scan bit-for-bit. Each accepted edge is appended oriented by the
 // two lengths in hand (see oriented), and its strength, rounded up to
@@ -1242,12 +1247,12 @@ func (b *bucketedSearch) scanCell(i int32, sameClass bool, rr float64,
 			lmin, lmax = lmax, lmin
 		}
 		var thr, hx float64
-		if b.fConst > 0 {
-			thr = lmin * b.fConst
+		if b.f.Unit {
+			thr = lmin * b.f.Gamma
 			hx = 1
 		} else {
-			hx = b.h(lmax / lmin)
-			thr = lmin * (b.gm * hx)
+			hx = b.f.H(lmax / lmin)
+			thr = lmin * (b.f.Gamma * hx)
 		}
 		if d <= thr*thr {
 			if stamp[j] == i {
@@ -1256,7 +1261,7 @@ func (b *bucketedSearch) scanCell(i int32, sameClass bool, rr float64,
 			stamp[j] = i
 			st.CandAccepted++
 			*out = append(*out, oriented(b.orig[i], b.orig[j], li, mlen[k]))
-			*qout = append(*qout, roundUp32(strengthOf(d, lmin, hx, b.gm)))
+			*qout = append(*qout, roundUp32(strengthOf(d, lmin, hx, b.f.Gamma)))
 		}
 	}
 }

@@ -73,7 +73,7 @@ type famGamma struct {
 	gamma float64
 }
 
-func (fg famGamma) String() string { return fg.fam.At(fg.gamma).Name }
+func (fg famGamma) String() string { return fg.fam.At(fg.gamma).String() }
 
 func testFamilies() []famGamma {
 	return []famGamma{
@@ -277,8 +277,8 @@ func TestOverflowingRadiusIsExact(t *testing.T) {
 }
 
 // TestHugeRadiusTerminates pins the fix for the unbounded cell scan: for
-// LogThreshold with α near 2 the cross-class search radius can exceed the
-// cell size by a factor of 1e6+, and an unclamped rectangle loop would
+// LogThresholdFamily with α near 2 the cross-class search radius can exceed
+// the cell size by a factor of 1e6+, and an unclamped rectangle loop would
 // visit ~1e12 cells per link, so Build effectively never finished. The
 // clamped scan must complete promptly and still match the naive oracle.
 func TestHugeRadiusTerminates(t *testing.T) {
@@ -297,7 +297,7 @@ func TestHugeRadiusTerminates(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("build did not terminate within 30s on annulus links with LogThreshold(1.5, 2.1)")
+		t.Fatal("build did not terminate within 30s on annulus links with LogThresholdFamily(2.1).At(1.5)")
 	}
 	graphsEqual(t, buildNaiveLookahead(links, fam, 1.5), g, "huge-radius")
 }
@@ -338,7 +338,7 @@ func BenchmarkBuildBucketed10k(b *testing.B) {
 
 func BenchmarkBuildNaive10k(b *testing.B) {
 	links := mstLinks(b, 10_000, 9, 10_000)
-	f := PowerLaw(2, 0.5)
+	f := PowerLawFamily(0.5).At(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		BuildNaive(links, f)

@@ -3,7 +3,6 @@ package conflict
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"testing"
 
@@ -18,7 +17,7 @@ import (
 //   - the receiver offset is scaled by 2^(e-8)/8 for e ∈ [0, 16], so link
 //     lengths span ~23 dyadic classes within one instance (near-zero lengths
 //     included) and length diversity reaches ~10^7 — enough to push
-//     LogThreshold(γ, α≈2) search radii far beyond the instance extent.
+//     LogThresholdFamily(α≈2) search radii far beyond the instance extent.
 //
 // Byte layout: data[0] is the link count (2–25), then 5 bytes per link:
 // sender x, sender y, receiver dx, receiver dy (int8), exponent.
@@ -52,13 +51,7 @@ func fuzzLinks(data []byte) []geom.Link {
 // monotone but deliberately not sub-linear (the build's exactness must not
 // depend on sub-linearity).
 func fuzzFamilies() []famGamma {
-	protocol := Family{
-		Name: "protocol",
-		H:    func(x float64) float64 { return x },
-		At: func(gamma float64) Func {
-			return Func{Name: fmt.Sprintf("protocol(%g)", gamma), Eval: func(x float64) float64 { return gamma * x }}
-		},
-	}
+	protocol := Family{Name: "protocol", H: func(x float64) float64 { return x }}
 	return []famGamma{
 		{GammaFamily(), 2},
 		{PowerLawFamily(0.5), 2},
@@ -70,7 +63,7 @@ func fuzzFamilies() []famGamma {
 // checkBuild asserts BuildLookaheadCtx on links under fam.At(gamma) refuses
 // exactly the degenerate inputs with ErrDegenerate, and otherwise matches
 // both oracles: the factored pairwise scan bit for bit (strengths
-// included), and the unfactored Conflicting scan edge for edge. It returns
+// included), and the Conflicting scan edge for edge. It returns
 // the built graph, nil for a degenerate input.
 func checkBuild(t *testing.T, links []geom.Link, fam Family, gamma float64) *Graph {
 	t.Helper()
@@ -78,15 +71,15 @@ func checkBuild(t *testing.T, links []geom.Link, fam Family, gamma float64) *Gra
 	g, err := BuildLookaheadCtx(context.Background(), links, fam, gamma)
 	if degenerate(links, f) {
 		if !errors.Is(err, ErrDegenerate) || g != nil {
-			t.Fatalf("%s: degenerate input: got (%v, %v), want (nil, ErrDegenerate) on %v", f.Name, g, err, links)
+			t.Fatalf("%v: degenerate input: got (%v, %v), want (nil, ErrDegenerate) on %v", f, g, err, links)
 		}
 		return nil
 	}
 	if err != nil {
-		t.Fatalf("%s: %v on %v", f.Name, err, links)
+		t.Fatalf("%v: %v on %v", f, err, links)
 	}
-	graphsEqual(t, buildNaiveLookahead(links, fam, gamma), g, f.Name)
-	graphsEqual(t, BuildNaive(links, f), g, f.Name+"/unfactored")
+	graphsEqual(t, buildNaiveLookahead(links, fam, gamma), g, f.String())
+	graphsEqual(t, BuildNaive(links, f), g, f.String()+"/conflicting")
 	return g
 }
 

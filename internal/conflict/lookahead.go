@@ -1,9 +1,7 @@
-// γ-lookahead conflict builds: every threshold family of the paper factors
-// as f_γ(x) = γ·h(x) (Gamma: h ≡ 1; PowerLaw: h = x^δ; LogThreshold:
-// h = max{1, log₂^{2/(α-2)} x}; the protocol model: h = x), so the conflict
-// predicate d(i,j)² ≤ (l_min·f_γ(l_max/l_min))² is monotone in γ and every
-// pair has a well-defined conflict *strength* — the smallest γ at which it
-// conflicts. One strength-annotated build at an escalated γ therefore serves
+// γ-lookahead conflict builds: every threshold family factors as
+// f_γ(x) = γ·h(x) (see Family), so the conflict predicate
+// d(i,j)² ≤ (l_min·f_γ(l_max/l_min))² is monotone in γ and every pair has a
+// well-defined conflict *strength* — the smallest γ at which it conflicts. One strength-annotated build at an escalated γ therefore serves
 // every smaller γ of an escalation ladder as a linear filter scan over the
 // CSR arrays, instead of a full grid rebuild per attempt.
 //
@@ -31,58 +29,6 @@ import (
 	"aggrate/internal/geom"
 	"aggrate/internal/par"
 )
-
-// Family is a γ-indexed conflict-threshold family f_γ(x) = γ·h(x).
-//
-// Contract (what makes lookahead filtering bit-exact): At(γ) must return a
-// Func whose Eval(x) computes the floating-point expression γ*H(x) — one
-// multiplication of γ against the exact value H returns, rounding included —
-// and whose Const, when set, equals γ (only legal when H ≡ 1). H must be
-// positive and non-decreasing on [1, ∞), like Func.Eval. The constructors
-// below pair each Func constructor with its factored form and keep the two
-// in lockstep.
-type Family struct {
-	Name string
-	// H is the γ-free factor h(x).
-	H func(x float64) float64
-	// At materializes f_γ.
-	At func(gamma float64) Func
-}
-
-// GammaFamily is the factored form of Gamma: f_γ ≡ γ, h ≡ 1.
-func GammaFamily() Family {
-	return Family{
-		Name: "G_gamma",
-		H:    func(float64) float64 { return 1 },
-		At:   Gamma,
-	}
-}
-
-// PowerLawFamily is the factored form of PowerLaw: f_γ(x) = γ·x^δ. H shares
-// PowerLaw's δ = ½ Sqrt fast path (see powFunc), keeping the two bit-equal.
-func PowerLawFamily(delta float64) Family {
-	return Family{
-		Name: fmt.Sprintf("G_obl(%g)", delta),
-		H:    powFunc(delta),
-		At:   func(gamma float64) Func { return PowerLaw(gamma, delta) },
-	}
-}
-
-// LogThresholdFamily is the factored form of LogThreshold:
-// f_γ(x) = γ·max{1, log₂^{2/(α-2)} x}.
-func LogThresholdFamily(alpha float64) Family {
-	exp := 2 / (alpha - 2)
-	return Family{
-		Name: fmt.Sprintf("G_arb(alpha=%g)", alpha),
-		H: func(x float64) float64 {
-			if x <= 2 {
-				return 1
-			}
-			return math.Max(1, math.Pow(math.Log2(x), exp))
-		},
-		At: func(gamma float64) Func { return LogThreshold(gamma, alpha) },
-	}
-}
 
 // strengthOf returns the conflict strength of a pair: the smallest float64
 // q for which the build predicate d² ≤ (l_min·(q·h))² holds. Filtering an
@@ -152,9 +98,9 @@ func strengthOf(d2, lmin, h, buildGamma float64) float64 {
 // and row order are preserved (the orientation depends on lengths alone,
 // and a subsequence of a sorted row stays sorted), so the result is
 // bit-identical — edges, CSR row order, Strengths annotation — to
-// BuildLookaheadCtx at gamma. f must be the family's Func at gamma: it
-// becomes the result's F and decides the entries the float32 strengths
-// leave open. The result shares g's Links.
+// BuildLookaheadCtx at gamma. f must be the family's Func at gamma
+// (f.Gamma == gamma): it decides the entries the float32 strengths leave
+// open. The result shares g's Links.
 //
 // Exactness. Let q be an entry's exact float64 strength and q32 =
 // roundUp32(q) the stored one, and let lo be the largest float32 ≤ gamma.
@@ -163,8 +109,8 @@ func strengthOf(d2, lmin, h, buildGamma float64) float64 {
 // for a float32 gamma the float32 compare decides every entry. For any
 // other gamma, lo < gamma < hi with hi the next float32 above lo; q32 > hi
 // again implies q > gamma, and only q32 == hi (q in (lo, hi]) stays open.
-// Those entries are re-decided by Conflicting(f, ·, ·), which by
-// Family.At's contract evaluates the build's own pair predicate at gamma.
+// Those entries are re-decided by Conflicting(f, ·, ·), which evaluates the
+// build's own pair predicate at gamma: Func.Eval is the build's γ·h(x).
 //
 // Cancellation: ctx is checked at row-block boundaries during both the
 // counting and the scatter pass; on cancellation FilterCtx returns
@@ -176,7 +122,6 @@ func (g *Graph) FilterCtx(ctx context.Context, f Func, gamma float64) (*Graph, e
 	n := g.N()
 	out := &Graph{
 		Links:  g.Links,
-		F:      f,
 		RowPtr: make([]int32, n+1),
 		Stats:  g.Stats, // the annotated build's pruning counters carry over
 	}

@@ -214,8 +214,8 @@ func TestFilterCtxCancel(t *testing.T) {
 // returning an empty graph.
 func TestFilterRequiresStrengths(t *testing.T) {
 	links := mstLinks(t, 200, 28, 1000)
-	g := FromAdj(links, Gamma(2), make([][]int32, len(links)))
-	if _, err := g.FilterCtx(context.Background(), Gamma(1), 1); err == nil {
+	g := FromAdj(links, make([][]int32, len(links)))
+	if _, err := g.FilterCtx(context.Background(), GammaFamily().At(1), 1); err == nil {
 		t.Fatal("FilterCtx on a strength-free graph succeeded; want error")
 	}
 }
@@ -461,7 +461,7 @@ func naiveLadder(links []geom.Link, fam Family, ceiling float64) func(gamma floa
 				qs = append(qs, strengthOf(p.d2, p.lmin, p.hx, gamma))
 			}
 		}
-		return oracleCSR(links, fam.At(gamma), edges, qs)
+		return oracleCSR(links, edges, qs)
 	}
 }
 

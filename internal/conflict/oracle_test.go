@@ -8,7 +8,7 @@ import (
 )
 
 // BuildNaive constructs G_f(links) by exact pairwise testing (O(n²)) with
-// the unfactored predicate Conflicting. It is the test oracle for the
+// the pair predicate Conflicting. It is the test oracle for the
 // bucketed build. The double loop discovers edges in lexicographic (i, j)
 // order, so the serial CSR scatter (oracleCSR) emits both directions of
 // every row already ascending with no sorting pass.
@@ -22,7 +22,7 @@ func BuildNaive(links []geom.Link, f Func) *Graph {
 			}
 		}
 	}
-	return oracleCSR(links, f, edges, nil)
+	return oracleCSR(links, edges, nil)
 }
 
 // oracleCSR is the oracles' CSR assembly, kept apart from the production
@@ -31,11 +31,10 @@ func BuildNaive(links []geom.Link, f Func) *Graph {
 // lexicographically ordered list yields ascending rows. qs, when non-nil,
 // parallels edges with per-edge exact strengths, stored rounded up to
 // float32 as Graph.Strengths specifies.
-func oracleCSR(links []geom.Link, f Func, edges []edge, qs []float64) *Graph {
+func oracleCSR(links []geom.Link, edges []edge, qs []float64) *Graph {
 	n := len(links)
 	g := &Graph{
 		Links:     append([]geom.Link(nil), links...),
-		F:         f,
 		RowPtr:    make([]int32, n+1),
 		Neighbors: make([]int32, 2*len(edges)),
 	}
@@ -64,12 +63,11 @@ func oracleCSR(links []geom.Link, f Func, edges []edge, qs []float64) *Graph {
 
 // buildNaiveLookahead is the strength-annotated analogue of BuildNaive: the
 // exact O(n²) pairwise scan, with the pair test phrased through the family
-// factor (bit-identical to Conflicting at fam.At(gamma) by Family.At's
-// contract) and a strength per accepted edge. Degenerate pairs with
+// factor (bit-identical to Conflicting at fam.At(gamma), whose Eval is the
+// same product γ·h) and a strength per accepted edge. Degenerate pairs with
 // l_min ≤ 0 conflict at every γ and get strength 0.
 func buildNaiveLookahead(links []geom.Link, fam Family, gamma float64) *Graph {
 	n := len(links)
-	f := fam.At(gamma)
 	// Each link's length once, instead of twice per pair: the same float64
 	// values geom.MinMaxLen would compute, ordered the same way.
 	lens := geom.Lengths(links)
@@ -95,7 +93,7 @@ func buildNaiveLookahead(links []geom.Link, fam Family, gamma float64) *Graph {
 			}
 		}
 	}
-	return oracleCSR(links, f, edges, qs)
+	return oracleCSR(links, edges, qs)
 }
 
 // pairStrength returns the exact float64 conflict strength of links a and
@@ -163,7 +161,7 @@ func degenerate(links []geom.Link, f Func) bool {
 // a sort pass: the i<j double loop emits both adjacency directions in
 // ascending order already.
 func TestNaiveAdjacencyAscending(t *testing.T) {
-	g := BuildNaive(mstLinks(t, 400, 7, 500), Gamma(2))
+	g := BuildNaive(mstLinks(t, 400, 7, 500), GammaFamily().At(2))
 	for i := 0; i < g.N(); i++ {
 		adj := g.Row(i)
 		for k := 1; k < len(adj); k++ {

@@ -215,9 +215,6 @@ func NewDeployCache(maxEntries int) *DeployCache {
 
 // Len reports the number of cached deployments (including in-flight builds).
 func (dc *DeployCache) Len() int {
-	if dc == nil {
-		return 0
-	}
 	return dc.entries.Len()
 }
 
@@ -225,9 +222,6 @@ func (dc *DeployCache) Len() int {
 // request served by an existing entry (possibly waiting for its builder);
 // a miss is a request that had to build.
 func (dc *DeployCache) Stats() (hits, misses, evictions int64) {
-	if dc == nil {
-		return 0, 0, 0
-	}
 	return dc.entries.Stats()
 }
 
@@ -237,9 +231,6 @@ func (dc *DeployCache) Stats() (hits, misses, evictions int64) {
 // rungs landing on a stage another spec already built), misses are attempts
 // that built the stage.
 func (dc *DeployCache) SchedStats() (hits, misses int64) {
-	if dc == nil {
-		return 0, 0
-	}
 	return dc.schedHits.Load(), dc.schedMisses.Load()
 }
 

@@ -232,7 +232,7 @@ func (s Spec) Validate() error {
 	if _, err := scheduler.Lookup(n.Algo); err != nil {
 		return err
 	}
-	if _, err := n.config(n.Gamma).ConflictFunc(); err != nil {
+	if _, err := n.config(n.Gamma).ConflictFamily(); err != nil {
 		return err
 	}
 	if !slices.Contains(powerSchemes, n.Power) {

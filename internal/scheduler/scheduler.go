@@ -91,8 +91,8 @@ type Config struct {
 }
 
 // ConflictFamily materializes the γ-indexed conflict-threshold family the
-// Config selects; ConflictFamily().At(c.Gamma) is the concrete Func. The
-// factored (γ, h) form is what lets a lookahead build at an escalated γ
+// Config selects; ConflictFamily().At(c.Gamma) is the concrete threshold.
+// The factored (γ, h) form is what lets a lookahead build at an escalated γ
 // serve every smaller γ exactly.
 func (c Config) ConflictFamily() (conflict.Family, error) {
 	switch c.Graph {
@@ -108,26 +108,11 @@ func (c Config) ConflictFamily() (conflict.Family, error) {
 	}
 }
 
-// ConflictFunc materializes the conflict-threshold function the Config
-// selects, at its concrete γ.
-func (c Config) ConflictFunc() (conflict.Func, error) {
-	fam, err := c.ConflictFamily()
-	if err != nil {
-		return conflict.Func{}, err
-	}
-	return fam.At(c.Gamma), nil
-}
-
 // Diag reports what a strategy did, for metrics and invariant checks. It
 // holds no per-link or per-edge data: the conflict graph and the coloring
 // die with the Schedule call (a coloring schedule's slot k is color k), so a
 // cached stage product retains nothing but the schedule skeleton.
 type Diag struct {
-	// Func is the conflict-threshold function whose graph every slot of the
-	// returned schedule is an independent set of. For graph-coloring
-	// strategies it is the Config's function; for naive it is the
-	// protocol-model threshold.
-	Func conflict.Func
 	// NumColors is the schedule period (total distinct slots).
 	NumColors int
 	// Classes is the number of non-empty dyadic length classes
@@ -253,8 +238,7 @@ func buildGraph(ctx context.Context, links []geom.Link, fam conflict.Family, gam
 // coloring schedule. A ctx cancel surfaces from the graph build.
 func colorWith(ctx context.Context, links []geom.Link, fam conflict.Family, cfg Config,
 	color func(*conflict.Graph, *coloring.Workspace, []int, *Diag) int) (*schedule.Schedule, Diag, error) {
-	f := fam.At(cfg.Gamma)
-	d := Diag{Func: f}
+	var d Diag
 	g, err := buildGraph(ctx, links, fam, cfg.Gamma, cfg, &d)
 	if err != nil {
 		return nil, d, err
@@ -342,24 +326,11 @@ type naiveStrategy struct{}
 
 func (naiveStrategy) Name() string { return Naive }
 
-// NaiveFunc returns the protocol-model threshold f(x) = k·x used by the
-// naive strategy with guard-zone multiple k.
-func NaiveFunc(k float64) conflict.Func {
-	return conflict.Func{
-		Name: fmt.Sprintf("protocol(%g)", k),
-		Eval: func(x float64) float64 { return k * x },
-	}
-}
-
-// NaiveFamily is NaiveFunc in factored (γ, h) form — h(x) = x — so the
-// protocol-model strawman rides the same γ-lookahead cache as the paper's
-// families.
+// NaiveFamily is the protocol-model threshold of the naive strategy,
+// f_γ(x) = γ·x with the guard-zone multiple γ, so the strawman rides the
+// same γ-lookahead cache as the paper's families.
 func NaiveFamily() conflict.Family {
-	return conflict.Family{
-		Name: "protocol",
-		H:    func(x float64) float64 { return x },
-		At:   NaiveFunc,
-	}
+	return conflict.Family{Name: "protocol", H: func(x float64) float64 { return x }}
 }
 
 func (naiveStrategy) Schedule(ctx context.Context, links []geom.Link, cfg Config) (*schedule.Schedule, Diag, error) {
@@ -399,8 +370,7 @@ func (lengthClassStrategy) Schedule(ctx context.Context, links []geom.Link, cfg 
 	if err != nil {
 		return nil, Diag{}, err
 	}
-	f := fam.At(cfg.Gamma)
-	d := Diag{Func: f}
+	var d Diag
 	if len(links) == 0 {
 		return schedule.New(links, nil), d, nil
 	}

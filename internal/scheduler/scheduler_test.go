@@ -155,10 +155,72 @@ func TestLengthClassRefineOnArb(t *testing.T) {
 	}
 }
 
-// TestNaiveFuncProtocolModel: the strawman's conflict condition is
-// d(i,j) <= k·max(l_i, l_j).
-func TestNaiveFuncProtocolModel(t *testing.T) {
-	f := NaiveFunc(2)
+// TestFamilyAtMatchesClosedForms pins every threshold family a Config or
+// strategy selects against the closed forms the repository used before the
+// families became the one spelling: f(x) as a closure over γ. Each
+// fam.At(γ).Eval(x) must equal its closure bit for bit, across the
+// escalation ladder and a γ that is not a float32, at the x where
+// LogThresholdFamily switches branches and at the extremes.
+func TestFamilyAtMatchesClosedForms(t *testing.T) {
+	gammaClosure := func(gamma float64) func(float64) float64 {
+		return func(x float64) float64 { return gamma }
+	}
+	powerLaw := func(delta float64) func(gamma float64) func(float64) float64 {
+		return func(gamma float64) func(float64) float64 {
+			pw := func(x float64) float64 { return math.Pow(x, delta) }
+			if delta == 0.5 {
+				pw = math.Sqrt
+			}
+			return func(x float64) float64 { return gamma * pw(x) }
+		}
+	}
+	logThreshold := func(alpha float64) func(gamma float64) func(float64) float64 {
+		return func(gamma float64) func(float64) float64 {
+			exp := 2 / (alpha - 2)
+			return func(x float64) float64 {
+				if x <= 2 {
+					return gamma
+				}
+				return gamma * math.Max(1, math.Pow(math.Log2(x), exp))
+			}
+		}
+	}
+	naive := func(k float64) func(float64) float64 {
+		return func(x float64) float64 { return k * x }
+	}
+	cases := []struct {
+		fam    conflict.Family
+		closed func(gamma float64) func(float64) float64
+	}{
+		{conflict.GammaFamily(), gammaClosure},
+		{conflict.PowerLawFamily(0.5), powerLaw(0.5)},
+		{conflict.PowerLawFamily(0.3), powerLaw(0.3)},
+		{conflict.LogThresholdFamily(3), logThreshold(3)},
+		{conflict.LogThresholdFamily(2.05), logThreshold(2.05)},
+		{NaiveFamily(), naive},
+	}
+	var gammas []float64
+	for g, k := 2.0, 0; k <= 8; g, k = g*1.5, k+1 {
+		gammas = append(gammas, g)
+	}
+	gammas = append(gammas, 2.1) // not a float32
+	xs := []float64{1, 1.5, 2, math.Nextafter(2, 3), 3, 1e3, 1e300}
+	for _, c := range cases {
+		for _, gamma := range gammas {
+			f, want := c.fam.At(gamma), c.closed(gamma)
+			for _, x := range xs {
+				if got, w := f.Eval(x), want(x); math.Float64bits(got) != math.Float64bits(w) {
+					t.Errorf("%v: Eval(%g) = %v, closed form %v", f, x, got, w)
+				}
+			}
+		}
+	}
+}
+
+// TestNaiveFamilyProtocolModel: the strawman's conflict condition at
+// guard-zone multiple γ is d(i,j) <= γ·max(l_i, l_j).
+func TestNaiveFamilyProtocolModel(t *testing.T) {
+	f := NaiveFamily().At(2)
 	a := geom.NewLink(0, 1, geom.Point{X: 0}, geom.Point{X: 1})     // length 1
 	b := geom.NewLink(2, 3, geom.Point{X: 3.5}, geom.Point{X: 7.5}) // length 4, d(a,b)=2.5
 	if !conflict.Conflicting(f, a, b) {
@@ -226,7 +288,7 @@ func TestScheduleInvariants(t *testing.T) {
 				for k, slot := range sched.Slots {
 					if !isIndependent(g, slot) {
 						t.Fatalf("%s/%s/%s: slot %d not independent in %s",
-							in.preset, gk, s.Name(), k, diag.Func.Name)
+							in.preset, gk, s.Name(), k, fam.At(cfg.Gamma))
 					}
 				}
 				// The degree diagnostics describe that graph (lengthclass

@@ -125,18 +125,21 @@ func TestInstanceCacheEviction(t *testing.T) {
 }
 
 // TestInstanceCacheDisabled: a negative size turns the cache off — jobs
-// still complete, every spec rebuilds, and the series stay at zero.
+// still complete, every spec rebuilds, and the server's cache stays empty
+// with its series at zero.
 func TestInstanceCacheDisabled(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, InstanceCacheSize: -1})
-	if s.deploy != nil {
-		t.Fatal("negative InstanceCacheSize built a cache")
-	}
 	job := `{"scenarios":["uniform"],"ns":[200],"seeds":1,"seed":7,"algos":["greedy","dsatur"]}`
 	st, code := postJob(t, ts, job)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)
 	}
 	waitStatus(t, ts, st.ID, StatusDone, 30*time.Second)
+	hits, misses, evictions := s.deploy.Stats()
+	sh, sm := s.deploy.SchedStats()
+	if n := s.deploy.Len(); n != 0 || hits != 0 || misses != 0 || evictions != 0 || sh != 0 || sm != 0 {
+		t.Fatalf("disabled cache: len=%d stats %d/%d/%d sched %d/%d, want all 0", n, hits, misses, evictions, sh, sm)
+	}
 	samples := checkExposition(t, scrape(t, ts.URL))
 	for _, name := range []string{
 		"aggrate_instance_cache_hits_total",

@@ -182,7 +182,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:          cfg,
 		cache:        newResultCache(cfg.CacheSize, cfg.CacheBytes),
-		deploy:       newDeployCache(cfg.InstanceCacheSize),
+		deploy:       experiment.NewDeployCache(cfg.InstanceCacheSize),
 		metrics:      newMetrics(),
 		limiter:      newRateLimiter(cfg.RateLimit, cfg.RateBurst),
 		drainEst:     &drainEstimator{},
@@ -383,15 +383,6 @@ func (c resultCache) get(key string) (*experiment.Result, bool) { return c.Get(k
 func (c resultCache) len() int                                  { return c.Len() }
 func (c resultCache) add(key string, res *experiment.Result) {
 	c.Add(key, res, approxResultSize(key, res))
-}
-
-// newDeployCache resolves the InstanceCacheSize config: negative disables
-// the cache (every spec deploys cold), zero takes the experiment default.
-func newDeployCache(size int) *experiment.DeployCache {
-	if size < 0 {
-		return nil
-	}
-	return experiment.NewDeployCache(size)
 }
 
 // Close hard-stops the server: every live job is cancelled immediately,
@@ -1096,9 +1087,9 @@ func (s *Server) runJob(j *job) {
 		miss := make([]experiment.Spec, len(missIdx))
 		for k, i := range missIdx {
 			miss[k] = j.specs[i]
-			if s.deploy == nil {
-				// Instance cache disabled by config: opt every spec out so the
-				// runner's per-batch fallback cache stays unused too.
+			if s.cfg.InstanceCacheSize < 0 {
+				// Instance cache disabled by config: every spec deploys cold
+				// through a private cache, and s.deploy stays empty.
 				miss[k].NoInstanceCache = true
 			}
 		}

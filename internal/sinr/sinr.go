@@ -67,13 +67,13 @@ func (p Params) Validate() error {
 
 // Signal returns S_i = power/l^α for a link of length l.
 func (p Params) Signal(power, l float64) float64 {
-	return power / math.Pow(l, p.Alpha)
+	return power / p.PowAlpha(l)
 }
 
 // InterferenceAt returns I_ji = power_j / d_ji^α, the interference a sender
 // transmitting with power_j at distance d_ji from a receiver imposes on it.
 func (p Params) InterferenceAt(powerJ, dJI float64) float64 {
-	return powerJ / math.Pow(dJI, p.Alpha)
+	return powerJ / p.PowAlpha(dJI)
 }
 
 // Feasible reports whether every link in S satisfies the SINR condition (1)
