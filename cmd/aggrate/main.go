@@ -625,7 +625,7 @@ func cmdServe(args []string, stdout, stderr io.Writer) error {
 	}
 
 	faults := service.FaultsFromEnv()
-	if faults.JournalFailEvery > 0 || faults.JournalStall > 0 || faults.KillAfterSpecs > 0 {
+	if faults.Armed() {
 		fmt.Fprintf(stderr, "aggrate: FAULT INJECTION ARMED: %+v\n", faults)
 	}
 	svc, err := service.New(service.Config{

@@ -84,10 +84,6 @@ type Family struct {
 	Name string
 	// H is the γ-free factor h(x).
 	H func(x float64) float64
-	// Unit reports that H ≡ 1. The bucketed build's innermost pair test
-	// then computes the threshold as l_min·γ instead of calling H per pair
-	// — the dominant per-candidate cost for G_γ builds.
-	Unit bool
 }
 
 // At returns the family's threshold function at γ.
@@ -110,7 +106,7 @@ func (f Func) String() string { return fmt.Sprintf("%s(γ=%g)", f.Name, f.Gamma)
 
 // GammaFamily is G_γ: f_γ ≡ γ. The paper's G₁ is GammaFamily().At(1).
 func GammaFamily() Family {
-	return Family{Name: "G_gamma", H: func(float64) float64 { return 1 }, Unit: true}
+	return Family{Name: "G_gamma", H: func(float64) float64 { return 1 }}
 }
 
 // PowerLawFamily is G^δ_γ, f_γ(x) = γ·x^δ: the conflict graph whose
@@ -173,14 +169,14 @@ type Graph struct {
 	RowPtr []int32
 	// Neighbors holds all adjacency rows back to back (Edges entries).
 	Neighbors []int32
-	// Strengths, when non-nil, parallels Neighbors: Strengths[k] is the
-	// conflict strength of the edge (i, Neighbors[k]) of row i — the
-	// smallest float64 γ at which the two links f_γ-conflict under the
-	// threshold family the graph was built for (see Family and strengthOf)
-	// — rounded up to the next float32 (roundUp32). Rounding up keeps
-	// "Strengths[k] ≤ γ" exact for every float32 γ; FilterCtx rechecks the
-	// pairs the rounding leaves undecided at any other γ. Every built or filtered graph carries it;
-	// only FromAdj leaves it nil.
+	// Strengths parallels Neighbors: Strengths[k] is the conflict strength
+	// of the edge (i, Neighbors[k]) of row i — the smallest float64 γ at
+	// which the two links f_γ-conflict under the threshold family the graph
+	// was built for (see Family and strengthOf) — rounded up to the next
+	// float32 (roundUp32). Rounding up keeps "Strengths[k] ≤ γ" exact for
+	// every float32 γ; FilterCtx rechecks the pairs the rounding leaves
+	// undecided at any other γ. FromAdj's edges have strength 0: present at
+	// every γ.
 	Strengths []float32
 	// Stats counts the candidate-pruning work of the bucketed build that
 	// produced the graph; zero for test-constructed graphs.
@@ -275,8 +271,8 @@ func scatterGroups(nbufs, n, total, entryBytes int) int {
 
 // assemble builds the one-sided CSR adjacency straight from edge buffers,
 // with no merged copy: bufs[b] holds oriented edges, each scattered into row
-// e.i only, and qs[b], when qs is non-nil, their conflict strengths entry
-// for entry, which land in Graph.Strengths alongside the neighbor entries.
+// e.i only, and qs[b] their conflict strengths entry for entry, which land
+// in Graph.Strengths alongside the neighbor entries.
 // The buffers are dealt round-robin into scatterGroups groups that run in
 // parallel, each owning one segment of every row, so no two groups write
 // the same slot and no atomics are needed. Each group counts its entries per row and then fills its
@@ -299,13 +295,9 @@ func assemble(links []geom.Link, bufs [][]edge, qs [][]float32) (*Graph, error) 
 		Links:     links,
 		RowPtr:    make([]int32, n+1),
 		Neighbors: make([]int32, total),
+		Strengths: make([]float32, total),
 	}
-	entryBytes := 8
-	if qs != nil {
-		g.Strengths = make([]float32, total)
-		entryBytes += 4
-	}
-	k := scatterGroups(len(bufs), n, total, entryBytes)
+	k := scatterGroups(len(bufs), n, total, 12) // an edge (8 B) and its strength (4 B)
 	cur := make([][]int32, k)
 	for c := 1; c < k; c++ {
 		cur[c] = make([]int32, n)
@@ -341,9 +333,7 @@ func assemble(links []geom.Link, bufs [][]edge, qs [][]float32) (*Graph, error) 
 				p := at[e.i] - 1
 				at[e.i] = p
 				g.Neighbors[p] = e.j
-				if qs != nil {
-					g.Strengths[p] = qs[b][t]
-				}
+				g.Strengths[p] = qs[b][t]
 			}
 		}
 	})
@@ -359,10 +349,10 @@ func assemble(links []geom.Link, bufs [][]edge, qs [][]float32) (*Graph, error) 
 const longRow = 32
 
 // sortRows sorts every adjacency row ascending, permuting the parallel
-// Strengths entries, when present, in lockstep. A long row packs each
-// (neighbor, slot) pair into one uint64 key — neighbors are distinct and
-// non-negative, so key order is neighbor order — sorts the keys and gathers
-// the strengths back through the slots from a per-worker copy.
+// Strengths entries in lockstep. A long row packs each (neighbor, slot)
+// pair into one uint64 key — neighbors are distinct and non-negative, so
+// key order is neighbor order — sorts the keys and gathers the strengths
+// back through the slots from a per-worker copy.
 func sortRows(g *Graph) {
 	par.ForBlocks(g.N(), 256, func(next func() (int, int, bool)) {
 		var keys []uint64
@@ -371,10 +361,6 @@ func sortRows(g *Graph) {
 			for i := lo; i < hi; i++ {
 				row := g.Row(i)
 				if len(row) < 2 {
-					continue
-				}
-				if g.Strengths == nil {
-					slices.Sort(row)
 					continue
 				}
 				qrow := g.Strengths[g.RowPtr[i]:g.RowPtr[i+1]]
@@ -408,9 +394,10 @@ func sortRows(g *Graph) {
 // FromAdj assembles a Graph from explicit adjacency lists — the test-side
 // constructor for synthetic graphs and slice-form oracles. adj must be
 // symmetric (j in adj[i] ⟺ i in adj[j]); every edge is deduplicated and
-// stored once, oriented by the lengths of links like a built graph. The
-// result carries no Strengths. It panics on an edge count past the size
-// cap, which only a caller-built adjacency of 2³⁰ edges can reach.
+// stored once, oriented by the lengths of links like a built graph, with
+// strength 0, so filtering keeps it at every γ. It panics on an edge count
+// past the size cap, which only a caller-built adjacency of 2³⁰ edges can
+// reach.
 func FromAdj(links []geom.Link, adj [][]int32) *Graph {
 	var edges []edge
 	for i, row := range adj {
@@ -430,7 +417,7 @@ func FromAdj(links []geom.Link, adj [][]int32) *Graph {
 	for k, e := range edges {
 		edges[k] = oriented(e.i, e.j, links[e.i].Length(), links[e.j].Length())
 	}
-	g, err := assemble(links, [][]edge{edges}, nil)
+	g, err := assemble(links, [][]edge{edges}, [][]float32{make([]float32, len(edges))})
 	if err != nil {
 		panic(err)
 	}
@@ -712,10 +699,11 @@ var ErrDegenerate = errors.New("conflict: degenerate input")
 // [b_c, b_{c+1}) by comparison against precomputed boundaries, so class
 // order respects length order. A pair (i, j) with class(j) ≥ class(i)
 // conflicts only if d(i,j) ≤ l_min·f(l_max/l_min); monotone f bounds that
-// threshold by l_i·f(m_c/n_c) within i's own class and by l_i·f(m_c/l_i)
-// for higher classes, where m_c, n_c are the actual max/min lengths stored
-// per class. Scanning every grid cell intersecting the disks of that radius
-// around both endpoints of i therefore yields a candidate superset; the
+// threshold by l_i·f(max(l_i, m_c)/min(l_i, n_c)), where m_c, n_c are the
+// actual max/min lengths stored per class — m_c/n_c within i's own class,
+// and m_c/l_i for a higher class, whose every link is longer than l_i.
+// Scanning every grid cell intersecting the disks of that radius around
+// both endpoints of i therefore yields a candidate superset; the
 // exact pair test then reproduces the pairwise edge set. Each edge is
 // discovered exactly once, owned by the lower-class (ties: lower-index)
 // endpoint, oriented on the spot from the two lengths the pair test already
@@ -1072,13 +1060,7 @@ func (b *bucketedSearch) searchLink(i int32, stamp []int32, out *[]edge, qout *[
 		// Radius bound; see BuildLookaheadCtx. The 1e-9 relative pad absorbs
 		// the few-ulp slop between this bound and the exact threshold
 		// computed inside Conflicting.
-		var x float64
-		if c == ci {
-			x = cg.maxL / cg.minL
-		} else {
-			x = cg.maxL / li
-		}
-		r := li * b.f.Eval(x) * (1 + 1e-9)
+		r := li * b.f.Eval(math.Max(li, cg.maxL)/math.Min(li, cg.minL)) * (1 + 1e-9)
 		s := cg.size
 		// Cell pruning pad: r plus a slack dominating the worst-case absolute
 		// cancellation error of the rectangle arithmetic in cellNear (a few
@@ -1138,8 +1120,9 @@ func (b *bucketedSearch) searchLink(i int32, stamp []int32, out *[]edge, qout *[
 //  1. Tightened radius. The class-level radius bounds every pair threshold
 //     through the class-wide length extremes; replaying the same monotone
 //     argument over the cell's own member-length extremes (gathered at
-//     freeze time) gives a radius that is never larger — for G_γ a cell of
-//     short same-class members shrinks it to cMaxL·γ.
+//     freeze time) gives rc = min(l_i, cMaxL)·f(max(l_i, cMaxL)/min(l_i,
+//     cMinL)), never larger — for G_γ a cell of short same-class members
+//     shrinks it to cMaxL·γ.
 //  2. Endpoint-bbox rect distance. A conflicting candidate j has an in-cell
 //     endpoint q with |pq| ≤ thr ≤ rc for some endpoint p of i, and q lies
 //     in the cell's stored-endpoint bounding box, so a cell whose bbox is
@@ -1152,20 +1135,7 @@ func (b *bucketedSearch) searchLink(i int32, stamp []int32, out *[]edge, qout *[
 func (b *bucketedSearch) scanCandCell(i int32, sameClass bool, li float64, cg *classGrid, ic int32,
 	stamp []int32, out *[]edge, qout *[]float32, st *BuildStats) {
 	cmax := cg.cMaxL[ic]
-	var rc float64
-	if b.f.Unit {
-		m := li
-		if sameClass && cmax < li {
-			m = cmax
-		}
-		rc = m * b.f.Gamma * (1 + 1e-9)
-	} else if sameClass {
-		lo := math.Min(li, cg.cMinL[ic])
-		hi := math.Max(li, cmax)
-		rc = math.Min(li, cmax) * b.f.Eval(hi/lo) * (1 + 1e-9)
-	} else {
-		rc = li * b.f.Eval(cmax/li) * (1 + 1e-9)
-	}
+	rc := math.Min(li, cmax) * b.f.Eval(math.Max(li, cmax)/math.Min(li, cg.cMinL[ic])) * (1 + 1e-9)
 	// Same absolute slack as the class-level pad: dominates the cancellation
 	// error of the rect-distance arithmetic, so rounding can never prune a
 	// cell holding a true candidate.
@@ -1190,14 +1160,12 @@ func (b *bucketedSearch) scanCandCell(i int32, sameClass bool, li float64, cg *c
 // scanCell runs the exact conflict test against every candidate in one grid
 // cell, recording the edges link i owns. Candidate coordinates and lengths
 // stream from the cell-local SoA mirror (one contiguous block per cell — no
-// gather-loads through members), and for a Unit family (G_γ) the threshold
-// skips the factor h; the arithmetic — min over the four endpoint squared
-// distances against (l_min·(γ·h(l_max/l_min)))², the floating-point
-// expression Func.Eval computes — is
-// expression-identical to Conflicting, so the edge set matches the exact
-// pairwise scan bit-for-bit. Each accepted edge is appended oriented by the
-// two lengths in hand (see oriented), and its strength, rounded up to
-// float32, to *qout.
+// gather-loads through members); the arithmetic — min over the four
+// endpoint squared distances against (l_min·(γ·h(l_max/l_min)))², the
+// floating-point expression Func.Eval computes — is expression-identical to
+// Conflicting, so the edge set matches the exact pairwise scan bit-for-bit.
+// Each accepted edge is appended oriented by the two lengths in hand (see
+// oriented), and its strength, rounded up to float32, to *qout.
 //
 // The loop is ordered cheapest-reject-first: the squared distance (pure SoA
 // loads and arithmetic) is compared against rr — the squared padded
@@ -1246,15 +1214,8 @@ func (b *bucketedSearch) scanCell(i int32, sameClass bool, rr float64,
 		if lmin > lmax {
 			lmin, lmax = lmax, lmin
 		}
-		var thr, hx float64
-		if b.f.Unit {
-			thr = lmin * b.f.Gamma
-			hx = 1
-		} else {
-			hx = b.f.H(lmax / lmin)
-			thr = lmin * (b.f.Gamma * hx)
-		}
-		if d <= thr*thr {
+		hx := b.f.H(lmax / lmin)
+		if thr := lmin * (b.f.Gamma * hx); d <= thr*thr {
 			if stamp[j] == i {
 				continue
 			}
@@ -1273,9 +1234,10 @@ func (g *Graph) N() int { return len(g.Links) }
 func (g *Graph) Edges() int { return len(g.Neighbors) }
 
 // Row returns the sorted neighbors of vertex i that come before it in
-// first-fit order (see Graph); i's later neighbors are in their own rows.
-// The slice aliases the graph's CSR storage; callers must not modify it
-// (test constructors like FromAdj excepted).
+// first-fit order (see Graph); i's later neighbors are in their own rows,
+// and Strengths[RowPtr[i]:RowPtr[i+1]] holds the row's strengths. The slice
+// aliases the graph's CSR storage; callers must not modify it (sortRows,
+// which orders it while the graph is assembled, excepted).
 func (g *Graph) Row(i int) []int32 {
 	return g.Neighbors[g.RowPtr[i]:g.RowPtr[i+1]]
 }

@@ -21,7 +21,6 @@ package conflict
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -116,9 +115,6 @@ func strengthOf(d2, lmin, h, buildGamma float64) float64 {
 // counting and the scatter pass; on cancellation FilterCtx returns
 // (nil, ctx.Err()) and never a partially-filtered graph.
 func (g *Graph) FilterCtx(ctx context.Context, f Func, gamma float64) (*Graph, error) {
-	if g.Strengths == nil {
-		return nil, fmt.Errorf("conflict: FilterCtx on a graph without strengths (not a lookahead build)")
-	}
 	n := g.N()
 	out := &Graph{
 		Links:  g.Links,

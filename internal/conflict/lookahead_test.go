@@ -209,14 +209,23 @@ func TestFilterCtxCancel(t *testing.T) {
 	}
 }
 
-// TestFilterRequiresStrengths: filtering a graph without strengths (a
-// FromAdj test graph) is a programming error and must fail loudly instead of
-// returning an empty graph.
-func TestFilterRequiresStrengths(t *testing.T) {
+// TestFilterKeepsFromAdjEdges: FromAdj gives every edge strength 0, so
+// filtering its graph at any γ — a float32 rung or not — returns it whole
+// instead of an empty graph.
+func TestFilterKeepsFromAdjEdges(t *testing.T) {
 	links := mstLinks(t, 200, 28, 1000)
-	g := FromAdj(links, make([][]int32, len(links)))
-	if _, err := g.FilterCtx(context.Background(), GammaFamily().At(1), 1); err == nil {
-		t.Fatal("FilterCtx on a strength-free graph succeeded; want error")
+	adj := make([][]int32, len(links))
+	for i := 1; i < len(links); i++ {
+		adj[i-1] = append(adj[i-1], int32(i))
+		adj[i] = append(adj[i], int32(i-1))
+	}
+	g := FromAdj(links, adj)
+	for _, gamma := range []float64{1, 0.1} {
+		got, err := g.FilterCtx(context.Background(), GammaFamily().At(gamma), gamma)
+		if err != nil {
+			t.Fatalf("FilterCtx(γ=%g): %v", gamma, err)
+		}
+		graphsEqual(t, g, got, "FromAdj filtered")
 	}
 }
 

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"math"
 	"os"
 	"testing"
 
@@ -13,8 +14,11 @@ import (
 // AGGRATE_LONG=1 because a full run takes tens of seconds on one core —
 // TestPipelineWorkCounters holds the same work counters at n=20k instead.
 //
-// The hard assertions are correctness (verified schedule, sane stats); the
-// stage split is logged so regressions in any one stage are visible. The
+// The hard assertions are correctness (verified schedule, sane stats) and
+// the reference instance's deterministic outputs, pinned exactly: the
+// margin's bits, the schedule, the graph and the build's work counters,
+// so a change meant to keep every output bit fails here if it does not;
+// the stage split is logged so regressions in any one stage are visible. The
 // verify stage itself must stay under 15s — the total pipeline time is
 // tracked by the benchmark's mean-1m workload (bash bench/run.sh), with
 // conflict-graph construction the dominant cost.
@@ -35,6 +39,25 @@ func TestMillionLinkPipeline(t *testing.T) {
 		t.Fatal("schedule not verified")
 	}
 	tm := res.Timings
+	if got, want := math.Float64bits(res.Margin), math.Float64bits(1.2820527199232403); got != want {
+		t.Errorf("margin = %v (bits %#x), want 1.2820527199232403 (bits %#x)", res.Margin, got, want)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"slots", int64(res.ScheduleLength), 19},
+		{"edges", int64(res.Edges), 8_771_990},
+		{"gamma_retries", int64(res.GammaRetries), 1},
+		{"build_cand_scanned", tm.BuildCandScanned, 101_335_090},
+		{"build_cand_accepted", tm.BuildCandAccepted, 17_543_980},
+		{"build_cells_scanned", tm.BuildCellsScanned, 13_270_906},
+		{"build_cells_pruned", tm.BuildCellsPruned, 5_138_568},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
 	t.Logf("n=1e6 uniform: total %.2fs (gen %.2f, mst %.2f, build %.2f, filter %.4f, order %.2f, color %.2f, verify %.2f)",
 		tm.TotalSec, tm.GenerateSec, tm.MSTSec, tm.BuildSec, tm.BuildFilterSec, tm.OrderSec, tm.ColorSec, tm.VerifySec)
 	t.Logf("verify: exact_pairs_frac %.4g, reused_slots %d, refined_cells %d",

@@ -28,9 +28,11 @@
 //     first-fit in input order with no SINR or length awareness — the
 //     Sec. 6 strawman.
 //
-// dsatur, jp and naive visit vertices in an order other than the length
-// order, so they read both directions of the one-sided conflict graph,
-// which the coloring package rebuilds per call.
+// greedy, dsatur, jp and naive are one graphStrategy each, differing only
+// in their threshold family and their coloring; lengthclass is the one
+// strategy with a graph per class. dsatur, jp and naive visit vertices in an
+// order other than the length order, so they read both directions of the
+// one-sided conflict graph, which the coloring package rebuilds per call.
 //
 // Strategies are deterministic in (links, Config), so batch results stay
 // reproducible regardless of worker scheduling.
@@ -189,15 +191,26 @@ func Names() []string { return []string{Greedy, LengthClass, DSatur, JP, Naive} 
 func Lookup(name string) (Strategy, error) {
 	switch name {
 	case Greedy:
-		return greedyStrategy{}, nil
+		return graphStrategy{Greedy, Config.ConflictFamily, func(g *conflict.Graph, ws *coloring.Workspace, colors []int, d *Diag) int {
+			t0 := time.Now()
+			order := ws.LengthOrder(g)
+			d.OrderSec = time.Since(t0).Seconds()
+			return ws.FirstFit(g, order, colors)
+		}}, nil
 	case LengthClass:
 		return lengthClassStrategy{}, nil
 	case DSatur:
-		return dsaturStrategy{}, nil
+		return graphStrategy{DSatur, Config.ConflictFamily, func(g *conflict.Graph, ws *coloring.Workspace, colors []int, _ *Diag) int {
+			return ws.DSatur(g, colors)
+		}}, nil
 	case JP:
-		return jpStrategy{}, nil
+		return graphStrategy{JP, Config.ConflictFamily, func(g *conflict.Graph, ws *coloring.Workspace, colors []int, _ *Diag) int {
+			return ws.JP(g, jpSeed, colors)
+		}}, nil
 	case Naive:
-		return naiveStrategy{}, nil
+		return graphStrategy{Naive, naiveFamily, func(g *conflict.Graph, ws *coloring.Workspace, colors []int, _ *Diag) int {
+			return ws.FirstFitAnyOrder(g, coloring.IndexOrder(g.N()), colors)
+		}}, nil
 	default:
 		return nil, fmt.Errorf("scheduler: unknown algorithm %q (have %v)", name, Names())
 	}
@@ -230,15 +243,26 @@ func buildGraph(ctx context.Context, links []geom.Link, fam conflict.Family, gam
 	return g, err
 }
 
-// colorWith is the shared body of the single-graph strategies: build the
-// conflict graph for fam at cfg.Gamma (through the lookahead cache when the
-// Config carries one), color it with the supplied coloring (which gets the
-// Config's Workspace — or a fresh one — and a pre-sized palette, and may
-// split its time into Diag.OrderSec via the diag pointer), and emit the
-// coloring schedule. A ctx cancel surfaces from the graph build.
-func colorWith(ctx context.Context, links []geom.Link, fam conflict.Family, cfg Config,
-	color func(*conflict.Graph, *coloring.Workspace, []int, *Diag) int) (*schedule.Schedule, Diag, error) {
+// graphStrategy is every strategy that colors one conflict graph over all
+// links: build the graph of the family at cfg.Gamma (through the lookahead
+// cache when the Config carries one), color it (with the Config's Workspace
+// — or a fresh one — and a pre-sized palette; color may split its time into
+// Diag.OrderSec), and emit the coloring schedule. A bad graph kind is
+// rejected by family before any work; a ctx cancel surfaces from the build.
+type graphStrategy struct {
+	name   string
+	family func(Config) (conflict.Family, error)
+	color  func(g *conflict.Graph, ws *coloring.Workspace, colors []int, d *Diag) int
+}
+
+func (s graphStrategy) Name() string { return s.name }
+
+func (s graphStrategy) Schedule(ctx context.Context, links []geom.Link, cfg Config) (*schedule.Schedule, Diag, error) {
 	var d Diag
+	fam, err := s.family(cfg)
+	if err != nil {
+		return nil, d, err
+	}
 	g, err := buildGraph(ctx, links, fam, cfg.Gamma, cfg, &d)
 	if err != nil {
 		return nil, d, err
@@ -250,7 +274,7 @@ func colorWith(ctx context.Context, links []geom.Link, fam conflict.Family, cfg 
 	if ws == nil {
 		ws = coloring.NewWorkspace()
 	}
-	numColors := color(g, ws, colors, &d)
+	numColors := s.color(g, ws, colors, &d)
 	d.ColorSec = time.Since(t0).Seconds() - d.OrderSec
 	sched, err := schedule.FromColoring(links, colors)
 	if err != nil {
@@ -262,84 +286,28 @@ func colorWith(ctx context.Context, links []geom.Link, fam conflict.Family, cfg 
 	return sched, d, nil
 }
 
-// greedyStrategy is the existing pipeline: global conflict graph, first-fit
-// in non-increasing length order.
-type greedyStrategy struct{}
-
-func (greedyStrategy) Name() string { return Greedy }
-
-func (greedyStrategy) Schedule(ctx context.Context, links []geom.Link, cfg Config) (*schedule.Schedule, Diag, error) {
-	fam, err := cfg.ConflictFamily()
-	if err != nil {
-		return nil, Diag{}, err
-	}
-	return colorWith(ctx, links, fam, cfg, func(g *conflict.Graph, ws *coloring.Workspace, colors []int, d *Diag) int {
-		t0 := time.Now()
-		order := ws.LengthOrder(g)
-		d.OrderSec = time.Since(t0).Seconds()
-		return ws.FirstFit(g, order, colors)
-	})
-}
-
-// dsaturStrategy colors the same conflict graph with DSATUR.
-type dsaturStrategy struct{}
-
-func (dsaturStrategy) Name() string { return DSatur }
-
-func (dsaturStrategy) Schedule(ctx context.Context, links []geom.Link, cfg Config) (*schedule.Schedule, Diag, error) {
-	fam, err := cfg.ConflictFamily()
-	if err != nil {
-		return nil, Diag{}, err
-	}
-	return colorWith(ctx, links, fam, cfg, func(g *conflict.Graph, ws *coloring.Workspace, colors []int, _ *Diag) int {
-		return ws.DSatur(g, colors)
-	})
-}
-
 // jpSeed is the fixed priority seed of the jp strategy: schedules stay
 // deterministic in (links, Config) like every other strategy.
 const jpSeed = 0x51ce5e11a9b6d7c3
 
-// jpStrategy colors the same conflict graph with the parallel
-// Jones–Plassmann random-priority coloring.
-type jpStrategy struct{}
-
-func (jpStrategy) Name() string { return JP }
-
-func (jpStrategy) Schedule(ctx context.Context, links []geom.Link, cfg Config) (*schedule.Schedule, Diag, error) {
-	fam, err := cfg.ConflictFamily()
-	if err != nil {
-		return nil, Diag{}, err
-	}
-	return colorWith(ctx, links, fam, cfg, func(g *conflict.Graph, ws *coloring.Workspace, colors []int, _ *Diag) int {
-		return ws.JP(g, jpSeed, colors)
-	})
-}
-
-// naiveStrategy is the Sec. 6 strawman: a protocol-model TDMA that silences
-// everything within γ·l_max of a transmitting pair and colors links first-fit
-// in input order, blind to both SINR and the length structure. The threshold
-// f(x) = γ·x gives d(i,j) ≤ γ·max(l_i, l_j) as the conflict condition; it is
-// monotone (so the bucketed build stays exact) but deliberately not
-// sub-linear — this strategy is outside the paper's framework on purpose.
-type naiveStrategy struct{}
-
-func (naiveStrategy) Name() string { return Naive }
-
-// NaiveFamily is the protocol-model threshold of the naive strategy,
-// f_γ(x) = γ·x with the guard-zone multiple γ, so the strawman rides the
-// same γ-lookahead cache as the paper's families.
+// NaiveFamily is the protocol-model threshold of the naive strategy, the
+// Sec. 6 strawman that silences everything within γ·l_max of a transmitting
+// pair: f_γ(x) = γ·x gives d(i,j) ≤ γ·max(l_i, l_j) as the conflict
+// condition, with the guard-zone multiple γ, so the strawman rides the same
+// γ-lookahead cache as the paper's families. It is monotone (so the
+// bucketed build stays exact) but deliberately not sub-linear — this
+// strategy is outside the paper's framework on purpose.
 func NaiveFamily() conflict.Family {
 	return conflict.Family{Name: "protocol", H: func(x float64) float64 { return x }}
 }
 
-func (naiveStrategy) Schedule(ctx context.Context, links []geom.Link, cfg Config) (*schedule.Schedule, Diag, error) {
+// naiveFamily is the naive strategy's family, after rejecting a bogus graph
+// kind like every other strategy.
+func naiveFamily(cfg Config) (conflict.Family, error) {
 	if _, err := cfg.ConflictFamily(); err != nil {
-		return nil, Diag{}, err // reject bogus graph kinds uniformly
+		return conflict.Family{}, err
 	}
-	return colorWith(ctx, links, NaiveFamily(), cfg, func(g *conflict.Graph, ws *coloring.Workspace, colors []int, _ *Diag) int {
-		return ws.FirstFitAnyOrder(g, coloring.IndexOrder(g.N()), colors)
-	})
+	return NaiveFamily(), nil
 }
 
 // lengthClassStrategy is the per-class baseline: partition the links into

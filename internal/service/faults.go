@@ -28,8 +28,8 @@ type Faults struct {
 	KillAfterSpecs int
 }
 
-// enabled reports whether any fault is armed.
-func (f Faults) enabled() bool {
+// Armed reports whether any fault is on.
+func (f Faults) Armed() bool {
 	return f.JournalFailEvery > 0 || f.JournalStall > 0 || f.KillAfterSpecs > 0
 }
 

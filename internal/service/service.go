@@ -244,11 +244,7 @@ func (s *Server) resume(replayed []*replayedJob) {
 			if !ok {
 				continue
 			}
-			j.done[i] = true
-			j.replayed++
-			it := StreamItem{Index: i, SpecKey: keys[i], Source: SourceJournal, Result: sp.res}
-			j.items = append(j.items, it)
-			j.stream = append(j.stream, it)
+			j.complete(i, sp.res, SourceJournal)
 			s.metrics.journalReplayedSpecs.Add(1)
 			s.metrics.specsCompleted.add(SourceJournal, 1)
 		}

@@ -494,13 +494,12 @@ func (g *SlotGrid) SizeBytes() int64 {
 }
 
 // refreshFrom rebuilds g as src with new powers: the power-independent
-// structure (cell tables, membership, bounding boxes, layout scalars) is
-// copied, then the cell-ordered power copies and the node masses are
-// recomputed. The mass arithmetic replays a fresh build bit for bit — base
-// masses accumulate in slot order, pyramid masses sum non-empty children in
-// child order — so a refreshed grid yields margins identical to building
-// from scratch. src is never written (retained grids stay immutable under
-// concurrent readers).
+// structure (cell tables, membership, base bounding boxes, layout scalars)
+// is copied, the cell-ordered power copies and the base masses are
+// recomputed in slot order, and the upper levels are rebuilt by buildGrid's
+// own pyramid pass, so a refreshed grid is a fresh build bit for bit. src
+// is never written (retained grids stay immutable under concurrent
+// readers).
 func (g *SlotGrid) refreshFrom(src *SlotGrid, pw []float64, powHash uint64) {
 	g.cellOf = append(g.cellOf[:0], src.cellOf...)
 	g.posOf = append(g.posOf[:0], src.posOf...)
@@ -512,46 +511,22 @@ func (g *SlotGrid) refreshFrom(src *SlotGrid, pw []float64, powHash uint64) {
 		g.cpw = make([]float64, len(src.cpw))
 	}
 	g.cpw = g.cpw[:len(src.cpw)]
-	g.nodes = append(g.nodes[:0], src.nodes...)
-	g.childMask = append(g.childMask[:0], src.childMask...)
 	g.levelOff = append(g.levelOff[:0], src.levelOff...)
 	g.d0, g.nonEmpty = src.d0, src.nonEmpty
 	g.invCS, g.gridOX, g.gridOY = src.invCS, src.gridOX, src.gridOY
 	g.orderHash, g.powHash = src.orderHash, powHash
 
-	for i := range g.nodes {
+	base := g.d0 * g.d0
+	g.nodes = append(g.nodes[:0], src.nodes...)
+	clear(g.nodes[base:])
+	for i := range g.nodes[:base] {
 		g.nodes[i].mass = 0
 	}
 	for k, p := range pw {
 		g.nodes[g.cellOf[k]].mass += p
 		g.cpw[g.posOf[k]] = p
 	}
-	d0 := g.d0
-	for l, d := 1, d0>>1; d >= 1; l, d = l+1, d>>1 {
-		off, coff := g.levelOff[l], g.levelOff[l-1]
-		cd := d << 1
-		for y := 0; y < d; y++ {
-			for x := 0; x < d; x++ {
-				n := &g.nodes[off+y*d+x]
-				for dy := 0; dy < 2; dy++ {
-					for dx := 0; dx < 2; dx++ {
-						ch := &g.nodes[coff+(2*y+dy)*cd+(2*x+dx)]
-						if ch.mass == 0 {
-							continue
-						}
-						// First non-empty child assigns, later ones add —
-						// the same accumulation order as buildGrid's union
-						// pass, so the sums round identically.
-						if n.mass == 0 {
-							n.mass = ch.mass
-						} else {
-							n.mass += ch.mass
-						}
-					}
-				}
-			}
-		}
-	}
+	g.buildPyramid()
 }
 
 // EngineScratch holds the reusable per-goroutine buffers of MarginSlotGrid,
@@ -1040,13 +1015,21 @@ func (e *Engine) buildGrid(sc *EngineScratch, g *SlotGrid, m int) bool {
 		sc.fill[c]++
 	}
 
-	// Upper levels: union of the four children, recording each node's
-	// child-occupancy mask as we go.
+	g.buildPyramid()
+	return true
+}
+
+// buildPyramid builds the levels above the base from the base cells: each
+// node is the union of its non-empty children — bounding box and power mass,
+// the first child assigning and later ones adding in child order — with
+// its 4-bit child-occupancy mask. Every upper node must be zero on entry.
+func (g *SlotGrid) buildPyramid() {
+	total := len(g.nodes)
 	if cap(g.childMask) < total {
 		g.childMask = make([]uint8, total)
 	}
 	g.childMask = g.childMask[:total]
-	for l, d := 1, d0>>1; d >= 1; l, d = l+1, d>>1 {
+	for l, d := 1, g.d0>>1; d >= 1; l, d = l+1, d>>1 {
 		off, coff := g.levelOff[l], g.levelOff[l-1]
 		cd := d << 1
 		for y := 0; y < d; y++ {
@@ -1075,7 +1058,6 @@ func (e *Engine) buildGrid(sc *EngineScratch, g *SlotGrid, m int) bool {
 			}
 		}
 	}
-	return true
 }
 
 // cellCoord maps an offset from the grid origin to a clamped cell
